@@ -7,8 +7,10 @@ strings: they routinely exceed double precision, and JSON numbers would be
 silently rounded by most consumers.
 
 Exit codes: 0 success, 1 domain error, 2 parse error (bad flags, bad DSL,
-bad partition text), 3 a requested Schur coefficient is negative, 4 a
-niceness query answered "no".
+bad partition text, bad values of --criteria or CHROMAPOSET_THREADS), 3 a
+requested Schur coefficient is negative, 4 a niceness query answered "no".
+A reader that closes stdout early (say, ``| head``) ends the command with
+exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -44,11 +46,19 @@ EXIT_NEGATIVE = 3
 EXIT_NOT_NICE = 4
 
 
+class UsageError(ValueError):
+    """A flag or environment value that argparse does not check; exits 2."""
+
+
 def _thread_cap(value: int | None) -> int:
     """Honor --threads / CHROMAPOSET_THREADS; evaluation is sequential, so
     the cap only bounds what we would use, never changes any output."""
     if value is None:
-        value = int(os.environ.get("CHROMAPOSET_THREADS", "1"))
+        text = os.environ.get("CHROMAPOSET_THREADS", "1")
+        try:
+            value = int(text)
+        except ValueError:
+            raise UsageError(f"CHROMAPOSET_THREADS must be an integer, got {text!r}") from None
     if value < 1:
         raise DomainError("thread cap must be >= 1")
     return value
@@ -370,10 +380,23 @@ def _cmd_sweep(args) -> int:
     return bad_exit if flagged else EXIT_OK
 
 
+def _criteria(text: str | None) -> list[int] | None:
+    """The --criteria selection; None (all criteria) when absent."""
+    if not text:
+        return None
+    try:
+        numbers = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--criteria takes comma-separated numbers, got {text!r}") from None
+    unknown = sorted(set(numbers) - {num for num, *_ in verification.CRITERIA})
+    if unknown:
+        raise UsageError(f"no criterion numbered {', '.join(map(str, unknown))}")
+    return numbers
+
+
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    numbers = [int(x) for x in args.criteria.split(",")] if args.criteria else None
-    results = verification.run_all(numbers)
+    results = verification.run_all(_criteria(args.criteria))
     rows = [
         {
             "number": r.number,
@@ -501,8 +524,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _thread_cap(args.threads)
-        return args.fn(args)
-    except DslParseError as exc:
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (say, `| head`).  Point stdout at devnull
+        # so that the flush at interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_DOMAIN
+    except (DslParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DomainError as exc:

@@ -6,6 +6,9 @@ column.  A special rim hook tabloid tiles an entire shape with such hooks.
 The signed count of tabloids of shape lambda and content mu (hook sizes,
 sorted) is the (lambda, mu) entry of the inverse Kostka matrix, i.e. the
 coefficient of s_lambda when m_mu is expanded in Schur functions.
+``signed_contents`` computes those signed counts without building any
+tabloid, and is what the Schur sums use; ``enumerate_srht`` builds the
+tabloids themselves for display and for the checks.
 
 Cells are (row, column) pairs, 1-based, with row 1 the longest row (English
 notation).  Hooks are stored bottom-up in peel order: the first hook is the
@@ -14,6 +17,7 @@ one through the bottom-left cell.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -195,6 +199,63 @@ def enumerate_srht(
     return TabloidFamily(shape, tuple(found))
 
 
+def signed_contents(shape, prefix=()) -> dict[Partition, int]:
+    """{content: signed count of special rim hook tabloids of ``shape`` with
+    that content} over the contents that start with ``prefix``; zero entries
+    are dropped.  A prefix equal to a whole content keeps that content alone.
+
+    The bottom-left peel of :func:`enumerate_srht`, summed instead of listed:
+    no hook is built, and the table of each remaining sub-shape is memoized
+    together with the prefix parts it still has to supply.  With t the last
+    prefix part, a hook of a size still unmet uses up one such part, any
+    other hook larger than t is pruned, and smaller hooks are free.  A
+    sub-shape is pruned when its largest hook (first row plus height) is
+    below the largest unmet part, or its cells cannot cover the unmet parts.
+    """
+    shape = as_partition(shape)
+    prefix = as_partition(prefix)
+    if sum(prefix) > sum(shape):
+        raise SizeMismatchError(f"prefix {prefix} exceeds shape {shape}")
+    # No hook is larger than the whole shape, so without a prefix none is pruned.
+    floor = prefix[-1] if prefix else sum(shape)
+    memo: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+
+    # Contents are kept ascending inside the recursion, so a hook size goes
+    # in by bisection; ``unmet`` is descending, like the prefix.
+    def table(lengths: Partition, unmet: Partition) -> dict[Partition, int]:
+        key = (lengths, unmet)
+        if key in memo:
+            return memo[key]
+        out: dict[Partition, int] = {}
+        if not lengths:
+            if not unmet:
+                out[()] = 1
+        elif not unmet or (
+            unmet[0] < lengths[0] + len(lengths) and sum(unmet) <= sum(lengths)
+        ):
+            bottom = len(lengths) - 1
+            for top in range(bottom + 1):
+                size = lengths[top] + bottom - top
+                if size in unmet:
+                    i = unmet.index(size)
+                    rest = unmet[:i] + unmet[i + 1 :]
+                elif size > floor:
+                    continue
+                else:
+                    rest = unmet
+                trimmed = lengths[:top] + tuple(x - 1 for x in lengths[top + 1 :] if x > 1)
+                sign = -1 if (bottom - top) % 2 else 1
+                for content, count in table(trimmed, rest).items():
+                    i = bisect_left(content, size)
+                    grown = content[:i] + (size,) + content[i:]
+                    out[grown] = out.get(grown, 0) + sign * count
+            out = {content: count for content, count in out.items() if count}
+        memo[key] = out
+        return out
+
+    return {content[::-1]: count for content, count in table(shape, prefix).items()}
+
+
 def inverse_kostka(lam, mu) -> int:
     """Coefficient of s_lam in m_mu: the signed tabloid count of shape lam
     and content mu; zero unless lam precedes mu in dominance."""
@@ -202,7 +263,7 @@ def inverse_kostka(lam, mu) -> int:
     mu = as_partition(mu)
     if not dominance_leq(lam, mu):
         return 0
-    return sum(t.sign for t in enumerate_srht(lam, content=mu))
+    return signed_contents(lam, mu).get(mu, 0)
 
 
 def kostka_number(lam, mu) -> int:

@@ -2,17 +2,19 @@
 in the monomial and Schur bases.
 
 Monomial coefficients are semi-ordered stable-partition counts.  Schur
-coefficients come from the signed tabloid sum: for each special rim hook
-tabloid of the requested shape, add its sign times the chain-partition count
-of its content.  For a product of two chains and a shape carrying the forced
-staircase prefix, the counts have a closed form and the sum collapses to a
-handful of terms; that fast path is what makes the large negativity sweeps
-cheap.
+coefficients come from the signed tabloid sum: for each content of a special
+rim hook tabloid of the requested shape, add its signed tabloid count
+(``signed_contents``) times the chain-partition count of that content.  For
+a product of two chains and a shape carrying the forced staircase prefix,
+the counts have a closed form, and the table restricted to that prefix has a
+handful of entries; that fast path is what makes the large negativity
+sweeps cheap.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from .counting import (
     WITNESS_CASE_HEIGHTS,
@@ -39,7 +41,7 @@ from .partitions import (
     rearrangement_count,
 )
 from .posets import Boolean, Chain, Graph, Poset, Product, build_poset, iter_bits
-from .rimhooks import enumerate_srht, kostka_number
+from .rimhooks import kostka_number, signed_contents
 
 
 class MonomialExpansion:
@@ -162,6 +164,31 @@ def closed_fast_path(poset: Poset, shape) -> tuple[StaircaseContext, Partition] 
     return StaircaseContext(m, n), pre
 
 
+def _tabloid_sum(shape, count, prefix=()) -> int:
+    """The tabloid sum: each content's signed tabloid count (restricted to
+    contents starting with ``prefix``) times ``count(content)``."""
+    return sum(
+        signed * count(content)
+        for content, signed in signed_contents(shape, prefix).items()
+    )
+
+
+def _searched_counts(poset: Poset, longest: int):
+    """Chain-partition counts by backtracking search, cached per content; a
+    content with a part longer than the longest chain counts 0 unsearched."""
+    counter = ChainPartitionCounter(poset)
+    cache: dict[Partition, int] = {}
+
+    def count(content: Partition) -> int:
+        if content and content[0] > longest:
+            return 0
+        if content not in cache:
+            cache[content] = counter.count(content)
+        return cache[content]
+
+    return count
+
+
 def schur_coefficient(poset: Poset, shape, method: str = "auto") -> int:
     """Coefficient of the Schur function of ``shape`` in the chromatic
     symmetric function of the poset's incomparability graph.
@@ -183,23 +210,9 @@ def schur_coefficient(poset: Poset, shape, method: str = "auto") -> int:
         )
     if fast is not None:
         ctx, pre = fast
-        return sum(
-            t.sign * scp_closed_form(ctx, t.content)
-            for t in enumerate_srht(shape, content_prefix=pre)
-        )
-    counter = ChainPartitionCounter(poset)
+        return _tabloid_sum(shape, partial(scp_closed_form, ctx), pre)
     longest = poset.max_chain_size() if len(poset) else 0
-    cache: dict[Partition, int] = {}
-    total = 0
-    for t in enumerate_srht(shape):
-        content = t.content
-        if content and content[0] > longest:
-            continue
-        cnt = cache.get(content)
-        if cnt is None:
-            cnt = cache[content] = counter.count(content)
-        total += t.sign * cnt
-    return total
+    return _tabloid_sum(shape, _searched_counts(poset, longest))
 
 
 def schur_expansion(poset: Poset, max_elements: int = 12) -> SchurExpansion:
@@ -213,21 +226,12 @@ def schur_expansion(poset: Poset, max_elements: int = 12) -> SchurExpansion:
     if n == 0:
         return SchurExpansion(0, {(): 1})
     longest = poset.max_chain_size()
-    counter = ChainPartitionCounter(poset)
-    cache: dict[Partition, int] = {}
+    count = _searched_counts(poset, longest)
     coeffs = {}
     for lam in partitions_of(n):
         if lam[0] > longest:
             continue
-        total = 0
-        for t in enumerate_srht(lam):
-            content = t.content
-            if content[0] > longest:
-                continue
-            cnt = cache.get(content)
-            if cnt is None:
-                cnt = cache[content] = counter.count(content)
-            total += t.sign * cnt
+        total = _tabloid_sum(lam, count)
         if total:
             coeffs[lam] = total
     return SchurExpansion(n, coeffs)

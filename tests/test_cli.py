@@ -3,10 +3,15 @@ envelopes, determinism, and round-tripping certificates out of the JSON back
 into validated objects."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import chromaposet
 from chromaposet import (
     ChainPartitionCertificate,
     __version__,
@@ -111,6 +116,44 @@ def test_thread_cap_validation(capsys, monkeypatch):
     assert run(capsys, "scp", "--poset", "chain:3", "--type", "3")[0] == 1
     monkeypatch.setenv("CHROMAPOSET_THREADS", "3")
     assert run(capsys, "scp", "--poset", "chain:3", "--type", "3")[0] == 0
+
+
+def test_unknown_criterion_exits_2(capsys):
+    # an empty selection would otherwise pass vacuously
+    code, out, err = run(capsys, "verify", "--criteria", "99")
+    assert (code, out) == (2, "")
+    assert err == "error: no criterion numbered 99\n"
+
+
+def test_unparseable_criteria_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--criteria", "abc")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unparseable_thread_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CHROMAPOSET_THREADS", "abc")
+    code, out, err = run(capsys, "scp", "--poset", "chain:3", "--type", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_leaves_no_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(chromaposet.__file__).resolve().parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chromaposet", "schur", "--poset", "prod:2x2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 def test_version_flag(capsys):

@@ -1,13 +1,20 @@
-"""The tabloid enumerator is the engine behind every inverse-Kostka value,
-so it gets its own independent oracle: a brute-force decomposer that tries
-every way of peeling rim hooks off a shape with no knowledge of the
-bottom-hook recursion.
+"""The tabloid enumerator gets its own independent oracle: a brute-force
+decomposer that tries every way of peeling rim hooks off a shape with no
+knowledge of the bottom-hook recursion.  The signed content table behind
+every inverse-Kostka value and Schur sum is checked in turn against the
+enumerated tabloids.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
+from chromaposet.counting import (
+    WITNESS_CASE_HEIGHTS,
+    forced_content_prefix,
+    witness_case_contents,
+)
 from chromaposet.errors import DomainError
 from chromaposet.partitions import dominance_leq, partitions_of
 from chromaposet.rimhooks import (
@@ -17,7 +24,9 @@ from chromaposet.rimhooks import (
     inverse_kostka,
     kostka_number,
     render_tabloid,
+    signed_contents,
 )
+from chromaposet.schur import rho_shape
 
 
 def _set_partitions(items):
@@ -147,6 +156,52 @@ def test_content_dominates_shape():
         for shape in partitions_of(n):
             for t in enumerate_srht(shape):
                 assert dominance_leq(shape, t.content)
+
+
+def _signed_by_content(family, prefix):
+    """The table the slow way: sum the signs of the enumerated tabloids
+    whose content starts with ``prefix``."""
+    signed = Counter()
+    for t in family:
+        if t.content[: len(prefix)] == prefix:
+            signed[t.content] += t.sign
+    return {content: s for content, s in signed.items() if s}
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_signed_contents_match_enumeration(n):
+    for shape in partitions_of(n):
+        family = enumerate_srht(shape)
+        # () and every prefix of every content, the whole content included
+        prefixes = {t.content[:k] for t in family for k in range(len(t.content) + 1)}
+        for prefix in prefixes:
+            assert signed_contents(shape, prefix) == _signed_by_content(family, prefix), (
+                shape,
+                prefix,
+            )
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("k", (5, 6, 7))
+def test_signed_contents_witness_shapes(n, k):
+    shape = rho_shape(n, k)
+    prefix = forced_content_prefix(shape, n + k, n)
+    table = signed_contents(shape, prefix)
+    assert table == _signed_by_content(enumerate_srht(shape), prefix)
+    # the six tabloids of the proof, two of which share a content at k = 5
+    cases = Counter()
+    for name, content in witness_case_contents(n, k).items():
+        cases[content] += (-1) ** WITNESS_CASE_HEIGHTS[name]
+    assert table == dict(cases)
+
+
+def test_signed_contents_prefix_outside_every_content():
+    assert signed_contents((3, 1), (2, 2)) == {}
+    # no hook of (2, 2) reaches 4 cells; one of (2, 1, 1) does, with height 2
+    assert signed_contents((2, 2), (4,)) == {}
+    assert signed_contents((2, 1, 1), (4,)) == {(4,): 1}
+    with pytest.raises(DomainError):
+        signed_contents((2, 1), (2, 2))
 
 
 def test_kostka_values():

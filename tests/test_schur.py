@@ -236,6 +236,28 @@ def test_fast_path_agrees_on_boolean_square():
     assert schur_coefficient(poset, (3, 1), method="tabloid_brute") == 2
 
 
+def _staircase_grid():
+    """(m, n, shape) for every staircase-prefixed shape of every m x n
+    product with 2 <= n <= m <= 8 and mn <= 20: the prefix
+    (m+n-1, m+n-3, ..., m-n+3) followed by any partition of m-n+1."""
+    for n in range(2, 9):
+        for m in range(n, 9):
+            if m * n > 20:
+                break
+            staircase = tuple(m + n - 2 * i + 1 for i in range(1, n))
+            for tail in partitions_of(m - n + 1):
+                yield m, n, staircase + tail
+
+
+def test_closed_path_matches_brute_over_staircase_grid():
+    grid = list(_staircase_grid())
+    assert len(grid) == 58
+    for m, n, shape in grid:
+        poset = build_poset(Product((m, n)))
+        closed = schur_coefficient(poset, shape, method="tabloid_closed")
+        assert closed == schur_coefficient(poset, shape, method="tabloid_brute"), (m, n, shape)
+
+
 def test_schur_coefficient_errors():
     poset = build_poset(Product((8, 3)))
     with pytest.raises(SizeMismatchError):
