@@ -7,8 +7,8 @@ strings: they routinely exceed double precision, and JSON numbers would be
 silently rounded by most consumers.
 
 Exit codes: 0 success, 1 domain error, 2 parse error (bad flags, bad DSL,
-bad partition text, bad values of --criteria or CHROMAPOSET_THREADS), 3 a
-requested Schur coefficient is negative, 4 a niceness query answered "no".
+bad partition text, bad values of --criteria), 3 a requested Schur
+coefficient is negative, 4 a niceness query answered "no".
 A reader that closes stdout early (say, ``| head``) ends the command with
 exit 1 and no traceback.
 """
@@ -16,6 +16,7 @@ exit 1 and no traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,21 +48,7 @@ EXIT_NOT_NICE = 4
 
 
 class UsageError(ValueError):
-    """A flag or environment value that argparse does not check; exits 2."""
-
-
-def _thread_cap(value: int | None) -> int:
-    """Honor --threads / CHROMAPOSET_THREADS; evaluation is sequential, so
-    the cap only bounds what we would use, never changes any output."""
-    if value is None:
-        text = os.environ.get("CHROMAPOSET_THREADS", "1")
-        try:
-            value = int(text)
-        except ValueError:
-            raise UsageError(f"CHROMAPOSET_THREADS must be an integer, got {text!r}") from None
-    if value < 1:
-        raise DomainError("thread cap must be >= 1")
-    return value
+    """A flag value that argparse does not check; exits 2."""
 
 
 def _emit(args, command: str, request: dict, result, method: str, started: float) -> None:
@@ -420,7 +407,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_DOMAIN
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  ``parse_args`` fills a
+    fresh namespace on every call, so one parser serves every ``main``;
+    callers must not add arguments to it."""
     parser = argparse.ArgumentParser(
         prog="chromaposet",
         description="Chromatic symmetric functions of poset incomparability graphs: "
@@ -431,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit a JSON envelope")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (accepted for compatibility; evaluation is sequential)")
 
     p = sub.add_parser("poset", help="build a poset from its DSL and describe it")
     p.add_argument("--poset", required=True, help="poset DSL, e.g. prod:8x3 or sum:1+b3:2+2")
@@ -520,10 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _thread_cap(args.threads)
         code = args.fn(args)
         sys.stdout.flush()
         return code

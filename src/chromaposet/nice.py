@@ -4,8 +4,10 @@ certificates for the positive answers.
 
 The existence search mirrors the counting engine's canonical scheme (always
 extend the block holding the lowest-indexed uncovered element) but memoizes
-failures across types, short-circuits on the first hit, and prunes with three
-bounds: per-height capacity, longest chain, and exact antichain width.
+failures across types, short-circuits on the first hit, and prunes with one
+bound, per-height capacity.  A niceness scan searches only the types that no
+merge of two parts settles: splitting a chain gives two chains, so a type is
+achieved whenever merging two of its parts gives an achieved type.
 """
 
 from __future__ import annotations
@@ -75,7 +77,15 @@ class NiceVerdict:
 
 class ChainPartitionSearcher:
     """Existence search for chain partitions, with failures memoized across
-    types so a whole niceness scan shares one cache."""
+    types so a whole niceness scan shares one cache.
+
+    The only per-node bound is height capacity: a chain holds at most one
+    element of each height, so k blocks cover at most min(k, level size)
+    elements of every level.  Longest-chain and antichain-width bounds cost
+    more per node than the nodes they save, so they are not used.  The
+    memo and the bound cut only subtrees without a solution, so the first
+    solution found, in the fixed search order, does not depend on them.
+    """
 
     def __init__(self, poset: Poset, node_budget: int | None = None):
         self.poset = poset
@@ -120,10 +130,7 @@ class ChainPartitionSearcher:
         for hm in self._height_masks:
             c = (rem & hm).bit_count()
             capacity += c if c < k else k
-        ok = capacity >= rem.bit_count()
-        ok = ok and sizes[0] <= self.poset.max_chain_size(rem)
-        ok = ok and self.poset.width(rem) <= k
-        if ok:
+        if capacity >= rem.bit_count():
             comp = self.poset.comp
             v = (rem & -rem).bit_length() - 1
             rest = rem ^ (1 << v)
@@ -200,6 +207,8 @@ def is_nice(
 
     The witness of a failure is the first pair (achieved type, unachieved
     dominated type) in descending lexicographic order over both coordinates.
+    ``nodes`` counts the search nodes of the types that were searched; a
+    type settled by a merge costs none.
     """
     n = len(poset)
     if n > max_elements:
@@ -209,30 +218,56 @@ def is_nice(
     searcher = ChainPartitionSearcher(poset, node_budget)
     longest = poset.max_chain_size()
     width = poset.width()
-    found: dict[Partition, list[int] | None] = {}
+    # Descending lex order decides every merge of a type before the type.
+    achieved: dict[Partition, bool] = {}
+    masks: dict[Partition, list[int]] = {}
+    # Types that pass the filter below but have no chain partition.  A type
+    # that fails the filter is dominated by no achieved type (dominance
+    # keeps the first part from growing and the length from shrinking), so
+    # only these can break downward closure.
+    failed: list[Partition] = []
     for lam in partitions_of(n):
         if lam[0] > longest or len(lam) < width:
-            found[lam] = None
+            achieved[lam] = False
+        elif any(achieved[merged] for merged in _merges(lam)):
+            achieved[lam] = True
         else:
-            found[lam] = searcher.find(lam)
-    types = list(found)
-    achieved = tuple(lam for lam in types if found[lam] is not None)
-    for lam in achieved:
-        for mu in types:
-            if found[mu] is None and dominance_leq(mu, lam):
-                cert = _certificate_from_masks(poset, found[lam], lam)
+            found = searcher.find(lam)
+            achieved[lam] = found is not None
+            if found is None:
+                failed.append(lam)
+            else:
+                masks[lam] = found
+    types = tuple(lam for lam, ok in achieved.items() if ok)
+    for lam in types:
+        for mu in failed:
+            if dominance_leq(mu, lam):
+                found = masks.get(lam) or searcher.find(lam)
                 return NiceVerdict(
                     False,
                     witness=(lam, mu),
-                    witness_certificate=cert,
-                    achieved_types=achieved if include_types else None,
+                    witness_certificate=_certificate_from_masks(poset, found, lam),
+                    achieved_types=types if include_types else None,
                     nodes=searcher.nodes,
                 )
     return NiceVerdict(
         True,
-        achieved_types=achieved if include_types else None,
+        achieved_types=types if include_types else None,
         nodes=searcher.nodes,
     )
+
+
+def _merges(lam: Partition):
+    """The types made by merging two parts of ``lam`` into one, each once.
+    Every one is lexicographically larger than ``lam``."""
+    for i in range(len(lam)):
+        if i and lam[i - 1] == lam[i]:
+            continue
+        for j in range(i + 1, len(lam)):
+            if j > i + 1 and lam[j - 1] == lam[j]:
+                continue
+            rest = lam[:i] + lam[i + 1 : j] + lam[j + 1 :]
+            yield tuple(sorted(rest + (lam[i] + lam[j],), reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -331,17 +331,21 @@ def verify_distributive_lattice(poset: Poset) -> bool:
 
 
 def _poset_from_coords(labels, coords) -> Poset:
-    """Poset on coordinate tuples under the componentwise order."""
-    n = len(coords)
-    up = []
-    for i in range(n):
-        mask = 0
-        ci = coords[i]
-        for j in range(n):
-            cj = coords[j]
-            if all(a <= b for a, b in zip(ci, cj)):
-                mask |= 1 << j
-        up.append(mask)
+    """Poset on coordinate tuples under the componentwise order.
+
+    ``up[i]`` is the AND over the axes of the mask of elements whose
+    coordinate on that axis is at least coordinate i's."""
+    up = [-1] * len(coords)
+    for axis in zip(*coords):
+        at_least: dict[int, int] = {}
+        for j, value in enumerate(axis):
+            at_least[value] = at_least.get(value, 0) | 1 << j
+        acc = 0
+        for value in sorted(at_least, reverse=True):
+            acc |= at_least[value]
+            at_least[value] = acc
+        for i, value in enumerate(axis):
+            up[i] &= at_least[value]
     return Poset(tuple(labels), tuple(up))
 
 

@@ -19,7 +19,7 @@ from chromaposet import (
     parse_partition,
     parse_poset_spec,
 )
-from chromaposet.cli import main
+from chromaposet.cli import build_parser, main
 
 ENVELOPE_KEYS = {"command", "method", "request", "result", "version", "wall_time_ms"}
 
@@ -109,15 +109,6 @@ def test_theorem41_exit_tracks_sign(capsys):
     assert int(out) > 0
 
 
-def test_thread_cap_validation(capsys, monkeypatch):
-    assert run(capsys, "scp", "--poset", "chain:3", "--type", "3", "--threads", "2")[0] == 0
-    assert run(capsys, "scp", "--poset", "chain:3", "--type", "3", "--threads", "0")[0] == 1
-    monkeypatch.setenv("CHROMAPOSET_THREADS", "0")
-    assert run(capsys, "scp", "--poset", "chain:3", "--type", "3")[0] == 1
-    monkeypatch.setenv("CHROMAPOSET_THREADS", "3")
-    assert run(capsys, "scp", "--poset", "chain:3", "--type", "3")[0] == 0
-
-
 def test_unknown_criterion_exits_2(capsys):
     # an empty selection would otherwise pass vacuously
     code, out, err = run(capsys, "verify", "--criteria", "99")
@@ -131,11 +122,31 @@ def test_unparseable_criteria_exit_2(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_unparseable_thread_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("CHROMAPOSET_THREADS", "abc")
-    code, out, err = run(capsys, "scp", "--poset", "chain:3", "--type", "3")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_parser_is_built_once_and_leaks_nothing(capsys):
+    """The parser is shared across calls; flags given to one call must not
+    become the defaults of the next, whatever its subcommand."""
+    assert build_parser() is build_parser()
+    code, env, _ = run_json(
+        capsys, "nice", "--poset", "prod:2x2", "--witness", "--all-types",
+        "--max-elements", "9", "--node-budget", "1000",
+    )
+    assert code == 0
+    assert env["request"] == {
+        "poset": "prod:2x2", "witness": True, "all_types": True,
+        "max_elements": 9, "node_budget": 1000,
+    }
+    code, env, _ = run_json(capsys, "chain-partition", "--poset", "prod:2x2", "--type", "2,2")
+    assert code == 0 and env["request"]["node_budget"] is None
+    code, env, _ = run_json(capsys, "sweep", "--family", "b3_niceness", "--n-max", "1")
+    assert code == 0
+    assert (env["request"]["max_elements"], env["request"]["node_budget"]) == (20, None)
+    code, env, _ = run_json(capsys, "nice", "--poset", "prod:2x2")
+    assert code == 0
+    assert env["request"] == {
+        "poset": "prod:2x2", "witness": False, "all_types": False,
+        "max_elements": 20, "node_budget": None,
+    }
+    assert "witness" not in env["result"] and "achieved_types" not in env["result"]
 
 
 def test_closed_stdout_leaves_no_traceback():
@@ -229,6 +240,33 @@ def test_tabloid_content_filter(capsys):
     assert code == 0
     assert env["result"]["count"] == 2
     assert all(t["sign"] == -1 for t in env["result"]["tabloids"])
+
+
+def test_readme_quick_start_nice_output(capsys):
+    """The README's `nice --poset b3:6 --witness` example, line for line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    session = readme.split("$ chromaposet nice --poset b3:6 --witness\n", 1)[1]
+    expected = session.split("```", 1)[0]
+    assert expected.count("\n") == 5
+    code, out, err = run(capsys, "nice", "--poset", "b3:6", "--witness")
+    assert (code, out, err) == (4, expected, "")
+
+
+def test_b3_7_witness_is_pinned(capsys):
+    code, env, _ = run_json(capsys, "nice", "--poset", "b3:7", "--witness")
+    assert code == 4
+    assert env["result"]["witness"] == {
+        "achieved": "10,8,2",
+        "unachieved": "7,7,6",
+        "certificate": {
+            "type": "10,8,2",
+            "blocks": [
+                ["7'", "6'", "5'", "4'", "3'", "2'", "1'", "e", "b", "a"],
+                ["7", "6", "5", "4", "3", "2", "1", "c"],
+                ["f", "d"],
+            ],
+        },
+    }
 
 
 def test_witness_certificate_round_trips(capsys):

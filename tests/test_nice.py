@@ -6,6 +6,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromaposet import (
     B3,
@@ -17,6 +18,7 @@ from chromaposet import (
     CertificateError,
     InvalidParamsError,
     OrdinalSum,
+    Poset,
     PreconditionError,
     Product,
     SearchStats,
@@ -32,6 +34,7 @@ from chromaposet import (
     partitions_of,
     staircase_type,
 )
+from chromaposet.cli import _factorizations
 
 
 def achieved_set(poset):
@@ -173,6 +176,72 @@ def test_niceness_matches_downward_closure():
         poset = build_poset(spec)
         verdict, achieved = achieved_set(poset)
         assert verdict.nice == downward_closed(achieved, len(poset)), spec
+
+
+def _builders_up_to(size):
+    """One spec per builder shape with at most ``size`` elements: chains,
+    products of chains (factors >= 2), boolean lattices, b3 and ordinal
+    sums of the small ones with chains."""
+    specs = [Chain(n) for n in range(1, size + 1)]
+    specs += [Boolean(r) for r in range(1, 4)]
+    specs += [B3(n) for n in range(1, (size - 6) // 2 + 1)]
+    specs += [Product(lengths) for lengths in _factorizations(size) if len(lengths) > 1]
+    for inner in (Product((2, 2)), Product((3, 2)), Boolean(3), B3(1), Product((3, 3))):
+        room = size - len(build_poset(inner))
+        specs += [OrdinalSum(p, inner, q) for p in range(3) for q in range(3) if 0 < p + q <= room]
+    return specs
+
+
+def _check_against_per_type_search(poset):
+    """is_nice agrees with a separate search for every type: the achieved
+    set, the verdict (downward closure) and the first witness pair."""
+    n = len(poset)
+    verdict = is_nice(poset, include_types=True)
+    types = list(partitions_of(n))
+    per_type = {lam for lam in types if chain_partition_exists(poset, lam) is not None}
+    assert set(verdict.achieved_types) == per_type
+    assert list(verdict.achieved_types) == [lam for lam in types if lam in per_type]
+    assert verdict.nice == downward_closed(per_type, n)
+    pairs = [
+        (lam, mu)
+        for lam in types
+        if lam in per_type
+        for mu in types
+        if mu not in per_type and dominance_leq(mu, lam)
+    ]
+    assert verdict.witness == (pairs[0] if pairs else None)
+    if pairs:
+        assert verdict.witness_certificate.type == pairs[0][0]
+        verdict.witness_certificate.validate()
+
+
+@pytest.mark.parametrize("spec", _builders_up_to(14) + [B3(6)], ids=lambda spec: spec.dsl())
+def test_achieved_types_match_per_type_search(spec):
+    _check_against_per_type_search(build_poset(spec))
+
+
+@st.composite
+def random_posets(draw, max_size=8):
+    """A random DAG on 1..max_size elements with edges from lower to higher
+    index, closed under transitivity."""
+    n = draw(st.integers(1, max_size))
+    edges = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    pairs = itertools.combinations(range(n), 2)
+    up = [1 << i for i in range(n)]
+    for (i, j), edge in zip(pairs, edges):
+        if edge:
+            up[i] |= 1 << j
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if up[i] >> j & 1:
+                up[i] |= up[j]
+    return Poset(tuple(f"x{i}" for i in range(n)), tuple(up))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_posets())
+def test_random_posets_match_per_type_search(poset):
+    _check_against_per_type_search(poset)
 
 
 def test_is_nice_size_guard():

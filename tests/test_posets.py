@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from chromaposet import posets
 from chromaposet.errors import (
     DslParseError,
     InvalidSpecError,
@@ -212,3 +214,38 @@ def test_product_width_equals_min_side_count(m, n):
     poset = build_poset(Product(lengths))
     assert poset.width() == min(m, n)
     assert poset.max_chain_size() == m + n - 1
+
+
+def _pairwise_up(coords):
+    return tuple(
+        sum(1 << j for j, cj in enumerate(coords) if all(a <= b for a, b in zip(ci, cj)))
+        for ci in coords
+    )
+
+
+def test_coordinate_up_sets_match_pairwise_comparison(monkeypatch):
+    """Every poset built from coordinates (products, boolean lattices, b3,
+    also inside ordinal sums) up to 20 elements has the up-sets of the
+    componentwise order, compared pair by pair."""
+    built = []
+    real = posets._poset_from_coords
+
+    def spy(labels, coords):
+        poset = real(labels, coords)
+        built.append((coords, poset.up))
+        return poset
+
+    monkeypatch.setattr(posets, "_poset_from_coords", spy)
+    specs = [Boolean(r) for r in range(1, 5)] + [B3(n) for n in range(1, 8)]
+    specs += [
+        Product(lengths)
+        for k in range(1, 5)
+        for lengths in itertools.product(range(1, 21), repeat=k)
+        if math.prod(lengths) <= 20
+    ]
+    specs += [OrdinalSum(1, Product((3, 2)), 2), OrdinalSum(0, B3(2), 3)]
+    for spec in specs:
+        build_poset(spec)
+    assert len(built) == len(specs)
+    for coords, up in built:
+        assert up == _pairwise_up(coords), coords
