@@ -32,6 +32,7 @@ from .posets import (
     Product,
     build_poset,
     incomparability_graph,
+    iter_bits,
     parse_poset_spec,
     verify_distributive_lattice,
 )
@@ -70,7 +71,7 @@ def _cmd_poset(args) -> int:
     covers = sorted(
         (poset.labels[i], poset.labels[j])
         for i in range(len(poset))
-        for j in _bits(poset.covers[i])
+        for j in iter_bits(poset.covers[i])
     )
     result = {
         "dsl": poset.spec.dsl(),
@@ -93,13 +94,6 @@ def _cmd_poset(args) -> int:
             print(f"  {a} < {b}")
     _emit(args, "poset", {"poset": args.poset, "lattice": args.lattice}, result, "construction", started)
     return EXIT_OK
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _cmd_tabloid(args) -> int:

@@ -1,12 +1,15 @@
 """Exact counts of semi-ordered chain partitions of posets and semi-ordered
-stable partitions of graphs.
+stable partitions of graphs, and the search that finds one chain partition.
 
-Both counters enumerate *unordered* partitions — always growing the block
+Both engines enumerate *unordered* partitions — always growing the block
 that contains the lowest-indexed uncovered element, so each partition is
 built exactly once — and restore orderings with the product of alpha_k!
-symmetry factors.  The two implementations are deliberately independent (the
-poset one prunes with longest-chain and antichain-width bounds; the graph one
-is plain) so their agreement on incomparability graphs is a meaningful test.
+symmetry factors.  ``ChainPartitionCounter`` is the one chain-partition
+engine: it counts (the Schur sums) and finds (niceness and certificates)
+through a single recursion and memo.  ``StablePartitionCounter`` counts
+stable partitions of a graph and shares no code with it, nor does
+``schur.count_colorings_by_type``, so their agreement on incomparability
+graphs is a meaningful test.
 
 For a product of two chains m x n and a type whose first n-1 parts are the
 forced staircase values m+n-2i+1, the count also has a closed form: a
@@ -21,7 +24,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError, PreconditionError, SizeMismatchError
+from .errors import (
+    BudgetExceededError,
+    InternalInvariantError,
+    PreconditionError,
+    SizeMismatchError,
+)
 from .partitions import (
     Partition,
     as_partition,
@@ -32,7 +40,7 @@ from .partitions import (
     symmetry_factor,
     weak_compositions,
 )
-from .posets import Graph, Poset
+from .posets import Graph, Poset, iter_bits
 
 
 @dataclass
@@ -95,31 +103,84 @@ class StablePartitionCounter:
 
 
 class ChainPartitionCounter:
-    """Counts semi-ordered chain partitions of a poset directly on the order
-    relation, with longest-chain and antichain-width pruning."""
+    """The chain-partition engine: counts the semi-ordered chain partitions
+    of a type (``count``) or finds one (``find``) on the order relation.
 
-    def __init__(self, poset: Poset):
+    One memo, (remaining elements, block sizes) -> number of unordered
+    partitions, is shared by every call.  ``find`` stores 0 for each
+    subtree it exhausts and nothing where it stops at a hit, and walks a
+    state stored with a nonzero count again, because it needs the blocks.
+    The only per-node bound is height capacity: a chain holds at most one
+    element of each height, so k blocks cover at most min(k, level size)
+    elements of every level, and no block is longer than the number of
+    levels the remaining elements meet.  Longest-chain and antichain-width
+    bounds cost more per node than the nodes they save.  The memo and the bound cut only
+    subtrees without a solution, so counts are exact and the first solution
+    found, in the fixed search order, does not depend on what the memo
+    holds.  ``nodes`` counts the states walked, memo hits excluded.
+    """
+
+    def __init__(self, poset: Poset, node_budget: int | None = None):
         self.poset = poset
+        self.node_budget = node_budget
+        self.nodes = 0
         self._memo: dict[tuple[int, tuple[int, ...]], int] = {}
+        n = len(poset)
+        heights = [0] * n
+        for i in poset.topo:
+            for j in iter_bits(poset.dn[i] ^ (1 << i)):
+                if heights[j] + 1 > heights[i]:
+                    heights[i] = heights[j] + 1
+        masks: dict[int, int] = {}
+        for i, h in enumerate(heights):
+            masks[h] = masks.get(h, 0) | 1 << i
+        self._height_masks = tuple(masks.values())
 
-    def count(self, type_, stats: SearchStats | None = None) -> int:
+    def _type(self, type_) -> Partition:
         lam = as_partition(type_)
         if sum(lam) != len(self.poset):
             raise SizeMismatchError(f"type {lam} does not cover {len(self.poset)} elements")
-        self._stats = stats
-        return self._count(self.poset.full_mask, lam) * symmetry_factor(lam)
+        return lam
 
-    def _count(self, rem: int, sizes: tuple[int, ...]) -> int:
+    def count(self, type_, stats: SearchStats | None = None) -> int:
+        """Semi-ordered chain partitions of the given type; ``stats.nodes``
+        grows by the states this call walks."""
+        lam = self._type(type_)
+        before = self.nodes
+        total = self._walk(self.poset.full_mask, lam, None)
+        if stats is not None:
+            stats.nodes += self.nodes - before
+        return total * symmetry_factor(lam)
+
+    def find(self, type_) -> list[int] | None:
+        """Block bitmasks of the first chain partition of the given type in
+        the search order, or None after exhausting the (pruned) search."""
+        lam = self._type(type_)
+        blocks: list[int] = []
+        return blocks if self._walk(self.poset.full_mask, lam, blocks) else None
+
+    def _walk(self, rem: int, sizes: tuple[int, ...], blocks: list[int] | None) -> int:
+        """Unordered chain partitions of ``rem`` with the given block sizes:
+        all of them counted when ``blocks`` is None, otherwise a nonzero
+        result at the first one found, its blocks appended to ``blocks``."""
         if not sizes:
             return 1
         key = (rem, sizes)
         hit = self._memo.get(key)
-        if hit is not None:
+        if hit is not None and (blocks is None or not hit):
             return hit
+        self.nodes += 1
+        if self.node_budget is not None and self.nodes > self.node_budget:
+            raise BudgetExceededError(f"search exceeded {self.node_budget} nodes")
+        k = len(sizes)
+        capacity = levels = 0
+        for hm in self._height_masks:
+            c = (rem & hm).bit_count()
+            if c:
+                levels += 1
+                capacity += c if c < k else k
         total = 0
-        # A block longer than the longest chain, or an antichain wider than
-        # the number of blocks left, kills the branch outright.
-        if sizes[0] <= self.poset.max_chain_size(rem) and self.poset.width(rem) <= len(sizes):
+        if capacity >= rem.bit_count() and sizes[0] <= levels:
             comp = self.poset.comp
             v = (rem & -rem).bit_length() - 1
             rest = rem ^ (1 << v)
@@ -127,15 +188,23 @@ class ChainPartitionCounter:
                 if i and sizes[i - 1] == s:
                     continue
                 tail = sizes[:i] + sizes[i + 1 :]
-                total += self._grow(rest, 1 << v, rest & comp[v], s - 1, tail)
+                total += self._grow(rem, tail, 1 << v, rest & comp[v], s - 1, blocks)
+                if blocks is not None and total:
+                    return total
         self._memo[key] = total
         return total
 
-    def _grow(self, rest: int, block: int, cand: int, need: int, tail) -> int:
-        if self._stats is not None:
-            self._stats.nodes += 1
+    def _grow(
+        self, rem: int, tail: tuple[int, ...], block: int, cand: int, need: int, blocks
+    ) -> int:
         if need == 0:
-            return self._count(rest & ~block, tail)
+            if blocks is None:
+                return self._walk(rem & ~block, tail, None)
+            blocks.append(block)
+            found = self._walk(rem & ~block, tail, blocks)
+            if not found:
+                blocks.pop()
+            return found
         if cand.bit_count() < need:
             return 0
         comp = self.poset.comp
@@ -144,7 +213,9 @@ class ChainPartitionCounter:
             low = cand & -cand
             cand ^= low
             w = low.bit_length() - 1
-            total += self._grow(rest, block | low, cand & comp[w], need - 1, tail)
+            total += self._grow(rem, tail, block | low, cand & comp[w], need - 1, blocks)
+            if blocks is not None and total:
+                return total
         return total
 
 
@@ -165,6 +236,17 @@ def count_scp(poset: Poset, type_, stats: SearchStats | None = None) -> int:
 # Closed form for products of two chains
 
 
+def staircase_type(m: int, n: int) -> Partition:
+    """(m+n-1, m+n-3, ..., m-n+1): the dominance-maximal chain-partition type
+    of the m x n product.  Its first n-1 parts are the staircase forced on
+    the types the closed form applies to."""
+    if not m >= n >= 1:
+        raise PreconditionError(f"need m >= n >= 1, got ({m}, {n})")
+    out = tuple(m + n - 2 * i + 1 for i in range(1, n + 1))
+    assert sum(out) == m * n
+    return out
+
+
 @dataclass(frozen=True)
 class StaircaseContext:
     """A product of chains m x n (m >= n >= 1) together with the forced
@@ -180,7 +262,7 @@ class StaircaseContext:
     @property
     def staircase(self) -> Partition:
         """(m+n-1, m+n-3, ..., m-n+3): the forced first n-1 parts."""
-        return tuple(self.m + self.n - 2 * i + 1 for i in range(1, self.n))
+        return staircase_type(self.m, self.n)[:-1]
 
     def split(self, type_) -> tuple[Partition, Partition]:
         """Split a type into (forced prefix, tail), validating both."""
@@ -233,11 +315,9 @@ def forced_content_prefix(shape, m: int, n: int) -> Partition | None:
     shape, when the shape itself carries it; None when the fast path does
     not apply."""
     lam = as_partition(shape)
-    if not m >= n >= 1:
-        raise PreconditionError(f"need m >= n >= 1, got ({m}, {n})")
+    pre = staircase_type(m, n)[:-1]
     if sum(lam) != m * n:
         raise SizeMismatchError(f"shape {lam} does not fill the {m}x{n} product")
-    pre = tuple(m + n - 2 * i + 1 for i in range(1, n))
     if lam[: len(pre)] != pre:
         return None
     return pre
@@ -255,7 +335,7 @@ def staircase_delta(n: int, k: int) -> Partition:
     (n+k) x n product."""
     if k < 5 or n < 2:
         raise PreconditionError(f"need k >= 5 and n >= 2, got ({n}, {k})")
-    return tuple(range(2 * n + k - 1, k + 2, -2))
+    return staircase_type(n + k, n)[:-1]
 
 
 def witness_case_contents(n: int, k: int) -> dict[str, Partition]:

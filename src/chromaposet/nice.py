@@ -2,27 +2,27 @@
 whether that set is closed downward in dominance, and machine-checkable
 certificates for the positive answers.
 
-The existence search mirrors the counting engine's canonical scheme (always
-extend the block holding the lowest-indexed uncovered element) but memoizes
-failures across types, short-circuits on the first hit, and prunes with one
-bound, per-height capacity.  A niceness scan searches only the types that no
-merge of two parts settles: splitting a chain gives two chains, so a type is
-achieved whenever merging two of its parts gives an achieved type.
+The existence search is ``find`` on the one chain-partition engine,
+``counting.ChainPartitionCounter``, with its memo shared across the types of
+a scan.  A niceness scan searches only the types that no merge of two parts
+settles: splitting a chain gives two chains, so a type is achieved whenever
+merging two of its parts gives an achieved type.  Certificates are checked
+by ``ChainPartitionCertificate.validate``, which uses only the raw order
+relation.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
-from .counting import SearchStats
+from .counting import ChainPartitionCounter, SearchStats, staircase_type
 from .errors import (
-    BudgetExceededError,
     CertificateError,
     InternalInvariantError,
     InvalidParamsError,
     PreconditionError,
-    SizeMismatchError,
     TooLargeError,
 )
 from .partitions import Partition, as_partition, dominance_leq, partitions_of
@@ -75,93 +75,9 @@ class NiceVerdict:
     nodes: int = 0
 
 
-class ChainPartitionSearcher:
-    """Existence search for chain partitions, with failures memoized across
-    types so a whole niceness scan shares one cache.
-
-    The only per-node bound is height capacity: a chain holds at most one
-    element of each height, so k blocks cover at most min(k, level size)
-    elements of every level.  Longest-chain and antichain-width bounds cost
-    more per node than the nodes they save, so they are not used.  The
-    memo and the bound cut only subtrees without a solution, so the first
-    solution found, in the fixed search order, does not depend on them.
-    """
-
-    def __init__(self, poset: Poset, node_budget: int | None = None):
-        self.poset = poset
-        self.node_budget = node_budget
-        self.nodes = 0
-        self._failed: set[tuple[int, tuple[int, ...]]] = set()
-        # Elements of a chain have pairwise distinct heights, so each height
-        # level contributes at most one element per block.
-        n = len(poset)
-        heights = [0] * n
-        for i in poset.topo:
-            for j in iter_bits(poset.dn[i] ^ (1 << i)):
-                if heights[j] + 1 > heights[i]:
-                    heights[i] = heights[j] + 1
-        masks: dict[int, int] = {}
-        for i, h in enumerate(heights):
-            masks[h] = masks.get(h, 0) | 1 << i
-        self._height_masks = tuple(masks.values())
-
-    def find(self, type_) -> list[int] | None:
-        """Block bitmasks of a chain partition of the given type, or None
-        after exhausting the (pruned) search space."""
-        lam = as_partition(type_)
-        if sum(lam) != len(self.poset):
-            raise SizeMismatchError(f"type {lam} does not cover {len(self.poset)} elements")
-        blocks: list[int] = []
-        if self._search(self.poset.full_mask, lam, blocks):
-            return blocks
-        return None
-
-    def _search(self, rem: int, sizes: tuple[int, ...], blocks: list[int]) -> bool:
-        if not sizes:
-            return True
-        key = (rem, sizes)
-        if key in self._failed:
-            return False
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            raise BudgetExceededError(f"search exceeded {self.node_budget} nodes")
-        k = len(sizes)
-        capacity = 0
-        for hm in self._height_masks:
-            c = (rem & hm).bit_count()
-            capacity += c if c < k else k
-        if capacity >= rem.bit_count():
-            comp = self.poset.comp
-            v = (rem & -rem).bit_length() - 1
-            rest = rem ^ (1 << v)
-            for i, s in enumerate(sizes):
-                if i and sizes[i - 1] == s:
-                    continue
-                tail = sizes[:i] + sizes[i + 1 :]
-                if self._place(rem, tail, 1 << v, rest & comp[v], s - 1, blocks):
-                    return True
-        self._failed.add(key)
-        return False
-
-    def _place(
-        self, rem: int, tail: tuple[int, ...], block: int, cand: int, need: int, blocks: list[int]
-    ) -> bool:
-        if need == 0:
-            blocks.append(block)
-            if self._search(rem & ~block, tail, blocks):
-                return True
-            blocks.pop()
-            return False
-        if cand.bit_count() < need:
-            return False
-        comp = self.poset.comp
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            w = low.bit_length() - 1
-            if self._place(rem, tail, block | low, cand & comp[w], need - 1, blocks):
-                return True
-        return False
+# The existence search is the counting engine's ``find``; the two names are
+# one class.
+ChainPartitionSearcher = ChainPartitionCounter
 
 
 def _certificate_from_masks(
@@ -239,9 +155,14 @@ def is_nice(
             else:
                 masks[lam] = found
     types = tuple(lam for lam, ok in achieved.items() if ok)
+    # mu is dominated by lam when no prefix sum of mu exceeds lam's.  Pairing
+    # the sums with zip is exact: past the end of lam its sums stay at n,
+    # and if mu is the shorter one its last sum, n, meets one of lam's below n.
+    sums = {lam: tuple(itertools.accumulate(lam)) for lam in (*types, *failed)}
     for lam in types:
+        top = sums[lam]
         for mu in failed:
-            if dominance_leq(mu, lam):
+            if all(map(operator.le, sums[mu], top)):
                 found = masks.get(lam) or searcher.find(lam)
                 return NiceVerdict(
                     False,
@@ -272,16 +193,6 @@ def _merges(lam: Partition):
 
 # ---------------------------------------------------------------------------
 # Constructive results for products of two chains and their ordinal sums
-
-
-def staircase_type(m: int, n: int) -> Partition:
-    """(m+n-1, m+n-3, ..., m-n+1): the dominance-maximal chain-partition type
-    of the m x n product."""
-    if not m >= n >= 1:
-        raise PreconditionError(f"need m >= n >= 1, got ({m}, {n})")
-    out = tuple(m + n - 2 * i + 1 for i in range(1, n + 1))
-    assert sum(out) == m * n
-    return out
 
 
 @dataclass(frozen=True)

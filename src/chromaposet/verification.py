@@ -11,8 +11,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .counting import StaircaseContext, count_scp, scp_closed_form
-from .nice import chain_partition_exists, is_nice, ordinal_sum_chain_partition, staircase_type
+from .counting import StaircaseContext, count_scp, scp_closed_form, staircase_type
+from .nice import chain_partition_exists, is_nice, ordinal_sum_chain_partition
 from .partitions import dominance_leq, partitions_of, sorted_partition
 from .posets import B3, Chain, OrdinalSum, Product, build_poset, incomparability_graph
 from .rimhooks import inverse_kostka, kostka_number

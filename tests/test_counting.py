@@ -18,6 +18,7 @@ from chromaposet.counting import (
     witness_case_contents,
 )
 from chromaposet.errors import PreconditionError, SizeMismatchError
+from chromaposet.nice import ChainPartitionSearcher, chain_partition_exists
 from chromaposet.partitions import multinomial, partitions_of, symmetry_factor
 from chromaposet.posets import (
     B3,
@@ -27,7 +28,10 @@ from chromaposet.posets import (
     Product,
     build_poset,
     incomparability_graph,
+    parse_poset_spec,
 )
+from chromaposet.schur import count_colorings_by_type
+from conftest import random_posets
 
 
 def brute_count_scp(poset, type_):
@@ -101,6 +105,44 @@ def test_counters_against_assignment_brute():
         poset = build_poset(spec)
         for lam in partitions_of(len(poset)):
             assert count_scp(poset, lam) == brute_count_scp(poset, lam), (spec, lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_posets())
+def test_engine_matches_coloring_oracle_on_random_posets(poset):
+    """Counts and existence against proper colorings by type, which share no
+    code with the chain-partition engine."""
+    graph = incomparability_graph(poset)
+    for lam in partitions_of(len(poset)):
+        expected = count_colorings_by_type(graph, lam)
+        assert count_scp(poset, lam) == expected, lam
+        cert = chain_partition_exists(poset, lam)
+        assert (cert is not None) == (expected > 0), lam
+        if cert is not None:
+            assert cert.type == lam
+            cert.validate()
+
+
+def test_one_engine_counts_and_finds():
+    assert ChainPartitionCounter is ChainPartitionSearcher
+
+
+@pytest.mark.parametrize("dsl", ["b3:3", "prod:4x3", "bool:3"])
+def test_shared_memo_agrees_with_fresh_engines(dsl):
+    """Finds that leave zeros and partial walks in the memo, and counts that
+    fill it, change neither later counts nor the first blocks found."""
+    poset = build_poset(parse_poset_spec(dsl))
+    types = list(partitions_of(len(poset)))
+    counts = {lam: ChainPartitionCounter(poset).count(lam) for lam in types}
+    firsts = {lam: ChainPartitionCounter(poset).find(lam) for lam in types}
+    assert 0 in counts.values() and None in firsts.values()
+    assert all((firsts[lam] is None) == (counts[lam] == 0) for lam in types)
+    finder_first = ChainPartitionCounter(poset)
+    assert {lam: finder_first.find(lam) for lam in types} == firsts
+    assert {lam: finder_first.count(lam) for lam in types} == counts
+    counter_first = ChainPartitionCounter(poset)
+    assert {lam: counter_first.count(lam) for lam in types} == counts
+    assert {lam: counter_first.find(lam) for lam in types} == firsts
 
 
 def test_search_stats_populated():

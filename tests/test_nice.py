@@ -6,7 +6,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from chromaposet import (
     B3,
@@ -18,7 +18,6 @@ from chromaposet import (
     CertificateError,
     InvalidParamsError,
     OrdinalSum,
-    Poset,
     PreconditionError,
     Product,
     SearchStats,
@@ -35,6 +34,7 @@ from chromaposet import (
     staircase_type,
 )
 from chromaposet.cli import _factorizations
+from conftest import random_posets
 
 
 def achieved_set(poset):
@@ -218,24 +218,6 @@ def _check_against_per_type_search(poset):
 @pytest.mark.parametrize("spec", _builders_up_to(14) + [B3(6)], ids=lambda spec: spec.dsl())
 def test_achieved_types_match_per_type_search(spec):
     _check_against_per_type_search(build_poset(spec))
-
-
-@st.composite
-def random_posets(draw, max_size=8):
-    """A random DAG on 1..max_size elements with edges from lower to higher
-    index, closed under transitivity."""
-    n = draw(st.integers(1, max_size))
-    edges = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-    pairs = itertools.combinations(range(n), 2)
-    up = [1 << i for i in range(n)]
-    for (i, j), edge in zip(pairs, edges):
-        if edge:
-            up[i] |= 1 << j
-    for i in reversed(range(n)):
-        for j in range(i + 1, n):
-            if up[i] >> j & 1:
-                up[i] |= up[j]
-    return Poset(tuple(f"x{i}" for i in range(n)), tuple(up))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,0 +1,53 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps engine entry points by
+name.  Run it here on small queries, so a rename, or a change in which layer
+calls which, fails the test suite instead of the benchmark run."""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+from chromaposet import cli
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced(module, argv, exit_code):
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == exit_code
+    finally:
+        tracer.uninstall()
+    tracer.layer_metrics()
+    return tracer
+
+
+def test_tracer_hooks_record_each_engine_entry_point():
+    module = _load_tracer()
+    scp = _traced(module, ["scp", "--poset", "prod:3x2", "--type", "4,2", "--method", "brute", "--json"], 0)
+    coeff = _traced(
+        module,
+        ["schur-coeff", "--poset", "prod:3x2", "--shape", "4,2", "--method", "tabloid_brute", "--json"],
+        0,
+    )
+    nice = _traced(module, ["nice", "--poset", "b3:6", "--witness", "--json"], 4)
+    for counted in (scp, coeff):
+        assert counted.calls["cli"] == 1
+        assert counted.calls["counting.count"] > 0
+        assert counted.counts["counting.nodes"] > 0
+        # the benchmark fails `expansion` if counting ever reaches the search
+        assert counted.calls["nice.find"] == 0
+    assert nice.calls["nice.find"] > 0
+    assert nice.calls["nice.validate"] > 0
+    assert nice.counts["nice.nodes"] > 0
+    # ... and `nice` if the search ever reaches counting
+    assert nice.calls["counting.count"] == 0
