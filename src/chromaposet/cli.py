@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Every subcommand reads flags, calls into the library, and reports either
-human-readable text or a JSON envelope {command, request, result, method,
-wall_time_ms, version}.  Coefficients and counts are serialized as decimal
-strings: they routinely exceed double precision, and JSON numbers would be
-silently rounded by most consumers.
+Every subcommand reads flags, calls into the library, and returns a
+``Reply``; ``main`` prints either its text lines or a JSON envelope
+{command, request, result, method, wall_time_ms, version}, whose request
+holds every flag of the subcommand, defaults included.  Coefficients and
+counts are serialized as decimal strings: they routinely exceed double
+precision, and JSON numbers would be silently rounded by most consumers.
 
 Exit codes: 0 success, 1 domain error, 2 parse error (bad flags, bad DSL,
-bad partition text, bad values of --criteria), 3 a requested Schur
-coefficient is negative, 4 a niceness query answered "no".
+bad partition text, bad values of --criteria, a negative budget or limit,
+a sweep that selects nothing), 3 a requested Schur coefficient is
+negative, 4 a niceness query answered "no".
 A reader that closes stdout early (say, ``| head``) ends the command with
 exit 1 and no traceback.
 """
@@ -21,10 +23,11 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 from . import __version__
-from .counting import SearchStats, StaircaseContext, scp_closed_form
-from .errors import DomainError, DslParseError, FastPathInapplicableError
+from .counting import ChainPartitionCounter, SearchStats, scp_closed_form
+from .errors import DomainError, DslParseError
 from .nice import chain_partition_exists, is_nice
 from .partitions import format_partition, parse_partition, sorted_partition
 from .posets import (
@@ -37,8 +40,7 @@ from .posets import (
     verify_distributive_lattice,
 )
 from .rimhooks import enumerate_srht, render_tabloid
-from .schur import closed_fast_path, schur_coefficient, schur_expansion, theorem41_coefficient
-from .counting import ChainPartitionCounter
+from .schur import closed_route, schur_coefficient, schur_expansion, theorem41_coefficient
 from . import verification
 
 EXIT_OK = 0
@@ -52,21 +54,17 @@ class UsageError(ValueError):
     """A flag value that argparse does not check; exits 2."""
 
 
-def _emit(args, command: str, request: dict, result, method: str, started: float) -> None:
-    if args.json:
-        envelope = {
-            "command": command,
-            "request": request,
-            "result": result,
-            "method": method,
-            "wall_time_ms": round((time.perf_counter() - started) * 1000.0, 3),
-            "version": __version__,
-        }
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+class Reply(NamedTuple):
+    """A subcommand's answer: the envelope's ``result`` and ``method``, the
+    text-mode ``lines``, and the exit ``code``."""
+
+    result: dict
+    method: str
+    lines: list[str]
+    code: int
 
 
-def _cmd_poset(args) -> int:
-    started = time.perf_counter()
+def _cmd_poset(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
     covers = sorted(
         (poset.labels[i], poset.labels[j])
@@ -82,27 +80,26 @@ def _cmd_poset(args) -> int:
         "longest_chain": poset.max_chain_size(),
         "incomparable_pairs": incomparability_graph(poset).edge_count(),
     }
+    lines = [
+        f"poset {result['dsl']}: {result['size']} elements",
+        f"  width {result['width']}, longest chain {result['longest_chain']}, "
+        f"incomparable pairs {result['incomparable_pairs']}",
+    ]
     if args.lattice:
         result["distributive_lattice"] = verify_distributive_lattice(poset)
-    if not args.json:
-        print(f"poset {result['dsl']}: {result['size']} elements")
-        print(f"  width {result['width']}, longest chain {result['longest_chain']}, "
-              f"incomparable pairs {result['incomparable_pairs']}")
-        if args.lattice:
-            print(f"  distributive lattice: {result['distributive_lattice']}")
-        for a, b in covers:
-            print(f"  {a} < {b}")
-    _emit(args, "poset", {"poset": args.poset, "lattice": args.lattice}, result, "construction", started)
-    return EXIT_OK
+        lines.append(f"  distributive lattice: {result['distributive_lattice']}")
+    lines += [f"  {a} < {b}" for a, b in covers]
+    return Reply(result, "construction", lines, EXIT_OK)
 
 
-def _cmd_tabloid(args) -> int:
-    started = time.perf_counter()
+def _cmd_tabloid(args) -> Reply:
     shape = parse_partition(args.shape)
     content = parse_partition(args.content) if args.content is not None else None
     prefix = parse_partition(args.content_prefix) if args.content_prefix is not None else None
     family = enumerate_srht(shape, content=content, content_prefix=prefix)
-    tabloids = []
+    tabloids, lines = [], [
+        f"{len(family)} special rim hook tabloids of shape {format_partition(shape)}"
+    ]
     for t in family:
         tabloids.append(
             {
@@ -112,87 +109,62 @@ def _cmd_tabloid(args) -> int:
                 "content": format_partition(t.content),
             }
         )
+        lines += [
+            render_tabloid(t),
+            f"content {format_partition(t.content)}  height {t.height}  sign {t.sign:+d}",
+            "",
+        ]
     result = {"shape": format_partition(shape), "count": len(family), "tabloids": tabloids}
-    if not args.json:
-        print(f"{len(family)} special rim hook tabloids of shape {format_partition(shape)}")
-        for t in family:
-            print(render_tabloid(t))
-            print(f"content {format_partition(t.content)}  height {t.height}  sign {t.sign:+d}")
-            print()
-    request = {"shape": args.shape, "content": args.content, "content_prefix": args.content_prefix}
-    _emit(args, "tabloid", request, result, "enumeration", started)
-    return EXIT_OK
+    return Reply(result, "enumeration", lines, EXIT_OK)
 
 
-def _cmd_scp(args) -> int:
-    started = time.perf_counter()
+def _cmd_scp(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
     type_ = parse_partition(args.type)
     stats = SearchStats()
-    method = args.method
-    if method == "auto":
-        fast = closed_fast_path(poset, type_)
-        method = "closed" if fast is not None else "brute"
-    if method == "closed":
-        fast = closed_fast_path(poset, type_)
-        if fast is None:
-            raise FastPathInapplicableError(
-                "closed form needs a product of two chains and a staircase-prefixed type"
-            )
-        count = scp_closed_form(fast[0], type_)
+    fast = closed_route(poset, type_, args.method)
+    if fast is None:
+        count, method = ChainPartitionCounter(poset).count(type_, stats=stats), "brute"
     else:
-        count = ChainPartitionCounter(poset).count(type_, stats=stats)
+        count, method = scp_closed_form(fast[0], type_), "closed"
     result = {
         "poset": poset.spec.dsl(),
         "type": format_partition(type_),
         "count": str(count),
         "nodes": stats.nodes,
     }
-    if not args.json:
-        print(f"{count} ({method})")
-    request = {"poset": args.poset, "type": args.type, "method": args.method}
-    _emit(args, "scp", request, result, method, started)
-    return EXIT_OK
+    return Reply(result, method, [f"{count} ({method})"], EXIT_OK)
 
 
-def _cmd_schur(args) -> int:
-    started = time.perf_counter()
+def _cmd_schur(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
     expansion = schur_expansion(poset, max_elements=args.max_elements)
-    coeffs = {
-        format_partition(lam): str(c) for lam, c in expansion.sorted_items()
+    items = [(format_partition(lam), c) for lam, c in expansion.sorted_items()]
+    result = {
+        "poset": poset.spec.dsl(),
+        "degree": expansion.degree,
+        "coeffs": {lam: str(c) for lam, c in items},
     }
-    result = {"poset": poset.spec.dsl(), "degree": expansion.degree, "coeffs": coeffs}
-    if not args.json:
-        for lam, c in expansion.sorted_items():
-            print(f"s[{format_partition(lam)}] {c}")
-    _emit(args, "schur", {"poset": args.poset, "max_elements": args.max_elements}, result,
-          "tabloid_sum", started)
-    return EXIT_OK if expansion.is_nonnegative() else EXIT_NEGATIVE
+    lines = [f"s[{lam}] {c}" for lam, c in items]
+    return Reply(result, "tabloid_sum", lines,
+                 EXIT_OK if expansion.is_nonnegative() else EXIT_NEGATIVE)
 
 
-def _cmd_schur_coeff(args) -> int:
-    started = time.perf_counter()
+def _cmd_schur_coeff(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
     shape = parse_partition(args.shape)
-    method = args.method
-    if method == "auto":
-        method = "tabloid_closed" if closed_fast_path(poset, shape) else "tabloid_brute"
+    fast = closed_route(poset, shape, args.method.removeprefix("tabloid_"))
+    method = "tabloid_brute" if fast is None else "tabloid_closed"
     value = schur_coefficient(poset, shape, method=method)
     result = {
         "poset": poset.spec.dsl(),
         "shape": format_partition(shape),
         "coefficient": str(value),
     }
-    if not args.json:
-        print(value)
-    request = {"poset": args.poset, "shape": args.shape, "method": args.method}
-    _emit(args, "schur-coeff", request, result, method, started)
-    return EXIT_NEGATIVE if value < 0 else EXIT_OK
+    return Reply(result, method, [str(value)], EXIT_NEGATIVE if value < 0 else EXIT_OK)
 
 
-def _cmd_nice(args) -> int:
-    started = time.perf_counter()
+def _cmd_nice(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
     verdict = is_nice(
         poset,
@@ -201,6 +173,7 @@ def _cmd_nice(args) -> int:
         node_budget=args.node_budget,
     )
     result: dict = {"poset": poset.spec.dsl(), "nice": verdict.nice, "nodes": verdict.nodes}
+    lines = [f"nice: {str(verdict.nice).lower()}"]
     if verdict.witness is not None and args.witness:
         achieved, unachieved = verdict.witness
         result["witness"] = {
@@ -208,31 +181,17 @@ def _cmd_nice(args) -> int:
             "unachieved": format_partition(unachieved),
             "certificate": verdict.witness_certificate.to_jsonable(),
         }
+        lines.append(
+            f"achieved {format_partition(achieved)} but not {format_partition(unachieved)}"
+        )
+        lines += ["  chain: " + " < ".join(block) for block in verdict.witness_certificate.blocks]
     if args.all_types:
         result["achieved_types"] = [format_partition(t) for t in verdict.achieved_types]
-    if not args.json:
-        print(f"nice: {str(verdict.nice).lower()}")
-        if verdict.witness is not None and args.witness:
-            achieved, unachieved = verdict.witness
-            print(f"achieved {format_partition(achieved)} but not {format_partition(unachieved)}")
-            for block in verdict.witness_certificate.blocks:
-                print("  chain: " + " < ".join(block))
-        if args.all_types:
-            print("achieved types: " + "; ".join(
-                format_partition(t) for t in verdict.achieved_types))
-    request = {
-        "poset": args.poset,
-        "witness": args.witness,
-        "all_types": args.all_types,
-        "max_elements": args.max_elements,
-        "node_budget": args.node_budget,
-    }
-    _emit(args, "nice", request, result, "pruned_search", started)
-    return EXIT_OK if verdict.nice else EXIT_NOT_NICE
+        lines.append("achieved types: " + "; ".join(result["achieved_types"]))
+    return Reply(result, "pruned_search", lines, EXIT_OK if verdict.nice else EXIT_NOT_NICE)
 
 
-def _cmd_chain_partition(args) -> int:
-    started = time.perf_counter()
+def _cmd_chain_partition(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
     type_ = parse_partition(args.type)
     stats = SearchStats()
@@ -243,30 +202,20 @@ def _cmd_chain_partition(args) -> int:
         "exists": cert is not None,
         "nodes": stats.nodes,
     }
-    if cert is not None:
-        result["certificate"] = cert.to_jsonable()
-    if not args.json:
-        if cert is None:
-            print("no chain partition of this type")
-        else:
-            for block in cert.blocks:
-                print("chain: " + " < ".join(block))
-    request = {"poset": args.poset, "type": args.type, "node_budget": args.node_budget}
-    _emit(args, "chain-partition", request, result, "pruned_search", started)
-    return EXIT_OK if cert is not None else EXIT_NOT_NICE
+    if cert is None:
+        return Reply(result, "pruned_search", ["no chain partition of this type"], EXIT_NOT_NICE)
+    result["certificate"] = cert.to_jsonable()
+    lines = ["chain: " + " < ".join(block) for block in cert.blocks]
+    return Reply(result, "pruned_search", lines, EXIT_OK)
 
 
-def _cmd_theorem41(args) -> int:
-    started = time.perf_counter()
+def _cmd_theorem41(args) -> Reply:
     value = theorem41_coefficient(args.n, args.k)
     result = {"n": args.n, "k": args.k, "coefficient": str(value)}
-    if not args.json:
-        print(value)
-    _emit(args, "theorem41", {"n": args.n, "k": args.k}, result, "closed_form", started)
-    return EXIT_NEGATIVE if value < 0 else EXIT_OK
+    return Reply(result, "closed_form", [str(value)], EXIT_NEGATIVE if value < 0 else EXIT_OK)
 
 
-def _sweep_two_chain(args) -> tuple[list[dict], bool, list[str]]:
+def _sweep_two_chain(args) -> Reply:
     if args.b != 2 * args.j - 2 * args.a - 1:
         raise DomainError(
             f"shape family needs b = 2j - 2a - 1; got j={args.j} a={args.a} b={args.b}"
@@ -279,10 +228,10 @@ def _sweep_two_chain(args) -> tuple[list[dict], bool, list[str]]:
         any_negative = any_negative or value < 0
         rows.append({"m": m, "shape": format_partition(shape), "coefficient": str(value)})
         lines.append(f"m={m} shape={format_partition(shape)} coefficient={value}")
-    return rows, any_negative, lines
+    return Reply({"rows": rows}, args.family, lines, EXIT_NEGATIVE if any_negative else EXIT_OK)
 
 
-def _sweep_b3(args) -> tuple[list[dict], bool, list[str]]:
+def _sweep_b3(args) -> Reply:
     rows, lines, any_failure = [], [], False
     for n in range(args.n_min, args.n_max + 1):
         verdict = is_nice(
@@ -294,7 +243,7 @@ def _sweep_b3(args) -> tuple[list[dict], bool, list[str]]:
             row["witness"] = [format_partition(t) for t in verdict.witness]
         rows.append(row)
         lines.append(f"b3:{n} nice={str(verdict.nice).lower()}")
-    return rows, any_failure, lines
+    return Reply({"rows": rows}, args.family, lines, EXIT_NOT_NICE if any_failure else EXIT_OK)
 
 
 def _factorizations(bound: int):
@@ -314,7 +263,7 @@ def _factorizations(bound: int):
     return out
 
 
-def _sweep_products(args) -> tuple[list[dict], bool, list[str]]:
+def _sweep_products(args) -> Reply:
     rows, lines, any_failure = [], [], False
     for lengths in _factorizations(args.max_product):
         poset = build_poset(Product(lengths))
@@ -327,38 +276,22 @@ def _sweep_products(args) -> tuple[list[dict], bool, list[str]]:
         dsl = poset.spec.dsl()
         rows.append({"poset": dsl, "nice": verdict.nice})
         lines.append(f"{dsl} nice={str(verdict.nice).lower()}")
-    return rows, any_failure, lines
+    return Reply({"rows": rows}, args.family, lines, EXIT_NOT_NICE if any_failure else EXIT_OK)
 
 
-def _cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    if args.family == "two_chain_negativity":
-        rows, flagged, lines = _sweep_two_chain(args)
-        bad_exit = EXIT_NEGATIVE
-    elif args.family == "b3_niceness":
-        rows, flagged, lines = _sweep_b3(args)
-        bad_exit = EXIT_NOT_NICE
-    else:
-        rows, flagged, lines = _sweep_products(args)
-        bad_exit = EXIT_NOT_NICE
-    if not args.json:
-        for line in lines:
-            print(line)
-    request = {
-        "family": args.family,
-        "m_min": args.m_min,
-        "m_max": args.m_max,
-        "j": args.j,
-        "a": args.a,
-        "b": args.b,
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "max_product": args.max_product,
-        "max_elements": args.max_elements,
-        "node_budget": args.node_budget,
-    }
-    _emit(args, "sweep", request, {"rows": rows}, args.family, started)
-    return bad_exit if flagged else EXIT_OK
+_SWEEPS = {
+    "two_chain_negativity": _sweep_two_chain,
+    "b3_niceness": _sweep_b3,
+    "product_niceness": _sweep_products,
+}
+
+
+def _cmd_sweep(args) -> Reply:
+    reply = _SWEEPS[args.family](args)
+    if not reply.result["rows"]:
+        # A sweep that checks nothing would pass vacuously.
+        raise UsageError(f"the {args.family} sweep selects no case under these flags")
+    return reply
 
 
 def _criteria(text: str | None) -> list[int] | None:
@@ -375,8 +308,7 @@ def _criteria(text: str | None) -> list[int] | None:
     return numbers
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify(args) -> Reply:
     results = verification.run_all(_criteria(args.criteria))
     rows = [
         {
@@ -391,14 +323,20 @@ def _cmd_verify(args) -> int:
         for r in results
     ]
     all_ok = all(r.ok and r.within_limit for r in results)
-    if not args.json:
-        for r in results:
-            print(r.line())
-        print(f"{'all criteria pass' if all_ok else 'FAILURES PRESENT'} "
-              f"({sum(r.ok and r.within_limit for r in results)}/{len(results)})")
-    _emit(args, "verify", {"criteria": args.criteria}, {"results": rows, "all_ok": all_ok},
-          "acceptance_suite", started)
-    return EXIT_OK if all_ok else EXIT_DOMAIN
+    lines = [r.line() for r in results]
+    lines.append(f"{'all criteria pass' if all_ok else 'FAILURES PRESENT'} "
+                 f"({sum(r.ok and r.within_limit for r in results)}/{len(results)})")
+    return Reply({"results": rows, "all_ok": all_ok}, "acceptance_suite", lines,
+                 EXIT_OK if all_ok else EXIT_DOMAIN)
+
+
+def _check_counts(args) -> None:
+    """Budgets and limits count nodes or elements; argparse only checks
+    that they are integers."""
+    for dest in ("max_elements", "node_budget"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{dest.replace('_', '-')} must be >= 0, got {value}")
 
 
 @functools.cache
@@ -479,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_theorem41)
 
     p = sub.add_parser("sweep", help="run a family of sign or niceness checks")
-    p.add_argument("--family", required=True,
-                   choices=("two_chain_negativity", "b3_niceness", "product_niceness"))
+    p.add_argument("--family", required=True, choices=tuple(_SWEEPS))
     p.add_argument("--m-min", type=int, default=8)
     p.add_argument("--m-max", type=int, default=12)
     p.add_argument("--j", type=int, default=4, help="shape family (m+1, m-2j, 2^a, 1^b)")
@@ -504,10 +441,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        code = args.fn(args)
+        _check_counts(args)
+        reply = args.fn(args)
+        if args.json:
+            envelope = {
+                "command": args.command,
+                "request": {
+                    k: v for k, v in vars(args).items() if k not in ("command", "fn", "json")
+                },
+                "result": reply.result,
+                "method": reply.method,
+                "wall_time_ms": round((time.perf_counter() - started) * 1000.0, 3),
+                "version": __version__,
+            }
+            print(json.dumps(envelope, sort_keys=True, indent=2))
+        else:
+            for line in reply.lines:
+                print(line)
         sys.stdout.flush()
-        return code
+        return reply.code
     except BrokenPipeError:
         # The reader closed stdout (say, `| head`).  Point stdout at devnull
         # so that the flush at interpreter exit does not fail again.

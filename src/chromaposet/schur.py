@@ -44,8 +44,9 @@ from .posets import Boolean, Chain, Graph, Poset, Product, build_poset, iter_bit
 from .rimhooks import kostka_number, signed_contents
 
 
-class MonomialExpansion:
-    """Sparse map from partitions to monomial coefficients (absent = 0)."""
+class _Expansion:
+    """Sparse map from partitions to coefficients in one basis (absent = 0);
+    two expansions are equal when they are in the same basis and agree."""
 
     def __init__(self, degree: int, coeffs: dict[Partition, int]):
         self.degree = degree
@@ -56,6 +57,20 @@ class MonomialExpansion:
 
     def sorted_items(self) -> list[tuple[Partition, int]]:
         return sorted(self.coeffs.items(), reverse=True)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.degree == other.degree
+            and self.coeffs == other.coeffs
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(degree={self.degree}, {len(self.coeffs)} terms)"
+
+
+class MonomialExpansion(_Expansion):
+    """Sparse map from partitions to monomial coefficients (absent = 0)."""
 
     def specialize(self, colors: int) -> int:
         """Underlying function with ``colors`` variables set to 1: the
@@ -64,29 +79,9 @@ class MonomialExpansion:
             c * rearrangement_count(lam, colors) for lam, c in self.coeffs.items()
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialExpansion)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
 
-    def __repr__(self) -> str:
-        return f"MonomialExpansion(degree={self.degree}, {len(self.coeffs)} terms)"
-
-
-class SchurExpansion:
+class SchurExpansion(_Expansion):
     """Sparse map from partitions to Schur coefficients (absent = 0)."""
-
-    def __init__(self, degree: int, coeffs: dict[Partition, int]):
-        self.degree = degree
-        self.coeffs = dict(coeffs)
-
-    def coefficient(self, lam) -> int:
-        return self.coeffs.get(as_partition(lam), 0)
-
-    def sorted_items(self) -> list[tuple[Partition, int]]:
-        return sorted(self.coeffs.items(), reverse=True)
 
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
@@ -95,16 +90,6 @@ class SchurExpansion:
         return sum(
             c * schur_at_ones(lam, colors) for lam, c in self.coeffs.items()
         )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SchurExpansion)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"SchurExpansion(degree={self.degree}, {len(self.coeffs)} terms)"
 
 
 def schur_at_ones(lam, colors: int) -> int:
@@ -164,6 +149,28 @@ def closed_fast_path(poset: Poset, shape) -> tuple[StaircaseContext, Partition] 
     return StaircaseContext(m, n), pre
 
 
+def closed_route(
+    poset: Poset, partition, method: str
+) -> tuple[StaircaseContext, Partition] | None:
+    """Route choice for a chain-partition count or a Schur coefficient:
+    the ``closed_fast_path`` context and prefix for the closed form, None
+    for backtracking search.  ``method`` is ``brute`` (always search),
+    ``closed`` (the closed form, which must apply) or ``auto`` (the closed
+    form whenever it applies).  The size is checked first, so a partition
+    that does not fill the poset fails alike under every method."""
+    lam = as_partition(partition)
+    if sum(lam) != len(poset):
+        raise SizeMismatchError(f"partition {lam} does not fill the {len(poset)}-element poset")
+    if method not in ("auto", "brute", "closed"):
+        raise DomainError(f"unknown method {method!r}")
+    fast = closed_fast_path(poset, lam) if method != "brute" else None
+    if method == "closed" and fast is None:
+        raise FastPathInapplicableError(
+            "closed form needs a product of two chains and a staircase-prefixed partition"
+        )
+    return fast
+
+
 def _tabloid_sum(shape, count, prefix=()) -> int:
     """The tabloid sum: each content's signed tabloid count (restricted to
     contents starting with ``prefix``) times ``count(content)``."""
@@ -198,16 +205,10 @@ def schur_coefficient(poset: Poset, shape, method: str = "auto") -> int:
     only) evaluates each content by the closed form; ``auto`` picks the
     closed route whenever it applies.
     """
-    shape = as_partition(shape)
-    if sum(shape) != len(poset):
-        raise SizeMismatchError(f"shape {shape} does not fill the poset")
     if method not in ("auto", "tabloid_brute", "tabloid_closed"):
         raise DomainError(f"unknown method {method!r}")
-    fast = closed_fast_path(poset, shape) if method != "tabloid_brute" else None
-    if method == "tabloid_closed" and fast is None:
-        raise FastPathInapplicableError(
-            "closed path needs a product of two chains and a staircase-prefixed shape"
-        )
+    shape = as_partition(shape)
+    fast = closed_route(poset, shape, method.removeprefix("tabloid_"))
     if fast is not None:
         ctx, pre = fast
         return _tabloid_sum(shape, partial(scp_closed_form, ctx), pre)

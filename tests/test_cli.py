@@ -2,6 +2,7 @@
 envelopes, determinism, and round-tripping certificates out of the JSON back
 into validated objects."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -38,6 +39,13 @@ def run_json(capsys, *argv):
     # the envelope is printed with sorted keys and two-space indentation
     assert out.strip() == json.dumps(envelope, sort_keys=True, indent=2)
     return code, envelope, err
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    action = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +155,94 @@ def test_parser_is_built_once_and_leaks_nothing(capsys):
         "max_elements": 20, "node_budget": None,
     }
     assert "witness" not in env["result"] and "achieved_types" not in env["result"]
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --family b3_niceness --n-min 3 --n-max 1",
+    "sweep --family two_chain_negativity --m-min 12 --m-max 8",
+    "sweep --family product_niceness --max-product 1",
+    "sweep --family product_niceness --max-elements 1",  # skips every product
+])
+def test_empty_sweep_exits_2(capsys, argv):
+    # a sweep with no rows would otherwise pass vacuously
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("nice --poset b3:2 --node-budget -5", "--node-budget"),
+    ("nice --poset b3:2 --max-elements -1", "--max-elements"),
+    ("chain-partition --poset chain:2 --type 2 --node-budget -1", "--node-budget"),
+    ("sweep --family b3_niceness --node-budget -1", "--node-budget"),
+    ("sweep --family product_niceness --max-elements -1", "--max-elements"),
+    ("schur --poset chain:3 --max-elements -1", "--max-elements"),
+])
+def test_negative_budget_or_limit_exits_2(capsys, argv, flag):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+def test_zero_budget_and_limit_are_valid_flags(capsys):
+    # zero is a limit the query then fails against, not a bad flag
+    code, _, err = run(capsys, "schur", "--poset", "chain:3", "--max-elements", "0")
+    assert (code, err) == (1, "error: 3 elements exceeds the expansion limit of 0\n")
+    code, _, err = run(capsys, "nice", "--poset", "b3:2", "--node-budget", "0")
+    assert (code, err) == (1, "error: search exceeded 0 nodes\n")
+
+
+@pytest.mark.parametrize("command, poset, flag, value", [
+    ("scp", "chain:3", "--type", "2"),
+    ("scp", "bool:3", "--type", "2"),  # not a product of two chains
+    ("schur-coeff", "prod:3x2", "--shape", "7"),
+    ("schur-coeff", "b3:1", "--shape", "7"),
+])
+def test_size_mismatch_is_one_message_under_every_method(capsys, command, poset, flag, value):
+    methods = next(
+        a.choices for a in _subcommands()[command]._actions if a.dest == "method"
+    )
+    errors = set()
+    for method in methods:
+        code, out, err = run(
+            capsys, command, "--poset", poset, flag, value, "--method", method
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        errors.add(err)
+    assert len(errors) == 1, errors
+
+
+# The flags each subcommand needs to run, cheaply, by destination.
+REQUIRED_FLAGS = {
+    "poset": {"poset": "chain:2"},
+    "tabloid": {"shape": "2,1"},
+    "scp": {"poset": "chain:2", "type": "1,1"},
+    "schur": {"poset": "chain:2"},
+    "schur-coeff": {"poset": "chain:2", "shape": "2"},
+    "nice": {"poset": "chain:2"},
+    "chain-partition": {"poset": "chain:2", "type": "2"},
+    "theorem41": {"n": 2, "k": 5},
+    "sweep": {"family": "b3_niceness", "n_max": 1},
+    "verify": {"criteria": "4"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_request_holds_every_flag_of_the_subcommand(capsys, command):
+    """The envelope's request has exactly the subparser's flags, defaults
+    included, whatever flags are added later."""
+    actions = [
+        a for a in _subcommands()[command]._actions if a.dest not in ("help", "json")
+    ]
+    given = REQUIRED_FLAGS[command]
+    argv = [command]
+    for a in actions:
+        if a.dest in given:
+            argv += [a.option_strings[0], str(given[a.dest])]
+    _, env, _ = run_json(capsys, *argv)
+    assert env["command"] == command
+    assert env["request"] == {a.dest: a.default for a in actions} | given
 
 
 def test_closed_stdout_leaves_no_traceback():

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromaposet import (
@@ -27,6 +27,7 @@ from chromaposet import (
     count_colorings_by_type,
     count_proper_colorings,
     incomparability_graph,
+    inverse_kostka,
     kostka_number,
     monomial_expansion,
     partitions_of,
@@ -38,7 +39,8 @@ from chromaposet import (
     theorem41_coefficient,
     witness_coefficient_from_cases,
 )
-from chromaposet.schur import closed_fast_path
+from chromaposet.schur import MonomialExpansion, SchurExpansion, closed_fast_path
+from conftest import random_posets
 
 
 def hook_products(lam):
@@ -151,6 +153,18 @@ def test_chain_expansion_counts_standard_tableaux(n):
     }
 
 
+def test_expansion_equality_and_repr():
+    """Equal when the basis, degree and coefficients agree; a monomial and
+    a Schur expansion with the same coefficients differ."""
+    coeffs = {(2,): 1, (1, 1): 2}
+    mono, schur = MonomialExpansion(2, coeffs), SchurExpansion(2, coeffs)
+    assert mono == MonomialExpansion(2, dict(coeffs)) and schur == SchurExpansion(2, coeffs)
+    assert mono != schur and schur != mono
+    assert mono != MonomialExpansion(3, coeffs)
+    assert repr(mono) == "MonomialExpansion(degree=2, 2 terms)"
+    assert repr(schur) == "SchurExpansion(degree=2, 2 terms)"
+
+
 def test_product_2x2_expansion_frozen():
     exp = schur_expansion(build_poset(Product((2, 2))))
     assert exp.coeffs == {(3, 1): 2, (2, 2): 2, (2, 1, 1): 4, (1, 1, 1, 1): 2}
@@ -169,6 +183,25 @@ def test_schur_expansion_matches_monomials_through_kostka():
                 c * kostka_number(lam, mu) for lam, c in schur.coeffs.items()
             )
             assert via_kostka == mono.coefficient(mu), (spec, mu)
+
+
+@settings(deadline=None)
+@given(random_posets(max_size=7))
+def test_schur_and_monomial_routes_on_random_posets(poset):
+    """Posets from no builder, so every route below is the searched one:
+    monomial coefficients against coloring enumeration, the Schur expansion
+    against the inverse-Kostka transform of those coefficients, and each
+    brute Schur coefficient against the expansion."""
+    n = len(poset)
+    g = incomparability_graph(poset)
+    mono = monomial_expansion(g)
+    schur = schur_expansion(poset)
+    for mu in partitions_of(n):
+        assert mono.coefficient(mu) == count_colorings_by_type(g, mu), mu
+    for lam in partitions_of(n):
+        via_inverse = sum(inverse_kostka(lam, mu) * c for mu, c in mono.coeffs.items())
+        assert schur.coefficient(lam) == via_inverse, lam
+        assert schur_coefficient(poset, lam, method="tabloid_brute") == via_inverse, lam
 
 
 @pytest.mark.parametrize("colors", [1, 2, 3])
