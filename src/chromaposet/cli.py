@@ -9,8 +9,8 @@ precision, and JSON numbers would be silently rounded by most consumers.
 
 Exit codes: 0 success, 1 domain error, 2 parse error (bad flags, bad DSL,
 bad partition text, bad values of --criteria, a negative budget or limit,
-a sweep that selects nothing), 3 a requested Schur coefficient is
-negative, 4 a niceness query answered "no".
+a sweep parameter out of range, a sweep that selects nothing), 3 a
+requested Schur coefficient is negative, 4 a niceness query answered "no".
 A reader that closes stdout early (say, ``| head``) ends the command with
 exit 1 and no traceback.
 """
@@ -216,6 +216,11 @@ def _cmd_theorem41(args) -> Reply:
 
 
 def _sweep_two_chain(args) -> Reply:
+    for dest in ("j", "a", "b"):
+        _require_at_least(args, dest, 0)
+    # The shape's second part is m - 2j, and the closed route on the m x 2
+    # product needs m >= 2.
+    _require_at_least(args, "m_min", max(2, 2 * args.j), f"max(2, 2j) = {max(2, 2 * args.j)}")
     if args.b != 2 * args.j - 2 * args.a - 1:
         raise DomainError(
             f"shape family needs b = 2j - 2a - 1; got j={args.j} a={args.a} b={args.b}"
@@ -232,6 +237,7 @@ def _sweep_two_chain(args) -> Reply:
 
 
 def _sweep_b3(args) -> Reply:
+    _require_at_least(args, "n_min", 1)
     rows, lines, any_failure = [], [], False
     for n in range(args.n_min, args.n_max + 1):
         verdict = is_nice(
@@ -330,13 +336,19 @@ def _cmd_verify(args) -> Reply:
                  EXIT_OK if all_ok else EXIT_DOMAIN)
 
 
+def _require_at_least(args, dest: str, least: int, bound: str | None = None) -> None:
+    """argparse only checks that integer flags are integers; a value below
+    ``least`` (spelled ``bound`` in the message, when given) exits 2."""
+    value = getattr(args, dest)
+    if value is not None and value < least:
+        raise UsageError(f"--{dest.replace('_', '-')} must be >= {bound or least}, got {value}")
+
+
 def _check_counts(args) -> None:
-    """Budgets and limits count nodes or elements; argparse only checks
-    that they are integers."""
+    """Budgets and limits count nodes or elements."""
     for dest in ("max_elements", "node_budget"):
-        value = getattr(args, dest, None)
-        if value is not None and value < 0:
-            raise UsageError(f"--{dest.replace('_', '-')} must be >= 0, got {value}")
+        if hasattr(args, dest):
+            _require_at_least(args, dest, 0)
 
 
 @functools.cache

@@ -4,9 +4,10 @@ certificates for the positive answers.
 
 The existence search is ``find`` on the one chain-partition engine,
 ``counting.ChainPartitionCounter``, with its memo shared across the types of
-a scan.  A niceness scan searches only the types that no merge of two parts
-settles: splitting a chain gives two chains, so a type is achieved whenever
-merging two of its parts gives an achieved type.  Certificates are checked
+a scan.  A niceness scan searches only the types that lie inside the
+poset's Greene–Kleitman shape and that no merge of two parts settles:
+splitting a chain gives two chains, so a type is achieved whenever merging
+two of its parts gives an achieved type.  Certificates are checked
 by ``ChainPartitionCertificate.validate``, which uses only the raw order
 relation.
 """
@@ -123,8 +124,10 @@ def is_nice(
 
     The witness of a failure is the first pair (achieved type, unachieved
     dominated type) in descending lexicographic order over both coordinates.
-    ``nodes`` counts the search nodes of the types that were searched; a
-    type settled by a merge costs none.
+    ``nodes`` counts the search nodes of the types that were searched.  A
+    type settled by a merge costs none, and neither does a type with a
+    prefix sum above the poset's Greene–Kleitman shape
+    (``Poset.chain_shape``), which no chain partition can have.
     """
     n = len(poset)
     if n > max_elements:
@@ -132,18 +135,21 @@ def is_nice(
     if n == 0:
         return NiceVerdict(True, achieved_types=((),) if include_types else None)
     searcher = ChainPartitionSearcher(poset, node_budget)
-    longest = poset.max_chain_size()
-    width = poset.width()
+    shape = poset.chain_shape()
     # Descending lex order decides every merge of a type before the type.
     achieved: dict[Partition, bool] = {}
     masks: dict[Partition, list[int]] = {}
-    # Types that pass the filter below but have no chain partition.  A type
-    # that fails the filter is dominated by no achieved type (dominance
-    # keeps the first part from growing and the length from shrinking), so
-    # only these can break downward closure.
+    sums: dict[Partition, tuple[int, ...]] = {}
+    # Types inside the Greene–Kleitman shape that have no chain partition.
+    # A type with a prefix sum above c_k is achieved by nothing, and since
+    # dominance only lowers prefix sums it is dominated by no achieved type
+    # either, so only the types kept here can break downward closure.
     failed: list[Partition] = []
     for lam in partitions_of(n):
-        if lam[0] > longest or len(lam) < width:
+        sums[lam] = tuple(itertools.accumulate(lam))
+        # This also drops every type shorter than the width: its last
+        # prefix sum is n, and c_k < n for k below the width.
+        if any(map(operator.gt, sums[lam], shape)):
             achieved[lam] = False
         elif any(achieved[merged] for merged in _merges(lam)):
             achieved[lam] = True
@@ -158,7 +164,6 @@ def is_nice(
     # mu is dominated by lam when no prefix sum of mu exceeds lam's.  Pairing
     # the sums with zip is exact: past the end of lam its sums stay at n,
     # and if mu is the shorter one its last sum, n, meets one of lam's below n.
-    sums = {lam: tuple(itertools.accumulate(lam)) for lam in (*types, *failed)}
     for lam in types:
         top = sums[lam]
         for mu in failed:

@@ -1,11 +1,26 @@
-"""Shared test helpers: a hypothesis strategy for posets beyond the five
-builders."""
+"""Shared test helpers: the builder posets up to a size, and a hypothesis
+strategy for posets beyond the five builders."""
 
 import itertools
 
 from hypothesis import strategies as st
 
-from chromaposet import Poset
+from chromaposet import B3, Boolean, Chain, OrdinalSum, Poset, Product, build_poset
+from chromaposet.cli import _factorizations
+
+
+def builder_specs(size):
+    """One spec per builder shape with at most ``size`` elements: chains,
+    products of chains (factors >= 2), boolean lattices, b3 and ordinal
+    sums of the small ones with chains."""
+    specs = [Chain(n) for n in range(1, size + 1)]
+    specs += [Boolean(r) for r in range(1, size.bit_length())]
+    specs += [B3(n) for n in range(1, (size - 6) // 2 + 1)]
+    specs += [Product(lengths) for lengths in _factorizations(size) if len(lengths) > 1]
+    for inner in (Product((2, 2)), Product((3, 2)), Boolean(3), B3(1), Product((3, 3))):
+        room = size - len(build_poset(inner))
+        specs += [OrdinalSum(p, inner, q) for p in range(3) for q in range(3) if 0 < p + q <= room]
+    return specs
 
 
 @st.composite

@@ -184,6 +184,21 @@ def test_negative_budget_or_limit_exits_2(capsys, argv, flag):
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("sweep --family b3_niceness --n-min -1 --n-max 1", "--n-min"),
+    ("sweep --family b3_niceness --n-min 0 --n-max 1", "--n-min"),
+    ("sweep --family two_chain_negativity --m-min 1 --m-max 2", "--m-min"),
+    ("sweep --family two_chain_negativity --j 1 --a 0 --b 1 --m-min 1 --m-max 2", "--m-min"),
+    ("sweep --family two_chain_negativity --j 0 --a 0 --b -1 --m-min 3 --m-max 3", "--b"),
+    ("sweep --family two_chain_negativity --j -1 --a -1 --b 1", "--j"),
+    ("sweep --family two_chain_negativity --a -1 --b 9", "--a"),
+])
+def test_sweep_parameter_out_of_range_exits_2(capsys, argv, flag):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} must be >= ") and err.count("\n") == 1
+
+
 def test_zero_budget_and_limit_are_valid_flags(capsys):
     # zero is a limit the query then fails against, not a bad flag
     code, _, err = run(capsys, "schur", "--poset", "chain:3", "--max-elements", "0")

@@ -6,7 +6,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from chromaposet import (
     B3,
@@ -30,11 +30,11 @@ from chromaposet import (
     is_nice,
     ordinal_sum_chain_partition,
     parameterized_chain_family,
+    parse_poset_spec,
     partitions_of,
     staircase_type,
 )
-from chromaposet.cli import _factorizations
-from conftest import random_posets
+from conftest import builder_specs, random_posets
 
 
 def achieved_set(poset):
@@ -178,20 +178,6 @@ def test_niceness_matches_downward_closure():
         assert verdict.nice == downward_closed(achieved, len(poset)), spec
 
 
-def _builders_up_to(size):
-    """One spec per builder shape with at most ``size`` elements: chains,
-    products of chains (factors >= 2), boolean lattices, b3 and ordinal
-    sums of the small ones with chains."""
-    specs = [Chain(n) for n in range(1, size + 1)]
-    specs += [Boolean(r) for r in range(1, 4)]
-    specs += [B3(n) for n in range(1, (size - 6) // 2 + 1)]
-    specs += [Product(lengths) for lengths in _factorizations(size) if len(lengths) > 1]
-    for inner in (Product((2, 2)), Product((3, 2)), Boolean(3), B3(1), Product((3, 3))):
-        room = size - len(build_poset(inner))
-        specs += [OrdinalSum(p, inner, q) for p in range(3) for q in range(3) if 0 < p + q <= room]
-    return specs
-
-
 def _check_against_per_type_search(poset):
     """is_nice agrees with a separate search for every type: the achieved
     set, the verdict (downward closure) and the first witness pair."""
@@ -215,7 +201,7 @@ def _check_against_per_type_search(poset):
         verdict.witness_certificate.validate()
 
 
-@pytest.mark.parametrize("spec", _builders_up_to(14) + [B3(6)], ids=lambda spec: spec.dsl())
+@pytest.mark.parametrize("spec", builder_specs(14) + [B3(6)], ids=lambda spec: spec.dsl())
 def test_achieved_types_match_per_type_search(spec):
     _check_against_per_type_search(build_poset(spec))
 
@@ -224,6 +210,36 @@ def test_achieved_types_match_per_type_search(spec):
 @given(random_posets())
 def test_random_posets_match_per_type_search(poset):
     _check_against_per_type_search(poset)
+
+
+@pytest.mark.parametrize("dsl, most", [
+    ("prod:5x4", 64),
+    ("prod:3x3x2", 46),
+    ("bool:4", 60),
+    ("prod:4x4", 64),
+    ("sum:0+b3:4+6", 180),
+    ("b3:6", 3791),
+])
+def test_scan_searches_at_most_pinned_nodes(dsl, most):
+    # Node counts do not depend on the machine: a scan that loses its
+    # Greene-Kleitman filter searches thousands more (prod:5x4 searched
+    # 6,954 nodes without it).
+    assert is_nice(build_poset(parse_poset_spec(dsl))).nodes <= most
+
+
+def test_b3_6_and_its_sum_keep_their_answers():
+    verdict = is_nice(build_poset(B3(6)), include_types=True)
+    assert (verdict.nice, verdict.witness) == (False, ((9, 7, 2), (6, 6, 6)))
+    assert len(verdict.achieved_types) == 315
+    assert all(dominance_leq(lam, (9, 7, 2)) for lam in verdict.achieved_types)
+    # Adding a bottom and a top makes it nice: every type dominated by
+    # (11, 7, 2), the steps of its Greene-Kleitman shape (11, 18, 20), is
+    # achieved.
+    verdict = is_nice(build_poset(OrdinalSum(1, B3(6), 1)), include_types=True)
+    assert (verdict.nice, verdict.witness) == (True, None)
+    assert verdict.achieved_types == tuple(
+        mu for mu in partitions_of(20) if dominance_leq(mu, (11, 7, 2))
+    )
 
 
 def test_is_nice_size_guard():
@@ -367,6 +383,32 @@ def test_ordinal_sum_achieved_iff_dominated():
         else:
             with pytest.raises(PreconditionError):
                 ordinal_sum_chain_partition(1, 1, 2, 2, mu)
+
+
+@st.composite
+def _sum_partition_cases(draw):
+    """(p, q, m, n, mu): m >= n >= 1, m*n + p + q <= 16, and mu dominated
+    by the shifted staircase of p + (m x n) + q."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, 16 // n))
+    p = draw(st.integers(0, 16 - m * n))
+    q = draw(st.integers(0, 16 - m * n - p))
+    lam = staircase_type(m, n)
+    tilde = (lam[0] + p + q,) + lam[1:]
+    mu = draw(st.sampled_from(
+        [mu for mu in partitions_of(m * n + p + q) if dominance_leq(mu, tilde)]
+    ))
+    return p, q, m, n, mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sum_partition_cases())
+def test_ordinal_sum_partition_certificates_validate(case):
+    p, q, m, n, mu = case
+    cert = ordinal_sum_chain_partition(p, q, m, n, mu)
+    assert cert.type == mu
+    assert len(cert.poset) == m * n + p + q
+    cert.validate()
 
 
 def test_ordinal_sums_of_products_are_nice():

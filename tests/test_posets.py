@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chromaposet import posets
+from chromaposet.counting import staircase_type
+from chromaposet.nice import chain_partition_exists
+from chromaposet.partitions import partitions_of
 from chromaposet.errors import (
     DslParseError,
     InvalidSpecError,
@@ -23,6 +26,7 @@ from chromaposet.posets import (
     parse_poset_spec,
     verify_distributive_lattice,
 )
+from conftest import builder_specs, random_posets
 
 SPEC_SAMPLES = [
     Chain(1),
@@ -249,3 +253,37 @@ def test_coordinate_up_sets_match_pairwise_comparison(monkeypatch):
     assert len(built) == len(specs)
     for coords, up in built:
         assert up == _pairwise_up(coords), coords
+
+
+# ---------------------------------------------------------------------------
+# the Greene-Kleitman shape
+
+
+@given(random_posets())
+def test_chain_shape_is_the_best_cover_of_achieved_types(poset):
+    """c_k is the largest k-th prefix sum over the types that have a chain
+    partition, found type by type."""
+    n = len(poset)
+    achieved = [lam for lam in partitions_of(n) if chain_partition_exists(poset, lam)]
+    best = [max(sum(lam[:k]) for lam in achieved) for k in range(1, n + 1)]
+    assert poset.chain_shape() == tuple(best[: best.index(n) + 1])
+
+
+def test_chain_shape_of_two_chain_products_is_the_staircase():
+    for m in range(1, 9):
+        for n in range(1, m + 1):
+            shape = build_poset(Product((m, n))).chain_shape()
+            assert shape == tuple(itertools.accumulate(staircase_type(m, n))), (m, n)
+
+
+@pytest.mark.parametrize("spec", builder_specs(20), ids=lambda spec: spec.dsl())
+def test_chain_shape_ends_are_longest_chain_and_width(spec):
+    poset = build_poset(spec)
+    shape = poset.chain_shape()
+    assert shape[0] == poset.max_chain_size()
+    assert len(shape) == poset.width()
+    assert shape[-1] == len(poset)
+
+
+def test_empty_poset_has_empty_chain_shape():
+    assert Poset((), ()).chain_shape() == ()
