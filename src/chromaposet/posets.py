@@ -195,6 +195,15 @@ class Poset:
                 return False
         return True
 
+    def induced(self, mask: int) -> Poset:
+        """The subposet on the elements of ``mask``, labels in index order."""
+        keep = list(iter_bits(mask))
+        up = tuple(
+            sum(1 << k for k, j in enumerate(keep) if self.up[i] >> j & 1)
+            for i in keep
+        )
+        return Poset(tuple(self.labels[i] for i in keep), up)
+
     def max_chain_size(self, mask: int | None = None) -> int:
         """Size of the longest chain inside ``mask`` (whole poset by default)."""
         if mask is None:

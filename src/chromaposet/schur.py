@@ -9,6 +9,13 @@ a product of two chains and a shape carrying the forced staircase prefix,
 the counts have a closed form, and the table restricted to that prefix has a
 handful of entries; that fast path is what makes the large negativity
 sweeps cheap.
+
+A full expansion sets aside the r elements comparable to every other one:
+each is an isolated vertex of the incomparability graph, a factor s_1 of
+its function (Stanley, Adv. Math. 111, 1995, Prop. 2.3).  The tabloid sum
+runs on the rest, and r single-box Pieri steps add them back.  Every
+builder poset has a bottom and a top.  `schur_coefficient` still walks the
+whole poset.
 """
 
 from __future__ import annotations
@@ -216,16 +223,13 @@ def schur_coefficient(poset: Poset, shape, method: str = "auto") -> int:
     return _tabloid_sum(shape, _searched_counts(poset, longest))
 
 
-def schur_expansion(poset: Poset, max_elements: int = 12) -> SchurExpansion:
-    """Full Schur expansion over all partitions of |P|; shapes longer than
-    the longest chain are omitted (their coefficients vanish)."""
+def _tabloid_expansion(poset: Poset) -> dict[Partition, int]:
+    """Nonzero Schur coefficients of the whole poset by the tabloid sum,
+    one shape at a time; shapes longer than the longest chain are skipped
+    (their coefficients vanish)."""
     n = len(poset)
-    if n > max_elements:
-        raise TooLargeError(
-            f"{n} elements exceeds the expansion limit of {max_elements}"
-        )
     if n == 0:
-        return SchurExpansion(0, {(): 1})
+        return {(): 1}
     longest = poset.max_chain_size()
     count = _searched_counts(poset, longest)
     coeffs = {}
@@ -235,6 +239,35 @@ def schur_expansion(poset: Poset, max_elements: int = 12) -> SchurExpansion:
         total = _tabloid_sum(lam, count)
         if total:
             coeffs[lam] = total
+    return coeffs
+
+
+def _times_s1(coeffs: dict[Partition, int]) -> dict[Partition, int]:
+    """Multiply by s_1 (Pieri's rule): each s_nu becomes the sum of s_mu
+    over the shapes mu that add one box to nu; zeros dropped."""
+    out: dict[Partition, int] = {}
+    for nu, c in coeffs.items():
+        row = nu + (0,)
+        for i in range(len(nu) + 1):
+            if i == 0 or row[i - 1] > row[i]:
+                mu = nu[:i] + (row[i] + 1,) + nu[i + 1 :]
+                out[mu] = out.get(mu, 0) + c
+    return {mu: c for mu, c in out.items() if c}
+
+
+def schur_expansion(poset: Poset, max_elements: int = 12) -> SchurExpansion:
+    """Full Schur expansion over all partitions of |P|, zero coefficients
+    omitted: the tabloid sum on the elements not comparable to all others,
+    times s_1 once for each element that is."""
+    n = len(poset)
+    if n > max_elements:
+        raise TooLargeError(
+            f"{n} elements exceeds the expansion limit of {max_elements}"
+        )
+    inner = poset.induced(sum(1 << v for v in range(n) if poset.comp[v] != poset.full_mask))
+    coeffs = _tabloid_expansion(inner)
+    for _ in range(n - len(inner)):
+        coeffs = _times_s1(coeffs)
     return SchurExpansion(n, coeffs)
 
 

@@ -1,5 +1,5 @@
-"""Shared test helpers: the builder posets up to a size, and a hypothesis
-strategy for posets beyond the five builders."""
+"""Shared test helpers: the builder posets up to a size, and hypothesis
+strategies for posets beyond the five builders."""
 
 import itertools
 
@@ -39,3 +39,31 @@ def random_posets(draw, max_size=8):
             if up[i] >> j & 1:
                 up[i] |= up[j]
     return Poset(tuple(f"x{i}" for i in range(n)), tuple(up))
+
+
+@st.composite
+def posets_with_universal(draw, max_size=8):
+    """X + points + Y, the ordinal sum of two random posets around 1-3
+    points comparable to everything, with an optional chain below and
+    above; the indices are then shuffled, so the universal elements do not
+    sit only at the lowest and highest indices."""
+
+    def chain(k):
+        return [(1 << k) - (1 << i) for i in range(k)]
+
+    points, below, above = draw(st.integers(1, 3)), draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    room = max_size - points - below - above
+    x = draw(random_posets(max_size=draw(st.integers(1, room - 1))))
+    y = draw(random_posets(max_size=room - len(x)))
+    blocks = [chain(below), list(x.up), chain(points), list(y.up), chain(above)]
+    n = sum(map(len, blocks))
+    up, offset = [], 0
+    for block in blocks:
+        offset += len(block)
+        later = (1 << n) - (1 << offset)
+        up += [mask << (offset - len(block)) | later for mask in block]
+    perm = draw(st.permutations(range(n)))
+    moved = [0] * n
+    for i, mask in enumerate(up):
+        moved[perm[i]] = sum(1 << perm[j] for j in range(n) if mask >> j & 1)
+    return Poset(tuple(f"x{i}" for i in range(n)), tuple(moved))

@@ -51,3 +51,14 @@ def test_tracer_hooks_record_each_engine_entry_point():
     assert nice.counts["nice.nodes"] > 0
     # ... and `nice` if the search ever reaches counting
     assert nice.calls["counting.count"] == 0
+
+
+def test_expansion_counts_once_without_reentering_the_schur_span():
+    """The expansion calls its tabloid-sum helper on the poset without its
+    universal elements, never schur_expansion itself, which the tracer
+    wraps."""
+    traced = _traced(_load_tracer(), ["schur", "--poset", "sum:1+prod:3x2+1", "--json"], 0)
+    assert traced.calls["cli"] == 1
+    assert traced.calls["schur"] == 1
+    assert traced.calls["counting.count"] > 0
+    assert traced.calls["nice.find"] == 0

@@ -287,3 +287,28 @@ def test_chain_shape_ends_are_longest_chain_and_width(spec):
 
 def test_empty_poset_has_empty_chain_shape():
     assert Poset((), ()).chain_shape() == ()
+
+
+# ---------------------------------------------------------------------------
+# induced subposets
+
+
+@pytest.mark.parametrize("spec", builder_specs(14), ids=lambda spec: spec.dsl())
+def test_induced_subposet_restricts_the_order(spec):
+    """On the elements that are not universal and on every other index:
+    the parent's relation restricted to the mask, pair by pair, and the
+    labels in index order."""
+    poset = build_poset(spec)
+    universal = sum(1 << v for v in range(len(poset)) if poset.comp[v] == poset.full_mask)
+    for mask in (poset.full_mask & ~universal, poset.full_mask & 0x5555):
+        keep = list(posets.iter_bits(mask))
+        sub = poset.induced(mask)
+        assert sub.labels == tuple(poset.labels[i] for i in keep)
+        for a, i in enumerate(keep):
+            for b, j in enumerate(keep):
+                assert sub.up[a] >> b & 1 == poset.up[i] >> j & 1, (i, j)
+
+
+def test_induced_on_the_empty_mask_is_the_empty_poset():
+    sub = build_poset(Product((3, 2))).induced(0)
+    assert len(sub) == 0 and sub.labels == () and sub.up == ()

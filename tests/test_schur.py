@@ -30,6 +30,7 @@ from chromaposet import (
     inverse_kostka,
     kostka_number,
     monomial_expansion,
+    parse_poset_spec,
     partitions_of,
     pieri_shift_coefficient,
     rho_shape,
@@ -39,8 +40,13 @@ from chromaposet import (
     theorem41_coefficient,
     witness_coefficient_from_cases,
 )
-from chromaposet.schur import MonomialExpansion, SchurExpansion, closed_fast_path
-from conftest import random_posets
+from chromaposet.schur import (
+    MonomialExpansion,
+    SchurExpansion,
+    _tabloid_expansion,
+    closed_fast_path,
+)
+from conftest import posets_with_universal, random_posets
 
 
 def hook_products(lam):
@@ -143,10 +149,12 @@ def test_chain_expansion_frozen():
     assert exp.is_nonnegative()
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_chain_expansion_counts_standard_tableaux(n):
-    """A chain's function is h_1^n, whose Schur coefficients are the numbers
-    of standard tableaux — independently available from hook lengths."""
+    """A chain's function is h_1^n = s_1^n, whose Schur coefficients are the
+    numbers of standard tableaux — independently available from hook
+    lengths.  Every element of a chain is universal, so the expansion is
+    Pieri's rule alone."""
     exp = schur_expansion(build_poset(Chain(n)), max_elements=n)
     assert exp.coeffs == {
         lam: standard_tableaux_count(lam) for lam in partitions_of(n)
@@ -234,6 +242,38 @@ def test_schur_expansion_size_guard():
 def test_chain_specialization_is_power(n, colors):
     exp = schur_expansion(build_poset(Chain(n)), max_elements=13)
     assert exp.specialize(colors) == colors**n
+
+
+# ---------------------------------------------------------------------------
+# the universal elements, added back by Pieri's rule
+
+
+@settings(deadline=None, max_examples=30)
+@given(posets_with_universal())
+def test_universal_elements_are_added_back_by_pieri(poset):
+    """Against the inverse-Kostka transform of the coloring counts, and
+    against the tabloid sum over the whole poset, which removes nothing."""
+    n = len(poset)
+    g = incomparability_graph(poset)
+    colorings = {mu: count_colorings_by_type(g, mu) for mu in partitions_of(n)}
+    schur = schur_expansion(poset)
+    for lam in partitions_of(n):
+        via_inverse = sum(inverse_kostka(lam, mu) * c for mu, c in colorings.items())
+        assert schur.coefficient(lam) == via_inverse, lam
+    assert schur.coeffs == _tabloid_expansion(poset)
+
+
+@pytest.mark.parametrize("dsl", ["bool:4", "prod:4x3", "sum:1+b3:2+1"])
+def test_reduction_matches_the_whole_poset_walk(dsl):
+    poset = build_poset(parse_poset_spec(dsl))
+    assert schur_expansion(poset, max_elements=16).coeffs == _tabloid_expansion(poset)
+
+
+def test_brute_coefficients_match_the_reduced_expansion():
+    poset = build_poset(OrdinalSum(1, Product((3, 2)), 1))
+    exp = schur_expansion(poset)
+    for lam in partitions_of(len(poset)):
+        assert schur_coefficient(poset, lam, method="tabloid_brute") == exp.coefficient(lam), lam
 
 
 # ---------------------------------------------------------------------------
