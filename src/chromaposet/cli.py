@@ -124,7 +124,8 @@ def _cmd_scp(args) -> Reply:
     stats = SearchStats()
     fast = closed_route(poset, type_, args.method)
     if fast is None:
-        count, method = ChainPartitionCounter(poset).count(type_, stats=stats), "brute"
+        counter = ChainPartitionCounter(poset, args.node_budget)
+        count, method = counter.count(type_, stats=stats), "brute"
     else:
         count, method = scp_closed_form(fast[0], type_), "closed"
     result = {
@@ -155,7 +156,7 @@ def _cmd_schur_coeff(args) -> Reply:
     shape = parse_partition(args.shape)
     fast = closed_route(poset, shape, args.method.removeprefix("tabloid_"))
     method = "tabloid_brute" if fast is None else "tabloid_closed"
-    value = schur_coefficient(poset, shape, method=method)
+    value = schur_coefficient(poset, shape, method=method, node_budget=args.node_budget)
     result = {
         "poset": poset.spec.dsl(),
         "shape": format_partition(shape),
@@ -386,6 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset", required=True)
     p.add_argument("--type", required=True, help='partition, e.g. "2,1,1"')
     p.add_argument("--method", choices=("auto", "brute", "closed"), default="auto")
+    p.add_argument("--node-budget", type=int, default=None,
+                   help="search at most this many nodes (the closed form ignores it)")
     common(p)
     p.set_defaults(fn=_cmd_scp)
 
@@ -400,6 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True)
     p.add_argument("--method", choices=("auto", "tabloid_brute", "tabloid_closed"),
                    default="auto")
+    p.add_argument("--node-budget", type=int, default=None,
+                   help="search at most this many nodes (the closed form ignores it)")
     common(p)
     p.set_defaults(fn=_cmd_schur_coeff)
 

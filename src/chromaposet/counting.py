@@ -15,12 +15,13 @@ For a product of two chains m x n and a type whose first n-1 parts are the
 forced staircase values m+n-2i+1, the count also has a closed form: a
 weak-composition sum over the ways of distributing the remaining parts among
 the n maximal "threads" of the product.  ``scp_closed_form`` evaluates it in
-pure integer arithmetic.
+pure integer arithmetic, not composition by composition but by placing the
+tail blocks on the threads one at a time, over the multisets of thread
+loads.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,12 +34,10 @@ from .errors import (
 from .partitions import (
     Partition,
     as_partition,
-    multinomial,
     multiplicity_profile,
     sorted_partition,
     suffix,
     symmetry_factor,
-    weak_compositions,
 )
 from .posets import Graph, Poset, iter_bits
 
@@ -280,29 +279,41 @@ class StaircaseContext:
 def scp_closed_form(ctx: StaircaseContext, type_) -> int:
     """Closed-form chain-partition count for a staircase-prefixed type.
 
-    For each part size k of the tail (multiplicity alpha_k), a weak
-    composition distributes its copies among the n threads; thread j then
-    contributes (sum of its assigned sizes)!.  The total is scaled by (n-1)!
-    and divided — exactly — by the product of k!^alpha_k.
+    The count is a weak-composition sum: for each part size k of the tail
+    (multiplicity alpha_k), a weak composition distributes its copies among
+    the n threads, weighted by the multinomial of that composition; thread j
+    then contributes L_j!, the factorial of its load (the sum of its
+    assigned sizes).  The total is scaled by (n-1)! and divided — exactly —
+    by the product of k!^alpha_k.
+
+    The multinomials count the ways to assign the labelled tail blocks with
+    those compositions, so the sum equals the sum of prod L_j! over every
+    assignment of labelled blocks to threads.  That sum is evaluated by
+    placing the blocks one at a time, over states that are the sorted
+    nonzero thread loads: a block of size s on one of the c threads of load
+    L multiplies the weight by c * (L+s)!/L!, and on one of the e empty
+    threads by e * s!.
     """
     _, tail = ctx.split(type_)
     n = ctx.n
-    profile = multiplicity_profile(tail)
-    total = 0
-    splits = [list(weak_compositions(alpha, n)) for _, alpha in profile]
-    for combo in itertools.product(*splits):
-        loads = [0] * n
-        weight = 1
-        for (k, alpha), comp in zip(profile, combo):
-            weight *= multinomial(alpha, comp)
-            for j, a in enumerate(comp):
-                loads[j] += k * a
-        for load in loads:
-            weight *= math.factorial(load)
-        total += weight
-    total *= math.factorial(n - 1)
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for s in tail:
+        grown: dict[tuple[int, ...], int] = {}
+        for loads, weight in states.items():
+            empty = n - len(loads)
+            if empty:
+                key = tuple(sorted(loads + (s,)))
+                grown[key] = grown.get(key, 0) + weight * empty * math.factorial(s)
+            for i, load in enumerate(loads):
+                if i and loads[i - 1] == load:
+                    continue
+                key = tuple(sorted(loads[:i] + (load + s,) + loads[i + 1 :]))
+                step = loads.count(load) * math.perm(load + s, s)
+                grown[key] = grown.get(key, 0) + weight * step
+        states = grown
+    total = sum(states.values()) * math.factorial(n - 1)
     denom = 1
-    for k, alpha in profile:
+    for k, alpha in multiplicity_profile(tail):
         denom *= math.factorial(k) ** alpha
     out, r = divmod(total, denom)
     if r:

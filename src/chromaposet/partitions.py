@@ -78,16 +78,35 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of ``n`` in descending lexicographic order."""
+    """All partitions of ``n`` (with no part above ``max_part``, when
+    given) in descending lexicographic order.
+
+    Each partition follows from the one before: lower its rightmost part
+    above 1 by one and refill what that part and the 1s after it held with
+    parts no larger than the lowered one, as many as fit first."""
     if n < 0:
         raise DomainError("cannot partition a negative integer")
     if n == 0:
         yield ()
         return
     top = n if max_part is None else min(max_part, n)
-    for first in range(top, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    if top < 1:
+        return
+    q, r = divmod(n, top)
+    parts = [top] * q + ([r] if r else [])
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        part = parts.pop() - 1
+        q, r = divmod(part + 1 + ones, part)
+        parts += [part] * q
+        if r:
+            parts.append(r)
 
 
 def weak_compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:

@@ -137,34 +137,44 @@ class Poset:
         if len(up) != n:
             raise InvalidSpecError("one up-set mask per element required")
         full = (1 << n) - 1
+        # One pass over the related pairs i < j builds dn, notes the first
+        # element whose up-set is not closed, and takes as covers of i the
+        # elements above i that are strictly above no other element above i.
+        # The errors are raised afterwards in the order of element-by-element
+        # checks: antisymmetry, then transitivity, at the first failing i.
         dn = [0] * n
+        covers = [0] * n
+        open_at = None
         for i in range(n):
-            if up[i] & ~full:
+            upi = up[i]
+            if upi & ~full:
                 raise InvalidSpecError("up-set mask out of range")
-            if not up[i] >> i & 1:
+            bit = 1 << i
+            if not upi & bit:
                 raise InvalidSpecError(f"order not reflexive at {labels[i]}")
-            for j in iter_bits(up[i]):
-                dn[j] |= 1 << i
+            dn[i] |= bit
+            strict = above = upi ^ bit
+            beyond = 0
+            while above:
+                low = above & -above
+                above ^= low
+                j = low.bit_length() - 1
+                dn[j] |= bit
+                upj = up[j]
+                if open_at is None and upj & ~upi:
+                    open_at = i
+                beyond |= upj ^ low
+            covers[i] = strict & ~beyond
         for i in range(n):
             if up[i] & dn[i] != 1 << i:
                 raise InvalidSpecError(f"order not antisymmetric at {labels[i]}")
-            for j in iter_bits(up[i]):
-                if up[j] & ~up[i]:
-                    raise InvalidSpecError(f"order not transitive at {labels[i]}")
+            if i == open_at:
+                raise InvalidSpecError(f"order not transitive at {labels[i]}")
         self.labels = tuple(labels)
         self.up = tuple(up)
         self.dn = tuple(dn)
         self.comp = tuple(up[i] | dn[i] for i in range(n))
         self.full_mask = full
-        # Covers: j covers i when i < j with nothing strictly between.
-        covers = []
-        for i in range(n):
-            strict_up = up[i] ^ (1 << i)
-            c = 0
-            for j in iter_bits(strict_up):
-                if not strict_up & (dn[j] ^ (1 << j)):
-                    c |= 1 << j
-            covers.append(c)
         self.covers = tuple(covers)
         # Any index order ascending in down-set size is a linear extension.
         self.topo = tuple(sorted(range(n), key=lambda i: (dn[i].bit_count(), i)))

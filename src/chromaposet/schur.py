@@ -187,10 +187,11 @@ def _tabloid_sum(shape, count, prefix=()) -> int:
     )
 
 
-def _searched_counts(poset: Poset, longest: int):
+def _searched_counts(poset: Poset, longest: int, node_budget: int | None = None):
     """Chain-partition counts by backtracking search, cached per content; a
-    content with a part longer than the longest chain counts 0 unsearched."""
-    counter = ChainPartitionCounter(poset)
+    content with a part longer than the longest chain counts 0 unsearched.
+    The searches share one engine, so ``node_budget`` bounds them together."""
+    counter = ChainPartitionCounter(poset, node_budget)
     cache: dict[Partition, int] = {}
 
     def count(content: Partition) -> int:
@@ -203,14 +204,18 @@ def _searched_counts(poset: Poset, longest: int):
     return count
 
 
-def schur_coefficient(poset: Poset, shape, method: str = "auto") -> int:
+def schur_coefficient(
+    poset: Poset, shape, method: str = "auto", node_budget: int | None = None
+) -> int:
     """Coefficient of the Schur function of ``shape`` in the chromatic
     symmetric function of the poset's incomparability graph.
 
     ``tabloid_brute`` counts every tabloid content by backtracking search;
     ``tabloid_closed`` (products of two chains, staircase-prefixed shapes
     only) evaluates each content by the closed form; ``auto`` picks the
-    closed route whenever it applies.
+    closed route whenever it applies.  ``node_budget`` bounds the nodes the
+    searches walk together (BudgetExceededError past it); the closed route
+    does not search and ignores it.
     """
     if method not in ("auto", "tabloid_brute", "tabloid_closed"):
         raise DomainError(f"unknown method {method!r}")
@@ -220,7 +225,7 @@ def schur_coefficient(poset: Poset, shape, method: str = "auto") -> int:
         ctx, pre = fast
         return _tabloid_sum(shape, partial(scp_closed_form, ctx), pre)
     longest = poset.max_chain_size() if len(poset) else 0
-    return _tabloid_sum(shape, _searched_counts(poset, longest))
+    return _tabloid_sum(shape, _searched_counts(poset, longest, node_budget))
 
 
 def _tabloid_expansion(poset: Poset) -> dict[Partition, int]:

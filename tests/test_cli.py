@@ -174,6 +174,8 @@ def test_empty_sweep_exits_2(capsys, argv):
     ("nice --poset b3:2 --node-budget -5", "--node-budget"),
     ("nice --poset b3:2 --max-elements -1", "--max-elements"),
     ("chain-partition --poset chain:2 --type 2 --node-budget -1", "--node-budget"),
+    ("scp --poset prod:4x3 --type 4,4,2,2 --node-budget -1", "--node-budget"),
+    ("schur-coeff --poset b3:2 --shape 4,4,2 --node-budget -3", "--node-budget"),
     ("sweep --family b3_niceness --node-budget -1", "--node-budget"),
     ("sweep --family product_niceness --max-elements -1", "--max-elements"),
     ("schur --poset chain:3 --max-elements -1", "--max-elements"),
@@ -205,6 +207,31 @@ def test_zero_budget_and_limit_are_valid_flags(capsys):
     assert (code, err) == (1, "error: 3 elements exceeds the expansion limit of 0\n")
     code, _, err = run(capsys, "nice", "--poset", "b3:2", "--node-budget", "0")
     assert (code, err) == (1, "error: search exceeded 0 nodes\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "scp --poset prod:4x3 --type 4,4,2,2 --method brute",
+    "schur-coeff --poset b3:2 --shape 4,4,2",
+])
+def test_searching_counts_stop_at_the_node_budget(capsys, argv):
+    """The budget bounds every search of the query, with the message and
+    exit code of ``nice``; a budget the query fits in changes nothing."""
+    code, out, err = run(capsys, *argv.split(), "--node-budget", "3")
+    assert (code, out, err) == (1, "", "error: search exceeded 3 nodes\n")
+    unbounded = run(capsys, *argv.split())
+    assert unbounded[0] == 0
+    assert run(capsys, *argv.split(), "--node-budget", "100000") == unbounded
+
+
+@pytest.mark.parametrize("argv, method, code, result", [
+    ("scp --poset prod:8x3 --type 10,8,2,2,2", "closed", 0, ("count", "768")),
+    ("schur-coeff --poset prod:8x3 --shape 10,8,2,2,2", "tabloid_closed", 3,
+     ("coefficient", "-18")),
+])
+def test_closed_route_ignores_the_node_budget(capsys, argv, method, code, result):
+    got, env, _ = run_json(capsys, *argv.split(), "--node-budget", "0")
+    assert (got, env["method"], env["request"]["node_budget"]) == (code, method, 0)
+    assert env["result"][result[0]] == result[1]
 
 
 @pytest.mark.parametrize("command, poset, flag, value", [

@@ -19,7 +19,13 @@ from chromaposet.counting import (
 )
 from chromaposet.errors import PreconditionError, SizeMismatchError
 from chromaposet.nice import ChainPartitionSearcher, chain_partition_exists
-from chromaposet.partitions import multinomial, partitions_of, symmetry_factor
+from chromaposet.partitions import (
+    multinomial,
+    multiplicity_profile,
+    partitions_of,
+    symmetry_factor,
+    weak_compositions,
+)
 from chromaposet.posets import (
     B3,
     Boolean,
@@ -169,6 +175,42 @@ def test_closed_form_values():
     assert scp_closed_form(StaircaseContext(8, 3), (10, 8, 4, 2)) == 102
 
 
+def literal_closed_form(ctx, type_):
+    """The closed form as written: for each part size k of the tail, a weak
+    composition of its multiplicity over the n threads, weighted by its
+    multinomial; thread j then contributes (its load)!.  Scaled by (n-1)!
+    and divided by the product of k!^alpha_k."""
+    _, tail = ctx.split(type_)
+    profile = multiplicity_profile(tail)
+    total = 0
+    splits = [list(weak_compositions(alpha, ctx.n)) for _, alpha in profile]
+    for combo in itertools.product(*splits):
+        loads = [0] * ctx.n
+        weight = 1
+        for (k, alpha), comp in zip(profile, combo):
+            weight *= multinomial(alpha, comp)
+            for j, a in enumerate(comp):
+                loads[j] += k * a
+        for load in loads:
+            weight *= factorial(load)
+        total += weight
+    total *= factorial(ctx.n - 1)
+    denom = 1
+    for k, alpha in profile:
+        denom *= factorial(k) ** alpha
+    assert total % denom == 0
+    return total // denom
+
+
+def test_closed_form_matches_the_weak_composition_sum():
+    for m in range(1, 12):
+        for n in range(1, m + 1):
+            ctx = StaircaseContext(m, n)
+            for tail in partitions_of(m - n + 1):
+                type_ = ctx.staircase + tail
+                assert scp_closed_form(ctx, type_) == literal_closed_form(ctx, type_), type_
+
+
 def test_closed_form_matches_counter_exhaustively():
     for m, n in ((3, 2), (4, 2), (4, 3)):
         ctx = StaircaseContext(m, n)
@@ -227,9 +269,10 @@ def test_witness_case_contents():
 
 
 def test_case_polynomials_match_closed_form():
-    # the six per-case polynomials agree with the generic closed form
-    for k in (5, 6, 7, 8):
-        for n in (2, 3, 4):
+    # the six per-case polynomials agree with the generic closed form over
+    # the range of the witness coefficients
+    for k in range(5, 21):
+        for n in range(2, 8):
             ctx = StaircaseContext(n + k, n)
             cases = proof_case_closed_forms(n, k)
             contents = witness_case_contents(n, k)

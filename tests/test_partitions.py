@@ -96,6 +96,28 @@ def test_partitions_of_max_part():
     assert list(partitions_of(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
+def recursive_partitions(n, max_part=None):
+    """Descending lexicographic order by recursion on the first part."""
+    if n == 0:
+        yield ()
+        return
+    top = n if max_part is None else min(max_part, n)
+    for first in range(top, 0, -1):
+        for rest in recursive_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_of_matches_the_recursive_order():
+    for n in range(23):
+        for max_part in (None, -1, 0, 1, 2, 3, 5, 8, n, n + 3):
+            assert list(partitions_of(n, max_part)) == list(recursive_partitions(n, max_part))
+
+
+def test_partitions_of_a_negative_integer():
+    with pytest.raises(DomainError):
+        next(partitions_of(-1))
+
+
 def test_weak_compositions():
     for total in range(7):
         for length in range(1, 6):

@@ -312,3 +312,52 @@ def test_induced_subposet_restricts_the_order(spec):
 def test_induced_on_the_empty_mask_is_the_empty_poset():
     sub = build_poset(Product((3, 2))).induced(0)
     assert len(sub) == 0 and sub.labels == () and sub.up == ()
+
+
+# ---------------------------------------------------------------------------
+# validation of the order relation and the relations derived from it
+
+
+@pytest.mark.parametrize("up, message", [
+    ((0b0001, 0b1010, 0b0100), "up-set mask out of range"),
+    # a range error wins over an antisymmetry failure at an earlier element
+    ((0b0011, 0b0011, 0b1100), "up-set mask out of range"),
+    ((0b0011, 0b0000, 0b0100), "order not reflexive at b"),
+    ((0b0011, 0b0011, 0b0100), "order not antisymmetric at a"),
+    ((0b0011, 0b0110, 0b0100), "order not transitive at a"),
+    ((0b0001, 0b0110, 0b1100, 0b1000), "order not transitive at b"),
+    # at the same element antisymmetry is checked first
+    ((0b0011, 0b0111, 0b0100), "order not antisymmetric at a"),
+    # the first failing element decides, whichever check fails there
+    ((0b00001, 0b00110, 0b01100, 0b11000, 0b11000), "order not transitive at b"),
+    ((0b00011, 0b00011, 0b01100, 0b11000, 0b10000), "order not antisymmetric at a"),
+])
+def test_invalid_relations_raise_pinned_messages(up, message):
+    labels = "abcde"[: len(up)]
+    with pytest.raises(InvalidSpecError) as exc:
+        Poset(tuple(labels), up)
+    assert str(exc.value) == message
+
+
+def _assert_derived_relations(poset):
+    """``dn`` is the transpose of ``up``, and j covers i when i < j with no
+    element strictly between, checked pair by pair."""
+    n = len(poset)
+    below = lambda i, j: i != j and poset.up[i] >> j & 1
+    for i in range(n):
+        assert poset.dn[i] == sum(1 << j for j in range(n) if poset.up[j] >> i & 1)
+        covers = sum(
+            1 << j for j in range(n)
+            if below(i, j) and not any(below(i, k) and below(k, j) for k in range(n))
+        )
+        assert poset.covers[i] == covers, i
+
+
+@given(random_posets())
+def test_derived_relations_of_random_posets(poset):
+    _assert_derived_relations(poset)
+
+
+@pytest.mark.parametrize("spec", builder_specs(20), ids=lambda spec: spec.dsl())
+def test_derived_relations_of_builder_posets(spec):
+    _assert_derived_relations(build_poset(spec))
