@@ -26,7 +26,7 @@ import time
 from typing import NamedTuple
 
 from . import __version__
-from .counting import ChainPartitionCounter, SearchStats, scp_closed_form
+from .counting import ChainPartitionCounter, SearchStats, closed_route, scp_closed_form
 from .errors import DomainError, DslParseError
 from .nice import chain_partition_exists, is_nice
 from .partitions import format_partition, parse_partition, sorted_partition
@@ -40,7 +40,7 @@ from .posets import (
     verify_distributive_lattice,
 )
 from .rimhooks import enumerate_srht, render_tabloid
-from .schur import closed_route, schur_coefficient, schur_expansion, theorem41_coefficient
+from .schur import schur_coefficient, schur_expansion, theorem41_coefficient
 from . import verification
 
 EXIT_OK = 0
@@ -122,12 +122,12 @@ def _cmd_scp(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
     type_ = parse_partition(args.type)
     stats = SearchStats()
-    fast = closed_route(poset, type_, args.method)
-    if fast is None:
+    sides = closed_route(poset, type_, args.method)
+    if sides is None:
         counter = ChainPartitionCounter(poset, args.node_budget)
         count, method = counter.count(type_, stats=stats), "brute"
     else:
-        count, method = scp_closed_form(fast[0], type_), "closed"
+        count, method = scp_closed_form(*sides, type_), "closed"
     result = {
         "poset": poset.spec.dsl(),
         "type": format_partition(type_),
@@ -154,8 +154,8 @@ def _cmd_schur(args) -> Reply:
 def _cmd_schur_coeff(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
     shape = parse_partition(args.shape)
-    fast = closed_route(poset, shape, args.method.removeprefix("tabloid_"))
-    method = "tabloid_brute" if fast is None else "tabloid_closed"
+    sides = closed_route(poset, shape, args.method.removeprefix("tabloid_"))
+    method = "tabloid_brute" if sides is None else "tabloid_closed"
     value = schur_coefficient(poset, shape, method=method, node_budget=args.node_budget)
     result = {
         "poset": poset.spec.dsl(),

@@ -17,7 +17,10 @@ weak-composition sum over the ways of distributing the remaining parts among
 the n maximal "threads" of the product.  ``scp_closed_form`` evaluates it in
 pure integer arithmetic, not composition by composition but by placing the
 tail blocks on the threads one at a time, over the multisets of thread
-loads.
+loads.  ``closed_route`` is the one place that decides whether it applies:
+it reads the two sides off the poset's spec, tests the staircase prefix,
+and returns the sides (m, n) or None for the search; every caller that
+counts a two-chain product, Schur sums and CLI alike, asks it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from dataclasses import dataclass
 
 from .errors import (
     BudgetExceededError,
+    DomainError,
+    FastPathInapplicableError,
     InternalInvariantError,
     PreconditionError,
     SizeMismatchError,
@@ -36,10 +41,9 @@ from .partitions import (
     as_partition,
     multiplicity_profile,
     sorted_partition,
-    suffix,
     symmetry_factor,
 )
-from .posets import Graph, Poset, iter_bits
+from .posets import Boolean, Chain, Graph, Poset, Product, iter_bits
 
 
 @dataclass
@@ -246,45 +250,54 @@ def staircase_type(m: int, n: int) -> Partition:
     return out
 
 
-@dataclass(frozen=True)
-class StaircaseContext:
-    """A product of chains m x n (m >= n >= 1) together with the forced
-    staircase prefix shared by every type the closed form applies to."""
+def closed_route(poset: Poset, partition, method: str) -> tuple[int, int] | None:
+    """Route choice for a chain-partition count or a Schur coefficient: the
+    sides (m, n), m >= n, for the closed form, None for backtracking search.
 
-    m: int
-    n: int
+    The closed form applies when the poset was built as a product of at most
+    two chains (``chain:n`` is n x 1, ``bool:1`` is 2 x 1, ``bool:2`` is
+    2 x 2) and the partition starts with the staircase m+n-1, m+n-3, ...,
+    m-n+3.  ``method`` is ``brute`` (always search), ``closed`` (the closed
+    form, which must apply) or ``auto`` (the closed form whenever it
+    applies).  The size is checked first, so a partition that does not fill
+    the poset fails alike under every method."""
+    lam = as_partition(partition)
+    if sum(lam) != len(poset):
+        raise SizeMismatchError(f"partition {lam} does not fill the {len(poset)}-element poset")
+    if method not in ("auto", "brute", "closed"):
+        raise DomainError(f"unknown method {method!r}")
+    spec = poset.spec
+    if isinstance(spec, Chain):
+        lengths = (spec.n,)
+    elif isinstance(spec, Boolean) and spec.rank <= 2:
+        lengths = (2,) * spec.rank
+    elif isinstance(spec, Product) and len(spec.lengths) <= 2:
+        lengths = spec.lengths
+    else:
+        lengths = ()
+    sides = None
+    if method != "brute" and lengths:
+        m, n = sorted(lengths + (1,), reverse=True)[:2]
+        if lam[: n - 1] == staircase_type(m, n)[:-1]:
+            sides = (m, n)
+    if method == "closed" and sides is None:
+        raise FastPathInapplicableError(
+            "closed form needs a product of two chains and a staircase-prefixed partition"
+        )
+    return sides
 
-    def __post_init__(self):
-        if not self.m >= self.n >= 1:
-            raise PreconditionError(f"need m >= n >= 1, got ({self.m}, {self.n})")
 
-    @property
-    def staircase(self) -> Partition:
-        """(m+n-1, m+n-3, ..., m-n+3): the forced first n-1 parts."""
-        return staircase_type(self.m, self.n)[:-1]
+def scp_closed_form(m: int, n: int, type_) -> int:
+    """Closed-form chain-partition count of the m x n product (m >= n >= 1)
+    for a type that starts with the staircase m+n-1, m+n-3, ..., m-n+3.
 
-    def split(self, type_) -> tuple[Partition, Partition]:
-        """Split a type into (forced prefix, tail), validating both."""
-        lam = as_partition(type_)
-        if sum(lam) != self.m * self.n:
-            raise SizeMismatchError(f"type {lam} does not cover the {self.m}x{self.n} product")
-        pre = self.staircase
-        if lam[: len(pre)] != pre:
-            raise PreconditionError(f"type {lam} does not start with the staircase {pre}")
-        tail = suffix(lam, self.n)
-        assert sum(tail) == self.m - self.n + 1
-        return pre, tail
-
-
-def scp_closed_form(ctx: StaircaseContext, type_) -> int:
-    """Closed-form chain-partition count for a staircase-prefixed type.
-
-    The count is a weak-composition sum: for each part size k of the tail
-    (multiplicity alpha_k), a weak composition distributes its copies among
-    the n threads, weighted by the multinomial of that composition; thread j
-    then contributes L_j!, the factorial of its load (the sum of its
-    assigned sizes).  The total is scaled by (n-1)! and divided — exactly —
-    by the product of k!^alpha_k.
+    The count is a weak-composition sum over the tail, the parts after the
+    staircase: for each part size k of the tail (multiplicity alpha_k), a
+    weak composition distributes its copies among the n threads, weighted
+    by the multinomial of that composition; thread j then contributes L_j!,
+    the factorial of its load (the sum of its assigned sizes).  The total
+    is scaled by (n-1)! and divided — exactly — by the product of
+    k!^alpha_k.
 
     The multinomials count the ways to assign the labelled tail blocks with
     those compositions, so the sum equals the sum of prod L_j! over every
@@ -294,8 +307,13 @@ def scp_closed_form(ctx: StaircaseContext, type_) -> int:
     L multiplies the weight by c * (L+s)!/L!, and on one of the e empty
     threads by e * s!.
     """
-    _, tail = ctx.split(type_)
-    n = ctx.n
+    pre = staircase_type(m, n)[:-1]
+    lam = as_partition(type_)
+    if sum(lam) != m * n:
+        raise SizeMismatchError(f"type {lam} does not cover the {m}x{n} product")
+    if lam[: n - 1] != pre:
+        raise PreconditionError(f"type {lam} does not start with the staircase {pre}")
+    tail = lam[n - 1 :]
     states: dict[tuple[int, ...], int] = {(): 1}
     for s in tail:
         grown: dict[tuple[int, ...], int] = {}
@@ -319,19 +337,6 @@ def scp_closed_form(ctx: StaircaseContext, type_) -> int:
     if r:
         raise InternalInvariantError("closed-form sum not divisible by the block factorials")
     return out
-
-
-def forced_content_prefix(shape, m: int, n: int) -> Partition | None:
-    """The staircase prefix forced on every nonzero-count content of the
-    shape, when the shape itself carries it; None when the fast path does
-    not apply."""
-    lam = as_partition(shape)
-    pre = staircase_type(m, n)[:-1]
-    if sum(lam) != m * n:
-        raise SizeMismatchError(f"shape {lam} does not fill the {m}x{n} product")
-    if lam[: len(pre)] != pre:
-        return None
-    return pre
 
 
 # ---------------------------------------------------------------------------

@@ -134,21 +134,6 @@ def multiplicity_profile(lam: Partition) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def profile_to_partition(profile: Iterable[tuple[int, int]]) -> Partition:
-    parts: list[int] = []
-    for size, count in profile:
-        parts.extend([size] * count)
-    return sorted_partition(parts)
-
-
-def suffix(lam: Partition, k: int) -> Partition:
-    """Drop the first ``k - 1`` parts (the parts from index ``k`` on)."""
-    lam = as_partition(lam)
-    if k < 1:
-        raise DomainError("suffix index must be >= 1")
-    return lam[k - 1 :]
-
-
 def multinomial(n: int, parts: Iterable[int]) -> int:
     """Exact ``n! / (parts_1! * parts_2! * ...)`` with ``sum(parts) == n``."""
     parts = [int(x) for x in parts]

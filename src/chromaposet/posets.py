@@ -11,10 +11,19 @@ certificates and JSON output.  Posets are immutable once built.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DslParseError, InvalidSpecError, UnknownElementError
+from .errors import DslParseError, InvalidSpecError, TooLargeError, UnknownElementError
+
+# The most elements a spec may describe: every up-set is an n-bit mask and
+# validation walks the related pairs, so building costs up to n^2 / 2 steps
+# (8-14 s of CPU for prod:64x64, prod:2048x2 and chain:4096 on CPython 3.11).
+MAX_ELEMENTS = 4096
+# The deepest nesting of ordinal sums the DSL parser accepts; building and
+# printing a spec recurse once per level.
+MAX_SUM_DEPTH = 100
 
 
 def iter_bits(mask: int):
@@ -514,8 +523,28 @@ def _build_ordinal_sum(p: int, inner: Poset, q: int) -> Poset:
     return Poset(tuple(labels), tuple(up))
 
 
+def _element_count(spec: PosetSpec) -> int:
+    """Elements of the poset ``spec`` describes, worked out before anything
+    is built.  A Boolean rank is clamped before the power is taken: any
+    rank past the cap still counts more than MAX_ELEMENTS."""
+    if isinstance(spec, Chain):
+        return spec.n
+    if isinstance(spec, Product):
+        return math.prod(spec.lengths)
+    if isinstance(spec, Boolean):
+        return 2 ** min(spec.rank, MAX_ELEMENTS.bit_length())
+    if isinstance(spec, B3):
+        return 2 * spec.n + 6
+    if isinstance(spec, OrdinalSum):
+        return spec.p + _element_count(spec.inner) + spec.q
+    raise InvalidSpecError(f"unknown poset spec {spec!r}")
+
+
 def build_poset(spec: PosetSpec) -> Poset:
-    """Construct the poset described by ``spec``."""
+    """Construct the poset described by ``spec``; TooLargeError when it has
+    more than MAX_ELEMENTS elements."""
+    if _element_count(spec) > MAX_ELEMENTS:
+        raise TooLargeError(f"poset {spec.dsl()} has more than {MAX_ELEMENTS} elements")
     if isinstance(spec, Chain):
         poset = _build_chain(spec.n)
     elif isinstance(spec, Product):
@@ -524,10 +553,8 @@ def build_poset(spec: PosetSpec) -> Poset:
         poset = _build_product((2,) * spec.rank)
     elif isinstance(spec, B3):
         poset = _build_b3(spec.n)
-    elif isinstance(spec, OrdinalSum):
+    else:  # an OrdinalSum: _element_count rejected every other spec
         poset = _build_ordinal_sum(spec.p, build_poset(spec.inner), spec.q)
-    else:
-        raise InvalidSpecError(f"unknown poset spec {spec!r}")
     poset.spec = spec
     return poset
 
@@ -551,12 +578,15 @@ def _expect(text: str, pos: int, token: str) -> int:
     return pos + len(token)
 
 
-def _parse_spec(text: str, pos: int) -> tuple[PosetSpec, int]:
+def _parse_spec(text: str, pos: int, depth: int = 0) -> tuple[PosetSpec, int]:
+    """The spec starting at ``pos`` inside ``depth`` enclosing ordinal sums."""
     for head in ("chain", "prod", "bool", "b3", "sum"):
         if text.startswith(head + ":", pos):
             break
     else:
         raise DslParseError("expected chain:, prod:, bool:, b3:, or sum:", pos)
+    if head == "sum" and depth == MAX_SUM_DEPTH:
+        raise DslParseError(f"ordinal sums nested more than {MAX_SUM_DEPTH} deep", pos)
     pos += len(head) + 1
     if head == "chain":
         n, pos = _parse_int(text, pos)
@@ -577,7 +607,7 @@ def _parse_spec(text: str, pos: int) -> tuple[PosetSpec, int]:
         return Product(tuple(lengths)), pos
     p, pos = _parse_int(text, pos)
     pos = _expect(text, pos, "+")
-    inner, pos = _parse_spec(text, pos)
+    inner, pos = _parse_spec(text, pos, depth + 1)
     pos = _expect(text, pos, "+")
     q, pos = _parse_int(text, pos)
     return OrdinalSum(p, inner, q), pos

@@ -4,11 +4,13 @@ in the monomial and Schur bases.
 Monomial coefficients are semi-ordered stable-partition counts.  Schur
 coefficients come from the signed tabloid sum: for each content of a special
 rim hook tabloid of the requested shape, add its signed tabloid count
-(``signed_contents``) times the chain-partition count of that content.  For
-a product of two chains and a shape carrying the forced staircase prefix,
-the counts have a closed form, and the table restricted to that prefix has a
-handful of entries; that fast path is what makes the large negativity
-sweeps cheap.
+(``signed_contents``) times the chain-partition count of that content.
+``counting.closed_route`` decides how the counts are taken: for a product
+of two chains m x n and a shape carrying the forced staircase prefix it
+returns (m, n), every count is ``scp_closed_form(m, n, content)``, and the
+table restricted to that prefix has a handful of entries; that fast path is
+what makes the large negativity sweeps cheap.  Otherwise the counts come
+from the backtracking search.
 
 A full expansion sets aside the r elements comparable to every other one:
 each is an isolated vertex of the incomparability graph, a factor s_1 of
@@ -27,15 +29,14 @@ from .counting import (
     WITNESS_CASE_HEIGHTS,
     ChainPartitionCounter,
     StablePartitionCounter,
-    StaircaseContext,
-    forced_content_prefix,
+    closed_route,
     proof_case_closed_forms,
     scp_closed_form,
     staircase_delta,
+    staircase_type,
 )
 from .errors import (
     DomainError,
-    FastPathInapplicableError,
     InternalInvariantError,
     PreconditionError,
     SizeMismatchError,
@@ -47,7 +48,7 @@ from .partitions import (
     partitions_of,
     rearrangement_count,
 )
-from .posets import Boolean, Chain, Graph, Poset, Product, build_poset, iter_bits
+from .posets import Graph, Poset, Product, build_poset, iter_bits
 from .rimhooks import kostka_number, signed_contents
 
 
@@ -129,55 +130,6 @@ def monomial_expansion(graph: Graph) -> MonomialExpansion:
 # Schur coefficients
 
 
-def _two_chain_lengths(poset: Poset) -> tuple[int, int] | None:
-    """(m, n) with m >= n when the poset was built as a product of at most
-    two chains; None otherwise."""
-    spec = poset.spec
-    if isinstance(spec, Chain):
-        return (spec.n, 1)
-    if isinstance(spec, Boolean) and spec.rank <= 2:
-        return (2, 2) if spec.rank == 2 else (2, 1)
-    if isinstance(spec, Product) and len(spec.lengths) <= 2:
-        ls = sorted(spec.lengths, reverse=True)
-        return (ls[0], ls[-1]) if len(ls) == 2 else (ls[0], 1)
-    return None
-
-
-def closed_fast_path(poset: Poset, shape) -> tuple[StaircaseContext, Partition] | None:
-    """Context and forced content prefix when the closed evaluation applies
-    to this poset and shape."""
-    mn = _two_chain_lengths(poset)
-    if mn is None:
-        return None
-    m, n = mn
-    pre = forced_content_prefix(shape, m, n)
-    if pre is None:
-        return None
-    return StaircaseContext(m, n), pre
-
-
-def closed_route(
-    poset: Poset, partition, method: str
-) -> tuple[StaircaseContext, Partition] | None:
-    """Route choice for a chain-partition count or a Schur coefficient:
-    the ``closed_fast_path`` context and prefix for the closed form, None
-    for backtracking search.  ``method`` is ``brute`` (always search),
-    ``closed`` (the closed form, which must apply) or ``auto`` (the closed
-    form whenever it applies).  The size is checked first, so a partition
-    that does not fill the poset fails alike under every method."""
-    lam = as_partition(partition)
-    if sum(lam) != len(poset):
-        raise SizeMismatchError(f"partition {lam} does not fill the {len(poset)}-element poset")
-    if method not in ("auto", "brute", "closed"):
-        raise DomainError(f"unknown method {method!r}")
-    fast = closed_fast_path(poset, lam) if method != "brute" else None
-    if method == "closed" and fast is None:
-        raise FastPathInapplicableError(
-            "closed form needs a product of two chains and a staircase-prefixed partition"
-        )
-    return fast
-
-
 def _tabloid_sum(shape, count, prefix=()) -> int:
     """The tabloid sum: each content's signed tabloid count (restricted to
     contents starting with ``prefix``) times ``count(content)``."""
@@ -220,27 +172,25 @@ def schur_coefficient(
     if method not in ("auto", "tabloid_brute", "tabloid_closed"):
         raise DomainError(f"unknown method {method!r}")
     shape = as_partition(shape)
-    fast = closed_route(poset, shape, method.removeprefix("tabloid_"))
-    if fast is not None:
-        ctx, pre = fast
-        return _tabloid_sum(shape, partial(scp_closed_form, ctx), pre)
+    sides = closed_route(poset, shape, method.removeprefix("tabloid_"))
+    if sides is not None:
+        m, n = sides
+        return _tabloid_sum(shape, partial(scp_closed_form, m, n), staircase_type(m, n)[:-1])
     longest = poset.max_chain_size() if len(poset) else 0
     return _tabloid_sum(shape, _searched_counts(poset, longest, node_budget))
 
 
 def _tabloid_expansion(poset: Poset) -> dict[Partition, int]:
     """Nonzero Schur coefficients of the whole poset by the tabloid sum,
-    one shape at a time; shapes longer than the longest chain are skipped
-    (their coefficients vanish)."""
+    one shape at a time; only shapes whose first part fits in the longest
+    chain are generated (the coefficients of the others vanish)."""
     n = len(poset)
     if n == 0:
         return {(): 1}
     longest = poset.max_chain_size()
     count = _searched_counts(poset, longest)
     coeffs = {}
-    for lam in partitions_of(n):
-        if lam[0] > longest:
-            continue
+    for lam in partitions_of(n, longest):
         total = _tabloid_sum(lam, count)
         if total:
             coeffs[lam] = total

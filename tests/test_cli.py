@@ -100,6 +100,31 @@ def test_semantic_errors_exit_1(capsys):
     assert run(capsys, "schur", "--poset", "prod:8x3")[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "schur-coeff --poset prod:99999999999x2 --shape 1",
+    "poset --poset chain:99999999999",
+    "poset --poset b3:99999999999",
+    "poset --poset sum:99999999999+chain:1+0",
+    "poset --poset bool:40",
+    "nice --poset bool:13",
+    "scp --poset sum:0+prod:64x64+1 --type 4097",
+])
+def test_oversized_posets_end_in_one_line(capsys, argv):
+    """A spec past 4,096 elements is refused before anything is built."""
+    dsl = argv.split()[2]
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (1, "", f"error: poset {dsl} has more than 4096 elements\n")
+
+
+@pytest.mark.parametrize("depth", (101, 1200))
+def test_deeply_nested_sums_end_in_one_line(capsys, depth):
+    # 100 nested sums parse and build; the 101st "sum:" starts at byte 600
+    assert run(capsys, "poset", "--poset", "sum:0+" * 100 + "chain:1" + "+0" * 100)[0] == 0
+    code, out, err = run(capsys, "poset", "--poset", "sum:0+" * depth + "chain:1" + "+0" * depth)
+    assert (code, out) == (2, "")
+    assert err == "error: ordinal sums nested more than 100 deep (at byte 600)\n"
+
+
 def test_argparse_rejections_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -8,16 +8,15 @@ from chromaposet.counting import (
     ChainPartitionCounter,
     SearchStats,
     StablePartitionCounter,
-    StaircaseContext,
     count_scp,
     count_semiordered_stable_partitions,
-    forced_content_prefix,
     proof_case_closed_forms,
     scp_closed_form,
     staircase_delta,
+    staircase_type,
     witness_case_contents,
 )
-from chromaposet.errors import PreconditionError, SizeMismatchError
+from chromaposet.errors import DomainError, PreconditionError, SizeMismatchError
 from chromaposet.nice import ChainPartitionSearcher, chain_partition_exists
 from chromaposet.partitions import (
     multinomial,
@@ -157,35 +156,41 @@ def test_search_stats_populated():
     assert stats.nodes > 0
 
 
-def test_staircase_context_split():
-    ctx = StaircaseContext(8, 3)
-    assert ctx.staircase == (10, 8)
-    prefix, tail = ctx.split((10, 8, 4, 2))
-    assert prefix == (10, 8) and tail == (4, 2)
-    with pytest.raises(PreconditionError):
-        ctx.split((10, 7, 5, 2))
-    with pytest.raises(SizeMismatchError):
-        ctx.split((10, 8, 4))
-    with pytest.raises(PreconditionError):
-        StaircaseContext(3, 4)
+def test_closed_form_rejects_bad_input():
+    # the 8x3 staircase is (10, 8); the tail of (10, 8, 4, 2) is (4, 2)
+    assert staircase_type(8, 3)[:-1] == (10, 8)
+    assert scp_closed_form(8, 3, (10, 8, 4, 2)) == literal_closed_form(8, 3, (10, 8, 4, 2))
+    with pytest.raises(
+        PreconditionError, match=r"^type \(10, 7, 5, 2\) does not start with the staircase \(10, 8\)$"
+    ):
+        scp_closed_form(8, 3, (10, 7, 5, 2))
+    with pytest.raises(SizeMismatchError, match=r"^type \(10, 8, 4\) does not cover the 8x3 product$"):
+        scp_closed_form(8, 3, (10, 8, 4))
+    with pytest.raises(DomainError, match="weakly decreasing"):
+        scp_closed_form(8, 3, (10, 8, 2, 4))
+    # the sides are checked before the type
+    with pytest.raises(PreconditionError, match=r"^need m >= n >= 1, got \(3, 4\)$"):
+        scp_closed_form(3, 4, (10, 8))
+    with pytest.raises(PreconditionError, match=r"^need m >= n >= 1, got \(3, 0\)$"):
+        scp_closed_form(3, 0, ())
 
 
 def test_closed_form_values():
-    assert scp_closed_form(StaircaseContext(4, 2), (5, 2, 1)) == 8
-    assert scp_closed_form(StaircaseContext(8, 3), (10, 8, 4, 2)) == 102
+    assert scp_closed_form(4, 2, (5, 2, 1)) == 8
+    assert scp_closed_form(8, 3, (10, 8, 4, 2)) == 102
 
 
-def literal_closed_form(ctx, type_):
+def literal_closed_form(m, n, type_):
     """The closed form as written: for each part size k of the tail, a weak
     composition of its multiplicity over the n threads, weighted by its
     multinomial; thread j then contributes (its load)!.  Scaled by (n-1)!
     and divided by the product of k!^alpha_k."""
-    _, tail = ctx.split(type_)
-    profile = multiplicity_profile(tail)
+    assert sum(type_) == m * n and type_[: n - 1] == staircase_type(m, n)[:-1]
+    profile = multiplicity_profile(type_[n - 1 :])
     total = 0
-    splits = [list(weak_compositions(alpha, ctx.n)) for _, alpha in profile]
+    splits = [list(weak_compositions(alpha, n)) for _, alpha in profile]
     for combo in itertools.product(*splits):
-        loads = [0] * ctx.n
+        loads = [0] * n
         weight = 1
         for (k, alpha), comp in zip(profile, combo):
             weight *= multinomial(alpha, comp)
@@ -194,7 +199,7 @@ def literal_closed_form(ctx, type_):
         for load in loads:
             weight *= factorial(load)
         total += weight
-    total *= factorial(ctx.n - 1)
+    total *= factorial(n - 1)
     denom = 1
     for k, alpha in profile:
         denom *= factorial(k) ** alpha
@@ -205,36 +210,24 @@ def literal_closed_form(ctx, type_):
 def test_closed_form_matches_the_weak_composition_sum():
     for m in range(1, 12):
         for n in range(1, m + 1):
-            ctx = StaircaseContext(m, n)
             for tail in partitions_of(m - n + 1):
-                type_ = ctx.staircase + tail
-                assert scp_closed_form(ctx, type_) == literal_closed_form(ctx, type_), type_
+                type_ = staircase_type(m, n)[:-1] + tail
+                assert scp_closed_form(m, n, type_) == literal_closed_form(m, n, type_), type_
 
 
 def test_closed_form_matches_counter_exhaustively():
     for m, n in ((3, 2), (4, 2), (4, 3)):
-        ctx = StaircaseContext(m, n)
         poset = build_poset(Product((m, n)))
         for tail in partitions_of(m - n + 1):
-            type_ = ctx.staircase + tail
-            assert scp_closed_form(ctx, type_) == count_scp(poset, type_), type_
-
-
-def test_forced_content_prefix():
-    assert forced_content_prefix((10, 8, 2, 2, 2), 8, 3) == (10, 8)
-    assert forced_content_prefix((13, 11, 9, 3, 2, 2), 10, 4) == (13, 11, 9)
-    assert forced_content_prefix((9, 9, 2, 2, 2), 8, 3) is None
-    assert forced_content_prefix((4, 2, 2), 4, 2) is None  # 4 != 4+2-1
-    assert forced_content_prefix((5, 2, 1), 4, 2) == (5,)
-    with pytest.raises(SizeMismatchError):
-        forced_content_prefix((5, 2), 4, 2)
+            type_ = staircase_type(m, n)[:-1] + tail
+            assert scp_closed_form(m, n, type_) == count_scp(poset, type_), type_
 
 
 def test_forced_prefix_is_really_forced():
     # shapes with the staircase prefix only admit contents extending it
     for m, n in ((3, 2), (4, 2), (4, 3)):
         poset = build_poset(Product((m, n)))
-        prefix = StaircaseContext(m, n).staircase
+        prefix = staircase_type(m, n)[:-1]
         from chromaposet.rimhooks import enumerate_srht
 
         for tail in partitions_of(m - n + 1):
@@ -273,11 +266,10 @@ def test_case_polynomials_match_closed_form():
     # the range of the witness coefficients
     for k in range(5, 21):
         for n in range(2, 8):
-            ctx = StaircaseContext(n + k, n)
             cases = proof_case_closed_forms(n, k)
             contents = witness_case_contents(n, k)
             for name, value in cases.items():
-                assert value == scp_closed_form(ctx, contents[name]), (name, n, k)
+                assert value == scp_closed_form(n + k, n, contents[name]), (name, n, k)
 
 
 def test_case_values_at_reference_point():
@@ -296,6 +288,5 @@ def test_case_values_at_reference_point():
 @given(st.integers(2, 4), st.integers(2, 4))
 def test_closed_form_total_is_positive(m_extra, n):
     m = n + m_extra
-    ctx = StaircaseContext(m, n)
     for tail in partitions_of(m - n + 1):
-        assert scp_closed_form(ctx, ctx.staircase + tail) > 0
+        assert scp_closed_form(m, n, staircase_type(m, n)[:-1] + tail) > 0

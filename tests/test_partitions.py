@@ -13,7 +13,6 @@ from chromaposet.partitions import (
     multiplicity_profile,
     parse_partition,
     partitions_of,
-    profile_to_partition,
     rearrangement_count,
     sorted_partition,
     symmetry_factor,
@@ -131,7 +130,9 @@ def test_weak_compositions():
 def test_profile_round_trip():
     for n in range(1, 20):
         for lam in partitions_of(n):
-            assert profile_to_partition(multiplicity_profile(lam)) == lam
+            profile = multiplicity_profile(lam)
+            assert [k for k, _ in profile] == sorted({*lam})
+            assert tuple(k for k, alpha in reversed(profile) for _ in range(alpha)) == lam
 
 
 def test_multinomial():

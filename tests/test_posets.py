@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from chromaposet.partitions import partitions_of
 from chromaposet.errors import (
     DslParseError,
     InvalidSpecError,
+    TooLargeError,
     UnknownElementError,
 )
 from chromaposet.posets import (
@@ -178,6 +180,22 @@ def test_dsl_parse_errors_carry_offsets():
     with pytest.raises(InvalidSpecError) as exc2:
         parse_poset_spec("chain:0")
     assert not isinstance(exc2.value, DslParseError)
+
+
+def test_element_cap_is_checked_before_building(monkeypatch):
+    for spec in builder_specs(20):
+        assert posets._element_count(spec) == len(build_poset(spec)), spec
+    # under a cap of 12, 12 elements build and 13 or more do not
+    monkeypatch.setattr(posets, "MAX_ELEMENTS", 12)
+    assert len(build_poset(Product((4, 3)))) == len(build_poset(B3(3))) == 12
+    too_large = [
+        Chain(13), Product((13, 1)), B3(4), Boolean(4), Boolean(10**12),
+        OrdinalSum(1, Product((4, 3)), 0), OrdinalSum(0, Chain(1), 10**12),
+    ]
+    for spec in too_large:
+        message = f"^poset {re.escape(spec.dsl())} has more than 12 elements$"
+        with pytest.raises(TooLargeError, match=message):
+            build_poset(spec)
 
 
 def test_ordinal_sum_labels_and_order():

@@ -12,7 +12,7 @@ import pytest
 
 from chromaposet.counting import (
     WITNESS_CASE_HEIGHTS,
-    forced_content_prefix,
+    staircase_delta,
     witness_case_contents,
 )
 from chromaposet.errors import DomainError
@@ -185,7 +185,7 @@ def test_signed_contents_match_enumeration(n):
 @pytest.mark.parametrize("k", (5, 6, 7))
 def test_signed_contents_witness_shapes(n, k):
     shape = rho_shape(n, k)
-    prefix = forced_content_prefix(shape, n + k, n)
+    prefix = staircase_delta(n, k)
     table = signed_contents(shape, prefix)
     assert table == _signed_by_content(enumerate_srht(shape), prefix)
     # the six tabloids of the proof, two of which share a content at k = 5

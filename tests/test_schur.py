@@ -44,8 +44,8 @@ from chromaposet.schur import (
     MonomialExpansion,
     SchurExpansion,
     _tabloid_expansion,
-    closed_fast_path,
 )
+from chromaposet.counting import closed_route, count_scp, scp_closed_form, staircase_type
 from conftest import posets_with_universal, random_posets
 
 
@@ -293,14 +293,31 @@ def test_witness_coefficient_10x4():
 
 
 def test_fast_path_detection():
-    ctx, pre = closed_fast_path(build_poset(Boolean(2)), (3, 1))
-    assert (ctx.m, ctx.n) == (2, 2)
-    assert pre == (3,)
-    # a chain is a product with one side of length 1: no forced prefix at all
-    ctx, pre = closed_fast_path(build_poset(Chain(4)), (2, 1, 1))
-    assert (ctx.m, ctx.n) == (4, 1)
-    assert pre == ()
-    assert closed_fast_path(build_poset(B3(1)), (7, 1)) is None
+    """closed_route reads the sides m >= n off the spec and applies the
+    closed form when the shape starts with their staircase prefix."""
+    cases = [
+        (Boolean(2), (3, 1), (2, 2), (3,)),
+        # a chain is a product with one side of length 1: no forced prefix at all
+        (Chain(4), (2, 1, 1), (4, 1), ()),
+        (B3(1), (7, 1), None, None),
+        (Product((8, 3)), (10, 8, 2, 2, 2), (8, 3), (10, 8)),
+        (Product((10, 4)), (13, 11, 9, 3, 2, 2), (10, 4), (13, 11, 9)),
+        (Product((8, 3)), (9, 9, 2, 2, 2), None, None),
+        (Product((4, 2)), (4, 2, 2), None, None),  # 4 != 4+2-1
+        (Product((4, 2)), (5, 2, 1), (4, 2), (5,)),
+    ]
+    for spec, shape, sides, prefix in cases:
+        poset = build_poset(spec)
+        assert closed_route(poset, shape, "auto") == sides, (spec, shape)
+        assert closed_route(poset, shape, "brute") is None
+        if sides is None:
+            with pytest.raises(FastPathInapplicableError):
+                closed_route(poset, shape, "closed")
+        else:
+            assert closed_route(poset, shape, "closed") == sides
+            assert staircase_type(*sides)[:-1] == prefix
+    with pytest.raises(SizeMismatchError):
+        closed_route(build_poset(Product((4, 2))), (5, 2), "auto")
 
 
 def test_fast_path_agrees_on_boolean_square():
@@ -310,25 +327,34 @@ def test_fast_path_agrees_on_boolean_square():
 
 
 def _staircase_grid():
-    """(m, n, shape) for every staircase-prefixed shape of every m x n
-    product with 2 <= n <= m <= 8 and mn <= 20: the prefix
-    (m+n-1, m+n-3, ..., m-n+3) followed by any partition of m-n+1."""
-    for n in range(2, 9):
+    """(spelling, (m, n), shape) for every staircase-prefixed shape of every
+    m x n product with 1 <= n <= m <= 8 and mn <= 20, under every DSL
+    spelling of that product: the prefix (m+n-1, m+n-3, ..., m-n+3)
+    followed by any partition of m-n+1."""
+    for n in range(1, 9):
         for m in range(n, 9):
             if m * n > 20:
                 break
+            spellings = {f"prod:{m}x{n}", f"prod:{n}x{m}"}
+            if n == 1:
+                spellings |= {f"chain:{m}", f"prod:{m}"}
+            if m == 2:
+                spellings.add(f"bool:{n}")
             staircase = tuple(m + n - 2 * i + 1 for i in range(1, n))
-            for tail in partitions_of(m - n + 1):
-                yield m, n, staircase + tail
+            for dsl in sorted(spellings):
+                for tail in partitions_of(m - n + 1):
+                    yield dsl, (m, n), staircase + tail
 
 
 def test_closed_path_matches_brute_over_staircase_grid():
     grid = list(_staircase_grid())
-    assert len(grid) == 58
-    for m, n, shape in grid:
-        poset = build_poset(Product((m, n)))
-        closed = schur_coefficient(poset, shape, method="tabloid_closed")
-        assert closed == schur_coefficient(poset, shape, method="tabloid_brute"), (m, n, shape)
+    assert len(grid) == 379
+    for dsl, sides, shape in grid:
+        poset = build_poset(parse_poset_spec(dsl))
+        assert closed_route(poset, shape, "auto") == sides, (dsl, shape)
+        auto = schur_coefficient(poset, shape)
+        assert auto == schur_coefficient(poset, shape, method="tabloid_brute"), (dsl, shape)
+        assert scp_closed_form(*sides, shape) == count_scp(poset, shape), (dsl, shape)
 
 
 def test_schur_coefficient_errors():
