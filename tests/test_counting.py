@@ -8,6 +8,7 @@ from chromaposet.counting import (
     ChainPartitionCounter,
     SearchStats,
     StablePartitionCounter,
+    closed_route,
     count_scp,
     count_semiordered_stable_partitions,
     proof_case_closed_forms,
@@ -221,6 +222,20 @@ def test_closed_form_matches_counter_exhaustively():
         for tail in partitions_of(m - n + 1):
             type_ = staircase_type(m, n)[:-1] + tail
             assert scp_closed_form(m, n, type_) == count_scp(poset, type_), type_
+
+
+def test_forced_content_prefix():
+    def prefix(shape, m, n):
+        sides = closed_route(build_poset(Product((m, n))), shape, "auto")
+        return None if sides is None else staircase_type(*sides)[:-1]
+
+    assert prefix((10, 8, 2, 2, 2), 8, 3) == (10, 8)
+    assert prefix((13, 11, 9, 3, 2, 2), 10, 4) == (13, 11, 9)
+    assert prefix((9, 9, 2, 2, 2), 8, 3) is None
+    assert prefix((4, 2, 2), 4, 2) is None  # 4 != 4+2-1
+    assert prefix((5, 2, 1), 4, 2) == (5,)
+    with pytest.raises(SizeMismatchError):
+        prefix((5, 2), 4, 2)
 
 
 def test_forced_prefix_is_really_forced():
