@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 domain error, 2 parse error (bad flags, bad DSL,
 bad partition text, bad values of --criteria, a negative budget or limit,
 a sweep parameter out of range, a sweep that selects nothing), 3 a
 requested Schur coefficient is negative, 4 a niceness query answered "no".
-A reader that closes stdout early (say, ``| head``) ends the command with
-exit 1 and no traceback.
+A reader that closes stdout early (say, ``| head``), and a search that
+recurses past the interpreter's stack limit, end the command with exit 1
+and no traceback.
 """
 
 from __future__ import annotations
@@ -491,6 +492,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except RecursionError:
+        # The searches recurse once per element of a block; a chain of
+        # about a thousand elements outgrows the interpreter's stack.
+        limit = sys.getrecursionlimit()
+        print(
+            f"error: {args.command} recursed past Python's limit of {limit} frames on this input",
+            file=sys.stderr,
+        )
         return EXIT_DOMAIN
 
 

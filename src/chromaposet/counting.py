@@ -43,7 +43,7 @@ from .partitions import (
     sorted_partition,
     symmetry_factor,
 )
-from .posets import Boolean, Chain, Graph, Poset, Product, iter_bits
+from .posets import Boolean, Chain, Graph, Poset, Product
 
 
 @dataclass
@@ -62,11 +62,10 @@ class StablePartitionCounter:
         self.full = (1 << len(graph)) - 1
         self._memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def count(self, type_, stats: SearchStats | None = None) -> int:
+    def count(self, type_) -> int:
         lam = as_partition(type_)
         if sum(lam) != len(self.graph):
             raise SizeMismatchError(f"type {lam} does not cover {len(self.graph)} vertices")
-        self._stats = stats
         return self._count(self.full, lam) * symmetry_factor(lam)
 
     def _count(self, rem: int, sizes: tuple[int, ...]) -> int:
@@ -89,8 +88,6 @@ class StablePartitionCounter:
         return total
 
     def _grow(self, rest: int, block: int, cand: int, need: int, tail) -> int:
-        if self._stats is not None:
-            self._stats.nodes += 1
         if need == 0:
             return self._count(rest & ~block, tail)
         if cand.bit_count() < need:
@@ -114,13 +111,14 @@ class ChainPartitionCounter:
     subtree it exhausts and nothing where it stops at a hit, and walks a
     state stored with a nonzero count again, because it needs the blocks.
     The only per-node bound is height capacity: a chain holds at most one
-    element of each height, so k blocks cover at most min(k, level size)
-    elements of every level, and no block is longer than the number of
-    levels the remaining elements meet.  Longest-chain and antichain-width
-    bounds cost more per node than the nodes they save.  The memo and the bound cut only
-    subtrees without a solution, so counts are exact and the first solution
-    found, in the fixed search order, does not depend on what the memo
-    holds.  ``nodes`` counts the states walked, memo hits excluded.
+    element of each level of ``Poset.levels()``, so k blocks cover at most
+    min(k, level size) elements of every level, and no block is longer than
+    the number of levels the remaining elements meet.  Longest-chain and
+    antichain-width bounds cost more per node than the nodes they save.  The
+    memo and the bound cut only subtrees without a solution, so counts are
+    exact and the first solution found, in the fixed search order, does not
+    depend on what the memo holds.  ``nodes`` counts the states walked, memo
+    hits excluded.
     """
 
     def __init__(self, poset: Poset, node_budget: int | None = None):
@@ -128,16 +126,7 @@ class ChainPartitionCounter:
         self.node_budget = node_budget
         self.nodes = 0
         self._memo: dict[tuple[int, tuple[int, ...]], int] = {}
-        n = len(poset)
-        heights = [0] * n
-        for i in poset.topo:
-            for j in iter_bits(poset.dn[i] ^ (1 << i)):
-                if heights[j] + 1 > heights[i]:
-                    heights[i] = heights[j] + 1
-        masks: dict[int, int] = {}
-        for i, h in enumerate(heights):
-            masks[h] = masks.get(h, 0) | 1 << i
-        self._height_masks = tuple(masks.values())
+        self._height_masks = poset.levels()
 
     def _type(self, type_) -> Partition:
         lam = as_partition(type_)
@@ -222,12 +211,10 @@ class ChainPartitionCounter:
         return total
 
 
-def count_semiordered_stable_partitions(
-    graph: Graph, type_, stats: SearchStats | None = None
-) -> int:
+def count_semiordered_stable_partitions(graph: Graph, type_) -> int:
     """Ordered tuples of disjoint independent sets covering the graph with
     the given block sizes."""
-    return StablePartitionCounter(graph).count(type_, stats)
+    return StablePartitionCounter(graph).count(type_)
 
 
 def count_scp(poset: Poset, type_, stats: SearchStats | None = None) -> int:

@@ -1,7 +1,8 @@
 """Finite posets: builders (chains, products of chains, boolean algebras, the
 tailed-cube family, ordinal sums), incomparability graphs, and order-theoretic
-queries (chains, longest chain, width, the Greene–Kleitman chain shape,
-distributivity).
+queries (chains, the levels by height, the Greene–Kleitman chain shape,
+distributivity).  The longest chain is the number of levels and the width
+is the length of the chain shape.
 
 Elements are indexed 0..n-1 in construction order, and every subset is a
 bitmask over those indices; labels are human-readable strings used in
@@ -124,7 +125,8 @@ class Poset:
     ``up[i]`` is the bitmask of j with i <= j (including i itself), ``dn[i]``
     the bitmask of j <= i, ``comp[i]`` their union, and ``covers[i]`` the
     bitmask of elements covering i.  The order relation is validated at
-    construction.
+    construction.  Heights come from ``levels()`` and the width from
+    ``chain_shape()``.
     """
 
     __slots__ = (
@@ -134,7 +136,6 @@ class Poset:
         "comp",
         "covers",
         "full_mask",
-        "topo",
         "spec",
         "_index",
     )
@@ -185,8 +186,6 @@ class Poset:
         self.comp = tuple(up[i] | dn[i] for i in range(n))
         self.full_mask = full
         self.covers = tuple(covers)
-        # Any index order ascending in down-set size is a linear extension.
-        self.topo = tuple(sorted(range(n), key=lambda i: (dn[i].bit_count(), i)))
         self.spec: PosetSpec | None = None  # set by build_poset
         self._index = {lab: i for i, lab in enumerate(labels)}
 
@@ -223,47 +222,32 @@ class Poset:
         )
         return Poset(tuple(self.labels[i] for i in keep), up)
 
-    def max_chain_size(self, mask: int | None = None) -> int:
-        """Size of the longest chain inside ``mask`` (whole poset by default)."""
-        if mask is None:
-            mask = self.full_mask
-        best = [0] * len(self)
-        out = 0
-        for i in self.topo:
-            if not mask >> i & 1:
-                continue
-            b = 1
-            for j in iter_bits((self.dn[i] ^ (1 << i)) & mask):
-                if best[j] >= b:
-                    b = best[j] + 1
-            best[i] = b
-            if b > out:
-                out = b
-        return out
+    def levels(self) -> tuple[int, ...]:
+        """The element masks by height, lowest first: each level is the
+        minimal elements of what the lower levels leave.  An element that
+        becomes minimal covers an element of the level just peeled, so only
+        the covers of that level are tested."""
+        out: list[int] = []
+        rem = cand = self.full_mask
+        while rem:
+            level = 0
+            for i in iter_bits(cand):
+                if self.dn[i] & rem == 1 << i:
+                    level |= 1 << i
+            out.append(level)
+            rem ^= level
+            cand = 0
+            for i in iter_bits(level):
+                cand |= self.covers[i]
+        return tuple(out)
 
-    def width(self, mask: int | None = None) -> int:
-        """Largest antichain inside ``mask``: |mask| minus a maximum matching
-        in the bipartite graph of strict comparabilities (Dilworth)."""
-        if mask is None:
-            mask = self.full_mask
-        elems = list(iter_bits(mask))
-        match_to: dict[int, int] = {}
+    def max_chain_size(self) -> int:
+        """Size of the longest chain: the number of levels."""
+        return len(self.levels())
 
-        def try_match(i: int, seen: set[int]) -> bool:
-            for j in iter_bits((self.up[i] ^ (1 << i)) & mask):
-                if j in seen:
-                    continue
-                seen.add(j)
-                if j not in match_to or try_match(match_to[j], seen):
-                    match_to[j] = i
-                    return True
-            return False
-
-        matched = 0
-        for i in elems:
-            if try_match(i, set()):
-                matched += 1
-        return len(elems) - matched
+    def width(self) -> int:
+        """Size of the largest antichain: the length of the chain shape."""
+        return len(self.chain_shape())
 
     def chain_shape(self) -> tuple[int, ...]:
         """The Greene–Kleitman shape (c_1, ..., c_w): c_k is the most
@@ -391,12 +375,6 @@ def incomparability_graph(poset: Poset) -> Graph:
 def is_chain_subset(poset: Poset, elements) -> bool:
     """True iff the labeled elements are pairwise comparable."""
     return poset.is_chain_mask(poset.subset_mask(elements))
-
-
-def max_chain_size(poset: Poset) -> int:
-    if len(poset) == 0:
-        raise InvalidSpecError("poset is empty")
-    return poset.max_chain_size()
 
 
 def verify_distributive_lattice(poset: Poset) -> bool:

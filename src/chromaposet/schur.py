@@ -176,7 +176,7 @@ def schur_coefficient(
     if sides is not None:
         m, n = sides
         return _tabloid_sum(shape, partial(scp_closed_form, m, n), staircase_type(m, n)[:-1])
-    longest = poset.max_chain_size() if len(poset) else 0
+    longest = poset.max_chain_size()
     return _tabloid_sum(shape, _searched_counts(poset, longest, node_budget))
 
 
@@ -184,13 +184,10 @@ def _tabloid_expansion(poset: Poset) -> dict[Partition, int]:
     """Nonzero Schur coefficients of the whole poset by the tabloid sum,
     one shape at a time; only shapes whose first part fits in the longest
     chain are generated (the coefficients of the others vanish)."""
-    n = len(poset)
-    if n == 0:
-        return {(): 1}
     longest = poset.max_chain_size()
     count = _searched_counts(poset, longest)
     coeffs = {}
-    for lam in partitions_of(n, longest):
+    for lam in partitions_of(len(poset), longest):
         total = _tabloid_sum(lam, count)
         if total:
             coeffs[lam] = total

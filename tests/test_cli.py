@@ -125,6 +125,29 @@ def test_deeply_nested_sums_end_in_one_line(capsys, depth):
     assert err == "error: ordinal sums nested more than 100 deep (at byte 600)\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "chain-partition --poset chain:1200 --type 1200",
+    "scp --poset chain:1200 --type 1200 --method brute",
+    "schur-coeff --poset chain:1200 --shape 1200 --method tabloid_brute",
+])
+def test_searches_past_the_stack_limit_end_in_one_line(capsys, argv):
+    """The searches recurse once per element of a block; a 1,200-chain
+    outgrows the stack however deep the caller already is."""
+    command = argv.split()[0]
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    limit = sys.getrecursionlimit()
+    assert err == f"error: {command} recursed past Python's limit of {limit} frames on this input\n"
+
+
+def test_long_posets_describe_without_recursion(capsys):
+    """Width and longest chain of a 1,008-element poset: neither the levels
+    nor the chain shape recurse."""
+    code, out, err = run(capsys, "poset", "--poset", "sum:0+b3:1+1000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("  width 3, longest chain 1004,")
+
+
 def test_argparse_rejections_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

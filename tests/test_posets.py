@@ -24,7 +24,7 @@ from chromaposet.posets import (
     Product,
     build_poset,
     incomparability_graph,
-    max_chain_size,
+    iter_bits,
     parse_poset_spec,
     verify_distributive_lattice,
 )
@@ -111,8 +111,8 @@ def test_covers_generate_order():
 
 
 def test_max_chain_examples():
-    assert max_chain_size(build_poset(Product((8, 3)))) == 10
-    assert max_chain_size(build_poset(B3(6))) == 9
+    assert build_poset(Product((8, 3))).max_chain_size() == 10
+    assert build_poset(B3(6)).max_chain_size() == 9
     assert build_poset(B3(6)).width() == 3
 
 
@@ -226,8 +226,8 @@ def test_subset_helpers():
     assert p.is_chain_mask(chain_mask)
     anti = p.subset_mask(["(1,2)", "(2,1)"])
     assert not p.is_chain_mask(anti)
-    assert p.max_chain_size(anti) == 1
-    assert p.width(anti) == 2
+    assert p.induced(anti).max_chain_size() == 1
+    assert p.induced(anti).width() == 2
 
 
 @given(st.integers(1, 5), st.integers(1, 4))
@@ -294,17 +294,66 @@ def test_chain_shape_of_two_chain_products_is_the_staircase():
             assert shape == tuple(itertools.accumulate(staircase_type(m, n))), (m, n)
 
 
+def _dilworth_width(poset):
+    """Largest antichain: the size minus a maximum matching in the
+    bipartite graph of strict comparabilities (Dilworth)."""
+    match_to = {}
+
+    def try_match(i, seen):
+        for j in iter_bits(poset.up[i] ^ (1 << i)):
+            if j not in seen:
+                seen.add(j)
+                if j not in match_to or try_match(match_to[j], seen):
+                    match_to[j] = i
+                    return True
+        return False
+
+    return len(poset) - sum(try_match(i, set()) for i in range(len(poset)))
+
+
 @pytest.mark.parametrize("spec", builder_specs(20), ids=lambda spec: spec.dsl())
 def test_chain_shape_ends_are_longest_chain_and_width(spec):
     poset = build_poset(spec)
     shape = poset.chain_shape()
     assert shape[0] == poset.max_chain_size()
-    assert len(shape) == poset.width()
+    assert len(shape) == _dilworth_width(poset) == poset.width()
     assert shape[-1] == len(poset)
 
 
 def test_empty_poset_has_empty_chain_shape():
     assert Poset((), ()).chain_shape() == ()
+
+
+# ---------------------------------------------------------------------------
+# levels by height
+
+
+def _check_levels(poset):
+    levels = poset.levels()
+    assert sum(levels) == poset.full_mask
+    assert sum(level.bit_count() for level in levels) == len(poset)
+    for k, level in enumerate(levels):
+        assert level
+        for i in iter_bits(level):
+            # each level is an antichain, and each element above level 0
+            # lies above an element of the level before
+            assert not level & poset.comp[i] & ~(1 << i)
+            if k:
+                assert poset.dn[i] & levels[k - 1]
+
+
+@given(random_posets())
+def test_levels_partition_random_posets_by_height(poset):
+    _check_levels(poset)
+
+
+@pytest.mark.parametrize("spec", builder_specs(20), ids=lambda spec: spec.dsl())
+def test_levels_partition_builder_posets_by_height(spec):
+    _check_levels(build_poset(spec))
+
+
+def test_empty_poset_has_no_levels():
+    assert Poset((), ()).levels() == ()
 
 
 # ---------------------------------------------------------------------------
