@@ -35,7 +35,6 @@ from .posets import (
     B3,
     Product,
     build_poset,
-    incomparability_graph,
     iter_bits,
     parse_poset_spec,
     verify_distributive_lattice,
@@ -79,7 +78,7 @@ def _cmd_poset(args) -> Reply:
         "covers": [list(pair) for pair in covers],
         "width": poset.width(),
         "longest_chain": poset.max_chain_size(),
-        "incomparable_pairs": incomparability_graph(poset).edge_count(),
+        "incomparable_pairs": sum((poset.full_mask & ~c).bit_count() for c in poset.comp) // 2,
     }
     lines = [
         f"poset {result['dsl']}: {result['size']} elements",
@@ -273,10 +272,8 @@ def _factorizations(bound: int):
 
 def _sweep_products(args) -> Reply:
     rows, lines, any_failure = [], [], False
-    for lengths in _factorizations(args.max_product):
+    for lengths in _factorizations(min(args.max_product, args.max_elements)):
         poset = build_poset(Product(lengths))
-        if len(poset) > args.max_elements:
-            continue
         verdict = is_nice(
             poset, max_elements=args.max_elements, node_budget=args.node_budget
         )

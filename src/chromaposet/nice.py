@@ -132,8 +132,6 @@ def is_nice(
     n = len(poset)
     if n > max_elements:
         raise TooLargeError(f"{n} elements exceeds the niceness limit of {max_elements}")
-    if n == 0:
-        return NiceVerdict(True, achieved_types=((),) if include_types else None)
     searcher = ChainPartitionSearcher(poset, node_budget)
     shape = poset.chain_shape()
     # Descending lex order decides every merge of a type before the type.

@@ -1,4 +1,4 @@
-"""Integer partitions, weak compositions, and the dominance order.
+"""Integer partitions, their multiplicities, and the dominance order.
 
 Partitions are plain tuples of weakly decreasing positive ints; ``()`` is the
 unique partition of 0.  Everything here is exact integer arithmetic.
@@ -109,19 +109,6 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             parts.append(r)
 
 
-def weak_compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All length-``length`` tuples of nonnegative ints summing to ``total``,
-    in descending lexicographic order."""
-    if total < 0 or length < 1:
-        raise DomainError("need total >= 0 and length >= 1")
-    if length == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in weak_compositions(total - first, length - 1):
-            yield (first,) + rest
-
-
 def multiplicity_profile(lam: Partition) -> tuple[tuple[int, int], ...]:
     """Part sizes with multiplicities, ascending by size: ((k, alpha_k), ...)."""
     lam = as_partition(lam)
@@ -132,21 +119,6 @@ def multiplicity_profile(lam: Partition) -> tuple[tuple[int, int], ...]:
         else:
             pairs.append((part, 1))
     return tuple(pairs)
-
-
-def multinomial(n: int, parts: Iterable[int]) -> int:
-    """Exact ``n! / (parts_1! * parts_2! * ...)`` with ``sum(parts) == n``."""
-    parts = [int(x) for x in parts]
-    if any(x < 0 for x in parts):
-        raise DomainError("multinomial parts must be nonnegative")
-    if sum(parts) != n:
-        raise SizeMismatchError(f"parts {parts} do not sum to {n}")
-    out = 1
-    remaining = n
-    for x in parts:
-        out *= math.comb(remaining, x)
-        remaining -= x
-    return out
 
 
 def symmetry_factor(lam: Partition) -> int:

@@ -543,7 +543,7 @@ def build_poset(spec: PosetSpec) -> Poset:
 
 def _parse_int(text: str, pos: int) -> tuple[int, int]:
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and text[pos] in "0123456789":
         pos += 1
     if pos == start:
         raise DslParseError("expected an integer", start)

@@ -142,21 +142,21 @@ def enumerate_srht(
 ) -> TabloidFamily:
     """All special rim hook tabloids of ``shape``.
 
-    With ``content`` the family is restricted to tabloids of exactly that
-    content (the filter is pushed into the recursion); with
-    ``content_prefix`` to tabloids whose sorted content starts with the given
-    parts.  Output is sorted by the sequence of hook sizes in peel order.
+    With ``content_prefix`` the family is restricted to tabloids whose
+    sorted content starts with the given parts; ``content`` is the prefix
+    that fills the shape, so it keeps the tabloids of exactly that content.
+    Every tabloid is built and the filter applied to the finished list.
+    Output is sorted by the sequence of hook sizes in peel order.
     """
     shape = as_partition(shape)
     if content is not None and content_prefix is not None:
         raise DomainError("give at most one of content and content_prefix")
-    remaining: Counter[int] | None = None
     if content is not None:
         content = as_partition(content)
         if sum(content) != sum(shape):
             raise SizeMismatchError(f"content {content} does not fill shape {shape}")
-        remaining = Counter(content)
-    if content_prefix is not None:
+        content_prefix = content
+    elif content_prefix is not None:
         content_prefix = as_partition(content_prefix)
         if sum(content_prefix) > sum(shape):
             raise SizeMismatchError(f"prefix {content_prefix} exceeds shape {shape}")
@@ -174,11 +174,6 @@ def enumerate_srht(
             return
         bottom = len(lengths) - 1
         for top in range(bottom + 1):
-            size = lengths[top] + bottom - top
-            if remaining is not None:
-                if not remaining[size]:
-                    continue
-                remaining[size] -= 1
             spans = tuple(
                 (rows[i], 1 if i == bottom else lengths[i + 1], lengths[i])
                 for i in range(top, bottom + 1)
@@ -188,8 +183,6 @@ def enumerate_srht(
             acc.append(RimHook(spans))
             peel(trimmed[:keep], rows[:keep], acc)
             acc.pop()
-            if remaining is not None:
-                remaining[size] += 1
 
     peel(shape, tuple(range(1, len(shape) + 1)), [])
     if content_prefix is not None:

@@ -115,8 +115,6 @@ def monomial_expansion(graph: Graph) -> MonomialExpansion:
     """Monomial coefficients of the chromatic symmetric function: one
     stable-partition count per type."""
     n = len(graph)
-    if n == 0:
-        return MonomialExpansion(0, {(): 1})
     counter = StablePartitionCounter(graph)
     coeffs = {}
     for lam in partitions_of(n):
@@ -289,36 +287,10 @@ def pieri_shift_coefficient(p: int, q: int, m: int, n: int, shape_tilde) -> int:
 # Coloring oracles
 
 
-def count_proper_colorings(graph: Graph, colors: int) -> int:
-    """Proper colorings with a fixed palette, by direct enumeration."""
+def _count_colorings(graph: Graph, caps: list[int]) -> int:
+    """Proper colorings that use color c at most ``caps[c]`` times, by
+    direct enumeration."""
     n = len(graph)
-    assignment = [0] * n
-
-    def rec(i: int) -> int:
-        if i == n:
-            return 1
-        below = graph.adj[i] & ((1 << i) - 1)
-        forbidden = {assignment[j] for j in iter_bits(below)}
-        total = 0
-        for c in range(colors):
-            if c in forbidden:
-                continue
-            assignment[i] = c
-            total += rec(i + 1)
-        return total
-
-    return rec(0)
-
-
-def count_colorings_by_type(graph: Graph, type_) -> int:
-    """Proper colorings in which color i is used exactly type_[i] times —
-    the monomial coefficient read directly off the coloring sum, sharing no
-    code with the stable-partition counter."""
-    lam = as_partition(type_)
-    if sum(lam) != len(graph):
-        raise SizeMismatchError(f"type {lam} does not cover the graph")
-    n = len(graph)
-    caps = list(lam)
     assignment = [0] * n
 
     def rec(i: int) -> int:
@@ -337,3 +309,19 @@ def count_colorings_by_type(graph: Graph, type_) -> int:
         return total
 
     return rec(0)
+
+
+def count_proper_colorings(graph: Graph, colors: int) -> int:
+    """Proper colorings with a fixed palette, by direct enumeration."""
+    return _count_colorings(graph, [len(graph)] * colors)
+
+
+def count_colorings_by_type(graph: Graph, type_) -> int:
+    """Proper colorings in which color i is used exactly type_[i] times —
+    the monomial coefficient read directly off the coloring sum, sharing no
+    code with the stable-partition counter.  The caps add up to the number
+    of vertices, so a coloring meets each one exactly."""
+    lam = as_partition(type_)
+    if sum(lam) != len(graph):
+        raise SizeMismatchError(f"type {lam} does not cover the graph")
+    return _count_colorings(graph, list(lam))

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -17,10 +18,12 @@ from chromaposet import (
     ChainPartitionCertificate,
     __version__,
     build_poset,
+    incomparability_graph,
     parse_partition,
     parse_poset_spec,
 )
 from chromaposet.cli import build_parser, main
+from conftest import builder_specs
 
 ENVELOPE_KEYS = {"command", "method", "request", "result", "version", "wall_time_ms"}
 
@@ -89,6 +92,17 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
     assert "at byte" in err
     assert run(capsys, "scp", "--poset", "chain:4", "--type", "2,x")[0] == 2
+
+
+@pytest.mark.parametrize("dsl, offset", [
+    ("chain:²", 6), ("prod:3x²", 7), ("sum:1+b3:¹+0", 9), ("chain:٣", 6), ("chain:३", 6),
+])
+def test_non_ascii_digits_are_parse_errors(capsys, dsl, offset):
+    """Only ASCII 0-9 spell an integer; everything before the offending
+    character is ASCII, so the offset counts bytes."""
+    code, out, err = run(capsys, "poset", "--poset", dsl)
+    assert (code, out) == (2, "")
+    assert err == f"error: expected an integer (at byte {offset})\n"
 
 
 def test_semantic_errors_exit_1(capsys):
@@ -409,6 +423,13 @@ def test_poset_description_envelope(capsys):
     assert len(result["covers"]) == 12  # the cube has twelve edges
 
 
+def test_incomparable_pairs_are_the_incomparability_graph_edges(capsys):
+    for spec in builder_specs(40):
+        code, env, _ = run_json(capsys, "poset", "--poset", spec.dsl())
+        graph = incomparability_graph(build_poset(spec))
+        assert (code, env["result"]["incomparable_pairs"]) == (0, graph.edge_count()), spec.dsl()
+
+
 def test_tabloid_envelope_single_column(capsys):
     code, env, _ = run_json(capsys, "tabloid", "--shape", "1,1,1")
     assert code == 0
@@ -544,6 +565,20 @@ def test_product_sweep(capsys):
     rows = env["result"]["rows"]
     assert all(r["nice"] for r in rows)
     assert {"prod:2x2x2", "prod:4x2", "prod:8"} <= {r["poset"] for r in rows}
+
+
+def test_product_sweep_builds_only_products_under_the_element_limit(capsys):
+    """--max-product far above --max-elements adds no row and no time:
+    only products with at most --max-elements elements are generated."""
+    small = run_json(capsys, "sweep", "--family", "product_niceness",
+                     "--max-product", "4", "--max-elements", "4")
+    started = time.perf_counter()
+    large = run_json(capsys, "sweep", "--family", "product_niceness",
+                     "--max-product", "600", "--max-elements", "4")
+    assert time.perf_counter() - started < 1.0
+    assert large[0] == small[0] == 0
+    assert large[1]["result"] == small[1]["result"]
+    assert [r["poset"] for r in large[1]["result"]["rows"]] == ["prod:2", "prod:3", "prod:4", "prod:2x2"]
 
 
 def test_verify_subset(capsys):

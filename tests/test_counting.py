@@ -1,5 +1,5 @@
 import itertools
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,11 +20,9 @@ from chromaposet.counting import (
 from chromaposet.errors import DomainError, PreconditionError, SizeMismatchError
 from chromaposet.nice import ChainPartitionSearcher, chain_partition_exists
 from chromaposet.partitions import (
-    multinomial,
     multiplicity_profile,
     partitions_of,
     symmetry_factor,
-    weak_compositions,
 )
 from chromaposet.posets import (
     B3,
@@ -87,7 +85,7 @@ def test_chain_counts_are_multinomials():
     for n in range(1, 9):
         poset = build_poset(Chain(n))
         for lam in partitions_of(n):
-            assert count_scp(poset, lam) == multinomial(n, lam)
+            assert count_scp(poset, lam) == multinomial(lam)
 
 
 def test_semiordered_divisible_by_symmetry():
@@ -181,6 +179,19 @@ def test_closed_form_values():
     assert scp_closed_form(8, 3, (10, 8, 4, 2)) == 102
 
 
+def multinomial(parts):
+    """sum(parts)! / (parts_1! * parts_2! * ...)."""
+    return factorial(sum(parts)) // prod(factorial(x) for x in parts)
+
+
+def weak_compositions(total, length):
+    """Every length-``length`` tuple of nonnegative ints summing to ``total``."""
+    if length == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(total + 1)
+            for rest in weak_compositions(total - first, length - 1)]
+
+
 def literal_closed_form(m, n, type_):
     """The closed form as written: for each part size k of the tail, a weak
     composition of its multiplicity over the n threads, weighted by its
@@ -189,12 +200,12 @@ def literal_closed_form(m, n, type_):
     assert sum(type_) == m * n and type_[: n - 1] == staircase_type(m, n)[:-1]
     profile = multiplicity_profile(type_[n - 1 :])
     total = 0
-    splits = [list(weak_compositions(alpha, n)) for _, alpha in profile]
+    splits = [weak_compositions(alpha, n) for _, alpha in profile]
     for combo in itertools.product(*splits):
         loads = [0] * n
         weight = 1
         for (k, alpha), comp in zip(profile, combo):
-            weight *= multinomial(alpha, comp)
+            weight *= multinomial(comp)
             for j, a in enumerate(comp):
                 loads[j] += k * a
         for load in loads:

@@ -18,6 +18,7 @@ from chromaposet import (
     CertificateError,
     InvalidParamsError,
     OrdinalSum,
+    Poset,
     PreconditionError,
     Product,
     SearchStats,
@@ -247,6 +248,15 @@ def test_is_nice_size_guard():
         is_nice(build_poset(Product((7, 3))))
     with pytest.raises(BudgetExceededError):
         is_nice(build_poset(B3(6)), node_budget=10)
+
+
+def test_empty_poset_is_nice():
+    verdict = is_nice(Poset((), ()), include_types=True)
+    assert verdict.nice is True
+    assert verdict.achieved_types == ((),)
+    assert verdict.witness is None and verdict.witness_certificate is None
+    assert verdict.nodes == 0
+    assert is_nice(Poset((), ())).achieved_types is None
 
 
 def test_verdict_carries_types_only_on_request():

@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 
 import pytest
@@ -9,14 +8,12 @@ from chromaposet.partitions import (
     as_partition,
     dominance_leq,
     format_partition,
-    multinomial,
     multiplicity_profile,
     parse_partition,
     partitions_of,
     rearrangement_count,
     sorted_partition,
     symmetry_factor,
-    weak_compositions,
 )
 
 
@@ -117,28 +114,12 @@ def test_partitions_of_a_negative_integer():
         next(partitions_of(-1))
 
 
-def test_weak_compositions():
-    for total in range(7):
-        for length in range(1, 6):
-            comps = list(weak_compositions(total, length))
-            assert len(comps) == math.comb(total + length - 1, length - 1)
-            assert len(set(comps)) == len(comps)
-            assert all(len(c) == length and sum(c) == total for c in comps)
-            assert comps == sorted(comps, reverse=True)
-
-
 def test_profile_round_trip():
     for n in range(1, 20):
         for lam in partitions_of(n):
             profile = multiplicity_profile(lam)
             assert [k for k, _ in profile] == sorted({*lam})
             assert tuple(k for k, alpha in reversed(profile) for _ in range(alpha)) == lam
-
-
-def test_multinomial():
-    assert multinomial(4, (2, 1, 1)) == 12
-    assert multinomial(6, (3, 3)) == 20
-    assert multinomial(0, ()) == 1
 
 
 def test_symmetry_factor():

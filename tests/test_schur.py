@@ -108,6 +108,12 @@ def test_edgeless_monomial_expansion():
     assert mono.coeffs == {(3,): 1, (2, 1): 3, (1, 1, 1): 6}
 
 
+def test_empty_graph_monomial_expansion():
+    mono = monomial_expansion(Graph((), ()))
+    assert mono.degree == 0
+    assert mono.coeffs == {(): 1}
+
+
 def test_monomial_coefficients_count_colorings_by_type():
     """[m_mu] X_G is the number of proper colorings using color i exactly
     mu_i times; the coloring enumerator computes that without touching the
@@ -137,6 +143,17 @@ def test_coloring_counters_on_a_path():
     assert count_colorings_by_type(g, (1, 1, 1)) == 6
     with pytest.raises(SizeMismatchError):
         count_colorings_by_type(g, (2, 2))
+
+
+def test_coloring_counters_without_colors():
+    # the empty graph has one coloring, the empty one, with any palette
+    empty = Graph((), ())
+    for colors in (3, 1, 0, -1, -3):
+        assert count_proper_colorings(empty, colors) == 1
+    assert count_colorings_by_type(empty, ()) == 1
+    g = path_graph(3)
+    for colors in (0, -1, -3):
+        assert count_proper_colorings(g, colors) == 0
 
 
 # ---------------------------------------------------------------------------
