@@ -35,6 +35,7 @@ from .posets import (
     B3,
     Product,
     build_poset,
+    check_size,
     iter_bits,
     parse_poset_spec,
     verify_distributive_lattice,
@@ -226,6 +227,8 @@ def _sweep_two_chain(args) -> Reply:
         raise DomainError(
             f"shape family needs b = 2j - 2a - 1; got j={args.j} a={args.a} b={args.b}"
         )
+    if args.m_max >= args.m_min:  # refuse an oversized last case up front
+        check_size(Product((args.m_max, 2)))
     rows, lines, any_negative = [], [], False
     for m in range(args.m_min, args.m_max + 1):
         shape = sorted_partition((m + 1, m - 2 * args.j) + (2,) * args.a + (1,) * args.b)

@@ -43,7 +43,7 @@ from .partitions import (
     sorted_partition,
     symmetry_factor,
 )
-from .posets import Boolean, Chain, Graph, Poset, Product
+from .posets import Graph, Poset, chain_lengths
 
 
 @dataclass
@@ -253,17 +253,9 @@ def closed_route(poset: Poset, partition, method: str) -> tuple[int, int] | None
         raise SizeMismatchError(f"partition {lam} does not fill the {len(poset)}-element poset")
     if method not in ("auto", "brute", "closed"):
         raise DomainError(f"unknown method {method!r}")
-    spec = poset.spec
-    if isinstance(spec, Chain):
-        lengths = (spec.n,)
-    elif isinstance(spec, Boolean) and spec.rank <= 2:
-        lengths = (2,) * spec.rank
-    elif isinstance(spec, Product) and len(spec.lengths) <= 2:
-        lengths = spec.lengths
-    else:
-        lengths = ()
+    lengths = chain_lengths(poset.spec)
     sides = None
-    if method != "brute" and lengths:
+    if method != "brute" and lengths and len(lengths) <= 2:
         m, n = sorted(lengths + (1,), reverse=True)[:2]
         if lam[: n - 1] == staircase_type(m, n)[:-1]:
             sides = (m, n)

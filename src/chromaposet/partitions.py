@@ -45,10 +45,9 @@ def parse_partition(text: str) -> Partition:
     parts = []
     offset = 0
     for piece in text.split(","):
-        try:
-            parts.append(int(piece))
-        except ValueError as exc:
-            raise DslParseError(f"bad partition part {piece!r}", offset) from exc
+        if not (piece.isascii() and piece.isdigit()):
+            raise DslParseError(f"bad partition part {piece!r}", offset)
+        parts.append(int(piece))
         offset += len(piece) + 1
     return as_partition(parts)
 

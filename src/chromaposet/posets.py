@@ -2,7 +2,9 @@
 tailed-cube family, ordinal sums), incomparability graphs, and order-theoretic
 queries (chains, the levels by height, the Greene–Kleitman chain shape,
 distributivity).  The longest chain is the number of levels and the width
-is the length of the chain shape.
+is the length of the chain shape.  Every builder poset is a coordinate
+poset: integer tuples under the componentwise order, built in one pass
+however deeply its ordinal sums nest.
 
 Elements are indexed 0..n-1 in construction order, and every subset is a
 bitmask over those indices; labels are human-readable strings used in
@@ -22,8 +24,8 @@ from .errors import DslParseError, InvalidSpecError, TooLargeError, UnknownEleme
 # validation walks the related pairs, so building costs up to n^2 / 2 steps
 # (8-14 s of CPU for prod:64x64, prod:2048x2 and chain:4096 on CPython 3.11).
 MAX_ELEMENTS = 4096
-# The deepest nesting of ordinal sums the DSL parser accepts; building and
-# printing a spec recurse once per level.
+# The deepest nesting of ordinal sums the DSL parser accepts; counting the
+# elements of a spec and printing it recurse once per level.
 MAX_SUM_DEPTH = 100
 
 
@@ -201,18 +203,6 @@ class Poset:
         except KeyError:
             raise UnknownElementError(f"no element labeled {label!r}") from None
 
-    def subset_mask(self, labels) -> int:
-        mask = 0
-        for lab in labels:
-            mask |= 1 << self.index_of(lab)
-        return mask
-
-    def is_chain_mask(self, mask: int) -> bool:
-        for i in iter_bits(mask):
-            if mask & ~self.comp[i]:
-                return False
-        return True
-
     def induced(self, mask: int) -> Poset:
         """The subposet on the elements of ``mask``, labels in index order."""
         keep = list(iter_bits(mask))
@@ -372,11 +362,6 @@ def incomparability_graph(poset: Poset) -> Graph:
     return Graph(poset.labels, adj)
 
 
-def is_chain_subset(poset: Poset, elements) -> bool:
-    """True iff the labeled elements are pairwise comparable."""
-    return poset.is_chain_mask(poset.subset_mask(elements))
-
-
 def verify_distributive_lattice(poset: Poset) -> bool:
     """True iff all pairwise meets and joins exist and both distributive laws
     hold over all triples."""
@@ -424,24 +409,24 @@ def _poset_from_coords(labels, coords) -> Poset:
     return Poset(tuple(labels), tuple(up))
 
 
-def _build_chain(n: int) -> Poset:
-    labels = tuple(str(i + 1) for i in range(n))
-    full = (1 << n) - 1
-    up = tuple(full & ~((1 << i) - 1) for i in range(n))
-    return Poset(labels, up)
+def chain_lengths(spec: PosetSpec) -> tuple[int, ...] | None:
+    """The chain lengths when ``spec`` is a product of chains (``chain:n``
+    is one chain, ``bool:r`` is r chains of 2), None otherwise.  Call it
+    only on a spec within the size cap."""
+    if isinstance(spec, Chain):
+        return (spec.n,)
+    if isinstance(spec, Product):
+        return spec.lengths
+    if isinstance(spec, Boolean):
+        return (2,) * spec.rank
+    return None
 
 
-def _build_product(lengths: tuple[int, ...]) -> Poset:
-    coords = list(itertools.product(*(range(1, m + 1) for m in lengths)))
-    labels = ["(" + ",".join(str(x) for x in c) + ")" for c in coords]
-    return _poset_from_coords(labels, coords)
-
-
-def _build_b3(n: int) -> Poset:
+def _b3_coords(n: int):
     # Coordinate realization inside the product (n+1) x 2 x 2.  The named
     # elements sit on the cube at the top; the two n-element tails hang from
     # b and e.
-    named = {
+    at = {
         "a": (n + 1, 2, 2),
         "b": (n + 1, 1, 2),
         "c": (n, 2, 2),
@@ -449,21 +434,23 @@ def _build_b3(n: int) -> Poset:
         "e": (n + 1, 1, 1),
         "f": (n, 2, 1),
     }
-    labels = ["a", "b", "c", "d", "e", "f"]
-    coords = [named[x] for x in labels]
     for i in range(1, n + 1):
-        labels += [str(i), f"{i}'"]
-        coords += [(n + 1 - i, 1, 2), (n + 1 - i, 1, 1)]
+        at[str(i)], at[f"{i}'"] = (n + 1 - i, 1, 2), (n + 1 - i, 1, 1)
+    coords = list(at.values())
     assert len(set(coords)) == 2 * n + 6
-    poset = _poset_from_coords(labels, coords)
 
     # The structural facts the non-niceness argument relies on are cheap;
-    # check them every time the lattice is built.
-    comparable = lambda x, y: is_chain_subset(poset, (x, y))
+    # check them every time the lattice is built.  Elements form a chain
+    # when their coordinates, sorted, rise componentwise.
+    def chain(names) -> bool:
+        points = sorted(at[x] for x in names)
+        return all(x <= y for a, b in zip(points, points[1:]) for x, y in zip(a, b))
+
+    comparable = lambda x, y: chain((x, y))
     tail = [str(i) for i in range(1, n + 1)]
     tick = [f"{i}'" for i in range(1, n + 1)]
-    assert is_chain_subset(poset, ["a", "d", "f", *tick])
-    assert is_chain_subset(poset, ["c", *tail])
+    assert chain(["a", "d", "f", *tick])
+    assert chain(["c", *tail])
     assert comparable("b", "e")
     assert not any(comparable(x, y) for x, y in itertools.combinations(("b", "c", "d"), 2))
     assert not any(comparable(x, y) for x, y in itertools.combinations(("e", "f", "1"), 2))
@@ -475,30 +462,42 @@ def _build_b3(n: int) -> Poset:
         assert tuple(map(min, x, y)) in cset and tuple(map(max, x, y)) in cset
     if n == 1:
         assert cset == set(itertools.product((1, 2), repeat=3))
-    return poset
+    return list(at), coords
 
 
-def _build_ordinal_sum(p: int, inner: Poset, q: int) -> Poset:
-    k = len(inner)
-    n = p + k + q
-    reserved = {f"lo{i + 1}" for i in range(p)} | {f"hi{j + 1}" for j in range(q)}
-    labels = [f"lo{i + 1}" for i in range(p)]
-    for lab in inner.labels:
-        while lab in reserved or lab in labels:
-            lab += "'"
-        labels.append(lab)
-    labels += [f"hi{j + 1}" for j in range(q)]
-
-    full = (1 << n) - 1
-    hi_mask = ((1 << q) - 1) << (p + k)
-    up = []
-    for i in range(p):
-        up.append(full & ~((1 << i) - 1))
-    for i in range(k):
-        up.append((inner.up[i] << p) | hi_mask)
-    for j in range(q):
-        up.append(hi_mask & ~((1 << (p + k + j)) - 1))
-    return Poset(tuple(labels), tuple(up))
+def _coords(spec: PosetSpec):
+    """Labels and coordinates, in construction order, of the poset ``spec``
+    describes under the componentwise order.  An ordinal sum stays on its
+    inner spec's axes: the p-chain sits below the least first coordinate
+    and the q-chain above the greatest, at the least (greatest) value of
+    every other axis.  Inner labels that clash with ``loN``/``hiN`` or with
+    an earlier label take primes."""
+    sums = []
+    while isinstance(spec, OrdinalSum):
+        sums.append(spec)
+        spec = spec.inner
+    if isinstance(spec, B3):
+        labels, coords = _b3_coords(spec.n)
+    else:
+        coords = list(itertools.product(*(range(1, m + 1) for m in chain_lengths(spec))))
+        labels = [",".join(map(str, c)) for c in coords]
+        if not isinstance(spec, Chain):
+            labels = [f"({lab})" for lab in labels]
+    for outer in reversed(sums):
+        p, q = outer.p, outer.q
+        low, *least = map(min, zip(*coords))
+        high, *most = map(max, zip(*coords))
+        taken = {f"lo{i + 1}" for i in range(p)} | {f"hi{j + 1}" for j in range(q)}
+        renamed = [f"lo{i + 1}" for i in range(p)]
+        for lab in labels:
+            while lab in taken:
+                lab += "'"
+            taken.add(lab)
+            renamed.append(lab)
+        labels = renamed + [f"hi{j + 1}" for j in range(q)]
+        coords = [(low - p + i, *least) for i in range(p)] + coords
+        coords += [(high + 1 + j, *most) for j in range(q)]
+    return labels, coords
 
 
 def _element_count(spec: PosetSpec) -> int:
@@ -518,21 +517,17 @@ def _element_count(spec: PosetSpec) -> int:
     raise InvalidSpecError(f"unknown poset spec {spec!r}")
 
 
-def build_poset(spec: PosetSpec) -> Poset:
-    """Construct the poset described by ``spec``; TooLargeError when it has
-    more than MAX_ELEMENTS elements."""
+def check_size(spec: PosetSpec) -> None:
+    """TooLargeError, naming ``spec``, when it has over MAX_ELEMENTS elements."""
     if _element_count(spec) > MAX_ELEMENTS:
         raise TooLargeError(f"poset {spec.dsl()} has more than {MAX_ELEMENTS} elements")
-    if isinstance(spec, Chain):
-        poset = _build_chain(spec.n)
-    elif isinstance(spec, Product):
-        poset = _build_product(spec.lengths)
-    elif isinstance(spec, Boolean):
-        poset = _build_product((2,) * spec.rank)
-    elif isinstance(spec, B3):
-        poset = _build_b3(spec.n)
-    else:  # an OrdinalSum: _element_count rejected every other spec
-        poset = _build_ordinal_sum(spec.p, build_poset(spec.inner), spec.q)
+
+
+def build_poset(spec: PosetSpec) -> Poset:
+    """Construct the poset described by ``spec`` from its coordinates;
+    TooLargeError when it has more than MAX_ELEMENTS elements."""
+    check_size(spec)
+    poset = _poset_from_coords(*_coords(spec))
     poset.spec = spec
     return poset
 

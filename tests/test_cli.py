@@ -105,6 +105,11 @@ def test_non_ascii_digits_are_parse_errors(capsys, dsl, offset):
     assert err == f"error: expected an integer (at byte {offset})\n"
 
 
+def test_partition_text_takes_ascii_digits_only(capsys):
+    code, out, err = run(capsys, "scp", "--poset", "chain:3", "--type", "٣")
+    assert (code, out, err) == (2, "", "error: bad partition part '٣' (at byte 0)\n")
+
+
 def test_semantic_errors_exit_1(capsys):
     # syntactically fine, semantically empty
     assert run(capsys, "poset", "--poset", "chain:0")[0] == 1
@@ -533,6 +538,18 @@ def test_two_chain_sweep_flags_negativity(capsys):
     assert [r["m"] for r in rows] == [8, 9]
     assert rows[0]["coefficient"] == "-4"
     assert rows[1]["coefficient"] == "-40"
+
+
+def test_two_chain_sweep_checks_the_cap_before_any_coefficient(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coefficient was computed")
+
+    monkeypatch.setattr(chromaposet.cli, "schur_coefficient", refuse)
+    code, out, err = run(
+        capsys, "sweep", "--family", "two_chain_negativity", "--m-min", "2047", "--m-max", "2049"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: poset prod:2049x2 has more than 4096 elements\n"
 
 
 def test_two_chain_sweep_rejects_off_family_shapes(capsys):

@@ -1,8 +1,10 @@
-"""The package's export list against what the package namespace binds, and
-the imports of its modules against the names they use."""
+"""The package's export list against what the package namespace binds, the
+imports of its modules against the names they use, and its definitions
+against the code that names them."""
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import chromaposet
@@ -40,3 +42,39 @@ def test_modules_use_every_name_they_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def _names(tree) -> Counter:
+    """How often each name is used, attribute names and imported names
+    included."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_definition_is_named_somewhere():
+    """A module-level function or class of the package that nothing in
+    ``src/``, ``tests/`` or ``perfbench/`` names, outside its own
+    definition, is dead code."""
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "chromaposet"
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    }
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    dead = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and used[node.name] == _names(node)[node.name]
+    ]
+    assert not dead, f"defined but never named: {dead}"

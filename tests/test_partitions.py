@@ -49,6 +49,11 @@ def test_parse_format_round_trip():
     with pytest.raises(DslParseError) as exc:
         parse_partition("10,x,2")
     assert exc.value.offset == 3
+    # only ASCII 0-9 spell a part: no Unicode digits, signs, spaces or underscores
+    for text, offset in [("٣", 0), ("3,٣", 2), ("1_0,8", 0), ("+3", 0), ("2, 1", 2), ("4,-1", 2), ("3,,1", 2)]:
+        with pytest.raises(DslParseError) as exc:
+            parse_partition(text)
+        assert exc.value.offset == offset, text
     with pytest.raises(DomainError):
         parse_partition("1,2")
 

@@ -30,6 +30,15 @@ from chromaposet.posets import (
 )
 from conftest import builder_specs, random_posets
 
+# Ordinal sums nested two and three deep around every builder family; the
+# inner sums' lo/hi labels clash with the outer ones and are primed.
+NESTED_SUMS = [
+    OrdinalSum(p, OrdinalSum(q, OrdinalSum(q, core, p), 1), p)
+    for core in (Chain(2), Product((3, 2)), Boolean(2), B3(1))
+    for p, q in ((0, 1), (1, 0), (2, 1), (1, 2))
+] + [OrdinalSum(2, OrdinalSum(1, core, 1), 0) for core in (Chain(3), Product((2, 2, 2)), B3(2))]
+
+
 SPEC_SAMPLES = [
     Chain(1),
     Chain(5),
@@ -210,6 +219,46 @@ def test_ordinal_sum_labels_and_order():
     assert poset.up[mid] >> hi1 & 1
 
 
+def _ordinal_sum_up(p, inner, q):
+    """The up-sets of p-chain + inner + q-chain from the definition: a lower
+    chain element is below everything after it, an inner element keeps its
+    up-set and is below the whole upper chain."""
+    k = len(inner)
+    full = (1 << (p + k + q)) - 1
+    hi_mask = ((1 << q) - 1) << (p + k)
+    return tuple(
+        [full & ~((1 << i) - 1) for i in range(p)]
+        + [(inner.up[i] << p) | hi_mask for i in range(k)]
+        + [hi_mask & ~((1 << (p + k + j)) - 1) for j in range(q)]
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec in builder_specs(14) if isinstance(spec, OrdinalSum)] + NESTED_SUMS,
+    ids=lambda spec: spec.dsl(),
+)
+def test_ordinal_sums_match_their_definition(spec):
+    inner, poset = build_poset(spec.inner), build_poset(spec)
+    assert poset.up == _ordinal_sum_up(spec.p, inner, spec.q)
+    # inner labels keep their order, primed where they would clash
+    kept = poset.labels[spec.p : spec.p + len(inner)]
+    assert [lab.rstrip("'") for lab in kept] == [lab.rstrip("'") for lab in inner.labels]
+
+
+def test_nested_sum_constructs_one_poset(monkeypatch):
+    made = []
+    real = Poset.__init__
+
+    def spy(self, labels, up):
+        made.append(len(labels))
+        real(self, labels, up)
+
+    monkeypatch.setattr(Poset, "__init__", spy)
+    poset = build_poset(parse_poset_spec("sum:1+sum:0+sum:2+b3:2+1+0+3"))
+    assert made == [len(poset)] == [17]
+
+
 def test_ordinal_sum_renames_colliding_labels():
     # inner chain has elements "1","2"; a lo/hi chain never collides, but a
     # nested ordinal sum reuses "lo1"/"hi1" and must be renamed
@@ -222,10 +271,9 @@ def test_ordinal_sum_renames_colliding_labels():
 
 def test_subset_helpers():
     p = build_poset(Product((4, 2)))
-    chain_mask = p.subset_mask(["(1,1)", "(2,1)", "(2,2)"])
-    assert p.is_chain_mask(chain_mask)
-    anti = p.subset_mask(["(1,2)", "(2,1)"])
-    assert not p.is_chain_mask(anti)
+    chain_mask = sum(1 << p.index_of(lab) for lab in ["(1,1)", "(2,1)", "(2,2)"])
+    assert p.induced(chain_mask).width() == 1
+    anti = sum(1 << p.index_of(lab) for lab in ["(1,2)", "(2,1)"])
     assert p.induced(anti).max_chain_size() == 1
     assert p.induced(anti).width() == 2
 
@@ -246,9 +294,9 @@ def _pairwise_up(coords):
 
 
 def test_coordinate_up_sets_match_pairwise_comparison(monkeypatch):
-    """Every poset built from coordinates (products, boolean lattices, b3,
-    also inside ordinal sums) up to 20 elements has the up-sets of the
-    componentwise order, compared pair by pair."""
+    """Every poset a builder makes (chains, products, boolean lattices, b3,
+    ordinal sums nested up to three deep) up to 20 elements has the up-sets
+    of the componentwise order, compared pair by pair."""
     built = []
     real = posets._poset_from_coords
 
@@ -266,6 +314,7 @@ def test_coordinate_up_sets_match_pairwise_comparison(monkeypatch):
         if math.prod(lengths) <= 20
     ]
     specs += [OrdinalSum(1, Product((3, 2)), 2), OrdinalSum(0, B3(2), 3)]
+    specs += [Chain(n) for n in range(1, 21)] + NESTED_SUMS
     for spec in specs:
         build_poset(spec)
     assert len(built) == len(specs)
