@@ -306,10 +306,12 @@ def _criteria(text: str | None) -> list[int] | None:
     """The --criteria selection; None (all criteria) when absent."""
     if not text:
         return None
-    try:
-        numbers = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise UsageError(f"--criteria takes comma-separated numbers, got {text!r}") from None
+    pieces = text.split(",")
+    # ASCII digits only, as in partition text: int() also takes other
+    # scripts' digits, signs, spaces and underscores.
+    if not all(x.isascii() and x.isdigit() for x in pieces):
+        raise UsageError(f"--criteria takes comma-separated numbers, got {text!r}")
+    numbers = [int(x) for x in pieces]
     unknown = sorted(set(numbers) - {num for num, *_ in verification.CRITERIA})
     if unknown:
         raise UsageError(f"no criterion numbered {', '.join(map(str, unknown))}")

@@ -110,15 +110,17 @@ class ChainPartitionCounter:
     partitions, is shared by every call.  ``find`` stores 0 for each
     subtree it exhausts and nothing where it stops at a hit, and walks a
     state stored with a nonzero count again, because it needs the blocks.
-    The only per-node bound is height capacity: a chain holds at most one
-    element of each level of ``Poset.levels()``, so k blocks cover at most
-    min(k, level size) elements of every level, and no block is longer than
-    the number of levels the remaining elements meet.  Longest-chain and
-    antichain-width bounds cost more per node than the nodes they save.  The
-    memo and the bound cut only subtrees without a solution, so counts are
-    exact and the first solution found, in the fixed search order, does not
-    depend on what the memo holds.  ``nodes`` counts the states walked, memo
-    hits excluded.
+    The per-node bound in both modes is height capacity: a chain holds at
+    most one element of each level of ``Poset.levels()``, so k blocks cover
+    at most min(k, level size) elements of every level, and no block is
+    longer than the number of levels the remaining elements meet.  ``find``
+    also refutes a state with two blocks left by ``_splits``, an exact
+    bipartition test, before growing a block; counting skips it, since it
+    showed no gain on expansions.  Longest-chain and antichain-width bounds
+    cost more per node than the nodes they save.  The memo and the bounds
+    cut only subtrees without a solution, so counts are exact and the first
+    solution found, in the fixed search order, does not depend on what the
+    memo holds.  ``nodes`` counts the states walked, memo hits excluded.
     """
 
     def __init__(self, poset: Poset, node_budget: int | None = None):
@@ -165,6 +167,9 @@ class ChainPartitionCounter:
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise BudgetExceededError(f"search exceeded {self.node_budget} nodes")
         k = len(sizes)
+        if blocks is not None and k == 2 and not self._splits(rem, sizes[0]):
+            self._memo[key] = 0
+            return 0
         capacity = levels = 0
         for hm in self._height_masks:
             c = (rem & hm).bit_count()
@@ -185,6 +190,35 @@ class ChainPartitionCounter:
                     return total
         self._memo[key] = total
         return total
+
+    def _splits(self, rem: int, a: int) -> bool:
+        """Whether ``rem`` splits into two chains, one of them of ``a``
+        elements.  Chains are the independent sets of the incomparability
+        graph, so it must be bipartite, and since each connected component
+        has exactly two 2-colourings, choosing one side of each must total
+        ``a``.  Each component is 2-coloured by breadth-first layers: it is
+        bipartite exactly when no edge joins two elements of one layer."""
+        comp = self.poset.comp
+        reach = 1  # bit t set: some choice of sides totals t elements
+        left = rem
+        while left:
+            layer = seen = left & -left
+            here, there = 1, 0  # this layer's side of the component, the other
+            while layer:
+                nbrs = 0
+                rest = layer
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    nbrs |= rem & ~comp[low.bit_length() - 1]
+                if nbrs & layer:
+                    return False
+                layer = nbrs & ~seen
+                seen |= layer
+                here, there = there + layer.bit_count(), here
+            left &= ~seen
+            reach = (reach << here) | (reach << there)
+        return bool(reach >> a & 1)
 
     def _grow(
         self, rem: int, tail: tuple[int, ...], block: int, cand: int, need: int, blocks

@@ -5,9 +5,11 @@ certificates for the positive answers.
 The existence search is ``find`` on the one chain-partition engine,
 ``counting.ChainPartitionCounter``, with its memo shared across the types of
 a scan.  A niceness scan searches only the types that lie inside the
-poset's Greene–Kleitman shape and that no merge of two parts settles:
-splitting a chain gives two chains, so a type is achieved whenever merging
-two of its parts gives an achieved type.  Certificates are checked
+poset's Greene–Kleitman shape and that neither a merge nor an exchange
+settles: splitting a chain gives two chains, so a type is achieved whenever
+merging two of its parts gives an achieved type, and moving an element to a
+chain it is comparable with throughout keeps both chains (the exchange
+argument of Greene and Kleitman, JCTA 20, 1976).  Certificates are checked
 by ``ChainPartitionCertificate.validate``, which uses only the raw order
 relation.
 """
@@ -123,11 +125,15 @@ def is_nice(
     are closed downward in dominance.
 
     The witness of a failure is the first pair (achieved type, unachieved
-    dominated type) in descending lexicographic order over both coordinates.
-    ``nodes`` counts the search nodes of the types that were searched.  A
-    type settled by a merge costs none, and neither does a type with a
-    prefix sum above the poset's Greene–Kleitman shape
-    (``Poset.chain_shape``), which no chain partition can have.
+    dominated type) in descending lexicographic order over both coordinates,
+    and its certificate is the first partition of that type in ``find``'s
+    search order.  A type is searched only when nothing cheaper settles
+    it: a prefix sum above the poset's Greene–Kleitman shape
+    (``Poset.chain_shape``), which no chain partition can have; a merge of
+    two parts into an achieved type; or an exchange (``_exchange``) that
+    reaches it from a partition already found with as many blocks, newest
+    first.  ``nodes`` counts the search nodes of the types that were
+    searched, and types settled otherwise cost none.
     """
     n = len(poset)
     if n > max_elements:
@@ -137,6 +143,9 @@ def is_nice(
     # Descending lex order decides every merge of a type before the type.
     achieved: dict[Partition, bool] = {}
     masks: dict[Partition, list[int]] = {}
+    # Block lists of every achieved type that ``find`` or the exchange
+    # settled, grouped by length, oldest first.
+    known: dict[int, list[list[int]]] = {}
     sums: dict[Partition, tuple[int, ...]] = {}
     # Types inside the Greene–Kleitman shape that have no chain partition.
     # A type with a prefix sum above c_k is achieved by nothing, and since
@@ -152,12 +161,17 @@ def is_nice(
         elif any(achieved[merged] for merged in _merges(lam)):
             achieved[lam] = True
         else:
-            found = searcher.find(lam)
+            tried = (_exchange(poset, b, lam) for b in reversed(known.get(len(lam), ())))
+            found = next(filter(None, tried), None)
+            if found is None:
+                found = searcher.find(lam)
+                if found is not None:
+                    masks[lam] = found
             achieved[lam] = found is not None
             if found is None:
                 failed.append(lam)
             else:
-                masks[lam] = found
+                known.setdefault(len(lam), []).append(found)
     types = tuple(lam for lam, ok in achieved.items() if ok)
     # mu is dominated by lam when no prefix sum of mu exceeds lam's.  Pairing
     # the sums with zip is exact: past the end of lam its sums stay at n,
@@ -179,6 +193,35 @@ def is_nice(
         achieved_types=types if include_types else None,
         nodes=searcher.nodes,
     )
+
+
+def _exchange(poset: Poset, blocks: list[int], lam: Partition) -> list[int] | None:
+    """Blocks of type ``lam`` made from a chain partition with ``len(lam)``
+    blocks by moving elements between chains, or None when no move is left.
+
+    The blocks, largest first, are paired with the parts of ``lam``.  Each
+    move takes the first pair (i, j) where block i is longer than its part,
+    block j is shorter than its part, and some element of block i is
+    comparable to every element of block j; the lowest such element moves
+    to block j.  Both blocks stay chains, and every move brings two sizes
+    one closer to their parts, so the moves stop."""
+    blocks = sorted(blocks, key=int.bit_count, reverse=True)
+    while True:
+        long = [i for i, b in enumerate(blocks) if b.bit_count() > lam[i]]
+        if not long:
+            return blocks
+        short = [j for j, b in enumerate(blocks) if b.bit_count() < lam[j]]
+        for i, j in itertools.product(long, short):
+            movable = blocks[i]
+            for y in iter_bits(blocks[j]):
+                movable &= poset.comp[y]
+            if movable:
+                low = movable & -movable
+                blocks[i] ^= low
+                blocks[j] |= low
+                break
+        else:
+            return None
 
 
 def _merges(lam: Partition):

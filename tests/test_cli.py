@@ -197,6 +197,15 @@ def test_unparseable_criteria_exit_2(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["\u0661", " 1", "+1", "1_0"])
+def test_criteria_take_ascii_digits_only(capsys, text):
+    # int() reads each of these: an Arabic-Indic one, a padded or signed
+    # one, and 10 spelled with an underscore.
+    code, out, err = run(capsys, "verify", "--criteria", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: --criteria takes comma-separated numbers, got {text!r}\n"
+
+
 def test_parser_is_built_once_and_leaks_nothing(capsys):
     """The parser is shared across calls; flags given to one call must not
     become the defaults of the next, whatever its subcommand."""
@@ -510,6 +519,22 @@ def test_chain_partition_certificate_round_trips(capsys):
         parse_partition(result["certificate"]["type"]),
     )
     cert.validate()
+
+
+def test_chain_partition_refutes_two_chain_states_without_growing_them(capsys):
+    # Without the two-chain test in find these took 13,029 and 7,453 nodes;
+    # the certificate is the first partition in search order either way.
+    code, env, _ = run_json(capsys, "chain-partition", "--poset", "b3:7", "--type", "7,7,6")
+    assert (code, env["result"]["exists"]) == (4, False)
+    assert env["result"]["nodes"] <= 2500
+    code, env, _ = run_json(capsys, "chain-partition", "--poset", "b3:7", "--type", "8,7,5")
+    assert code == 0
+    assert env["result"]["certificate"]["blocks"] == [
+        ["7", "6", "5", "4", "3", "2", "1", "c"],
+        ["4'", "3'", "2'", "1'", "e", "b", "a"],
+        ["7'", "6'", "5'", "f", "d"],
+    ]
+    assert env["result"]["nodes"] <= 1000
 
 
 def test_scp_methods_agree_through_cli(capsys):

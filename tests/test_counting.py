@@ -35,7 +35,7 @@ from chromaposet.posets import (
     parse_poset_spec,
 )
 from chromaposet.schur import count_colorings_by_type
-from conftest import random_posets
+from conftest import builder_specs, random_posets
 
 
 def brute_count_scp(poset, type_):
@@ -147,6 +147,29 @@ def test_shared_memo_agrees_with_fresh_engines(dsl):
     counter_first = ChainPartitionCounter(poset)
     assert {lam: counter_first.count(lam) for lam in types} == counts
     assert {lam: counter_first.find(lam) for lam in types} == firsts
+
+
+def _check_two_chain_test(poset):
+    """``_splits`` against stable partitions of the incomparability graph of
+    every nonempty subposet, an oracle that shares no code with it."""
+    engine = ChainPartitionCounter(poset)
+    for rem in range(1, 1 << len(poset)):
+        size = rem.bit_count()
+        oracle = StablePartitionCounter(incomparability_graph(poset.induced(rem)))
+        for a in range((size + 1) // 2, size + 1):
+            lam = (a, size - a) if a < size else (a,)
+            assert engine._splits(rem, a) == (oracle.count(lam) > 0), (rem, lam)
+
+
+@pytest.mark.parametrize("spec", builder_specs(10), ids=lambda spec: spec.dsl())
+def test_two_chain_test_matches_stable_partitions(spec):
+    _check_two_chain_test(build_poset(spec))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_posets())
+def test_two_chain_test_matches_stable_partitions_on_random_posets(poset):
+    _check_two_chain_test(poset)
 
 
 def test_search_stats_populated():

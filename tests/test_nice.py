@@ -35,6 +35,8 @@ from chromaposet import (
     partitions_of,
     staircase_type,
 )
+from chromaposet.nice import ChainPartitionSearcher, _exchange
+from chromaposet.posets import iter_bits
 from conftest import builder_specs, random_posets
 
 
@@ -213,6 +215,32 @@ def test_random_posets_match_per_type_search(poset):
     _check_against_per_type_search(poset)
 
 
+def _check_exchange(poset):
+    """Every partition the exchange builds, from the first partition of an
+    achieved type to each type of the same length, passes the certificate
+    check, which reads only the raw order relation."""
+    engine = ChainPartitionSearcher(poset)
+    for mu in is_nice(poset, include_types=True).achieved_types:
+        blocks = engine.find(mu)
+        assert _exchange(poset, blocks, mu) == sorted(blocks, key=int.bit_count, reverse=True)
+        for lam in partitions_of(len(poset)):
+            moved = _exchange(poset, blocks, lam) if len(lam) == len(mu) else None
+            if moved is not None:
+                labels = tuple(tuple(poset.labels[i] for i in iter_bits(b)) for b in moved)
+                ChainPartitionCertificate(poset, labels, lam).validate()
+
+
+@pytest.mark.parametrize("spec", builder_specs(14), ids=lambda spec: spec.dsl())
+def test_exchange_builds_valid_partitions(spec):
+    _check_exchange(build_poset(spec))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_posets())
+def test_exchange_builds_valid_partitions_on_random_posets(poset):
+    _check_exchange(poset)
+
+
 @pytest.mark.parametrize("dsl, most", [
     ("prod:5x4", 64),
     ("prod:3x3x2", 46),
@@ -220,12 +248,28 @@ def test_random_posets_match_per_type_search(poset):
     ("prod:4x4", 64),
     ("sum:0+b3:4+6", 180),
     ("b3:6", 3791),
+    # These need the two-chain test in find and the exchange.  With the
+    # test alone b3:7, sum:1+b3:6+1 and b3:6 take 3,007, 1,028 and 884
+    # nodes; with the exchange alone 13,061, 72 and 2,167.
+    ("b3:7", 2500),
+    ("sum:1+b3:6+1", 100),
+    ("b3:6", 600),
 ])
 def test_scan_searches_at_most_pinned_nodes(dsl, most):
     # Node counts do not depend on the machine: a scan that loses its
     # Greene-Kleitman filter searches thousands more (prod:5x4 searched
     # 6,954 nodes without it).
     assert is_nice(build_poset(parse_poset_spec(dsl))).nodes <= most
+
+
+def test_b3_8_keeps_its_witness_and_certificate():
+    verdict = is_nice(build_poset(B3(8)), max_elements=22)
+    assert (verdict.nice, verdict.witness) == (False, ((11, 9, 2), (8, 8, 6)))
+    assert verdict.witness_certificate.blocks == (
+        ("8'", "7'", "6'", "5'", "4'", "3'", "2'", "1'", "e", "b", "a"),
+        ("8", "7", "6", "5", "4", "3", "2", "1", "c"),
+        ("f", "d"),
+    )
 
 
 def test_b3_6_and_its_sum_keep_their_answers():
