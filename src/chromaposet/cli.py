@@ -29,7 +29,7 @@ from typing import NamedTuple
 from . import __version__
 from .counting import ChainPartitionCounter, SearchStats, closed_route, scp_closed_form
 from .errors import DomainError, DslParseError
-from .nice import chain_partition_exists, is_nice
+from .nice import NICENESS_LIMIT, chain_partition_exists, is_nice
 from .partitions import format_partition, parse_partition, sorted_partition
 from .posets import (
     B3,
@@ -41,7 +41,7 @@ from .posets import (
     verify_distributive_lattice,
 )
 from .rimhooks import enumerate_srht, render_tabloid
-from .schur import schur_coefficient, schur_expansion, theorem41_coefficient
+from .schur import EXPANSION_LIMIT, schur_coefficient, schur_expansion, theorem41_coefficient
 from . import verification
 
 EXIT_OK = 0
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schur", help="full Schur expansion (exit 3 if any coefficient < 0)")
     p.add_argument("--poset", required=True)
-    p.add_argument("--max-elements", type=int, default=12)
+    p.add_argument("--max-elements", type=int, default=EXPANSION_LIMIT)
     common(p)
     p.set_defaults(fn=_cmd_schur)
 
@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset", required=True)
     p.add_argument("--witness", action="store_true", help="include the witness certificate")
     p.add_argument("--all-types", action="store_true", help="list all achievable types")
-    p.add_argument("--max-elements", type=int, default=20)
+    p.add_argument("--max-elements", type=int, default=NICENESS_LIMIT)
     p.add_argument("--node-budget", type=int, default=None)
     common(p)
     p.set_defaults(fn=_cmd_nice)
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--max-product", type=int, default=12)
-    p.add_argument("--max-elements", type=int, default=20)
+    p.add_argument("--max-elements", type=int, default=NICENESS_LIMIT)
     p.add_argument("--node-budget", type=int, default=None)
     common(p)
     p.set_defaults(fn=_cmd_sweep)

@@ -4,12 +4,12 @@ certificates for the positive answers.
 
 The existence search is ``find`` on the one chain-partition engine,
 ``counting.ChainPartitionCounter``, with its memo shared across the types of
-a scan.  A niceness scan searches only the types that lie inside the
-poset's Greene–Kleitman shape and that neither a merge nor an exchange
-settles: splitting a chain gives two chains, so a type is achieved whenever
-merging two of its parts gives an achieved type, and moving an element to a
-chain it is comparable with throughout keeps both chains (the exchange
-argument of Greene and Kleitman, JCTA 20, 1976).  Certificates are checked
+a scan.  A niceness scan generates only the types that lie inside the
+poset's Greene–Kleitman shape, and searches only those that neither a merge
+nor an exchange settles: splitting a chain gives two chains, so a type is
+achieved whenever merging two of its parts gives an achieved type, and
+moving an element to a chain it is comparable with throughout keeps both
+chains (the exchange argument of Greene and Kleitman, JCTA 20, 1976).  Certificates are checked
 by ``ChainPartitionCertificate.validate``, which uses only the raw order
 relation.
 """
@@ -30,6 +30,10 @@ from .errors import (
 )
 from .partitions import Partition, as_partition, dominance_leq, partitions_of
 from .posets import Poset, Product, build_poset, OrdinalSum, iter_bits
+
+
+# Largest poset ``is_nice`` takes unless told otherwise.
+NICENESS_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ def chain_partition_exists(
 
 def is_nice(
     poset: Poset,
-    max_elements: int = 20,
+    max_elements: int = NICENESS_LIMIT,
     include_types: bool = False,
     node_budget: int | None = None,
 ) -> NiceVerdict:
@@ -127,38 +131,31 @@ def is_nice(
     The witness of a failure is the first pair (achieved type, unachieved
     dominated type) in descending lexicographic order over both coordinates,
     and its certificate is the first partition of that type in ``find``'s
-    search order.  A type is searched only when nothing cheaper settles
-    it: a prefix sum above the poset's Greene–Kleitman shape
-    (``Poset.chain_shape``), which no chain partition can have; a merge of
-    two parts into an achieved type; or an exchange (``_exchange``) that
-    reaches it from a partition already found with as many blocks, newest
-    first.  ``nodes`` counts the search nodes of the types that were
-    searched, and types settled otherwise cost none.
+    search order.  Only the types inside the poset's Greene–Kleitman shape
+    (``Poset.chain_shape``) are generated, since no chain partition has a
+    prefix sum above it.  One of them is searched only when nothing cheaper
+    settles it: a merge of two parts into an achieved type, or an exchange
+    (``_exchange``) that reaches it from a partition already found with as
+    many blocks, newest first.  ``nodes`` counts the search nodes of the
+    types that were searched, and types settled otherwise cost none.
     """
     n = len(poset)
     if n > max_elements:
         raise TooLargeError(f"{n} elements exceeds the niceness limit of {max_elements}")
     searcher = ChainPartitionSearcher(poset, node_budget)
-    shape = poset.chain_shape()
-    # Descending lex order decides every merge of a type before the type.
+    # Descending lex order decides every merge of a type before the type; a
+    # merge above the shape is never generated, and never achieved.
     achieved: dict[Partition, bool] = {}
     masks: dict[Partition, list[int]] = {}
     # Block lists of every achieved type that ``find`` or the exchange
     # settled, grouped by length, oldest first.
     known: dict[int, list[list[int]]] = {}
-    sums: dict[Partition, tuple[int, ...]] = {}
-    # Types inside the Greene–Kleitman shape that have no chain partition.
-    # A type with a prefix sum above c_k is achieved by nothing, and since
-    # dominance only lowers prefix sums it is dominated by no achieved type
-    # either, so only the types kept here can break downward closure.
     failed: list[Partition] = []
-    for lam in partitions_of(n):
-        sums[lam] = tuple(itertools.accumulate(lam))
-        # This also drops every type shorter than the width: its last
-        # prefix sum is n, and c_k < n for k below the width.
-        if any(map(operator.gt, sums[lam], shape)):
-            achieved[lam] = False
-        elif any(achieved[merged] for merged in _merges(lam)):
+    # A type with a prefix sum above the Greene–Kleitman shape has no chain
+    # partition, and since dominance only lowers prefix sums no achieved
+    # type dominates it, so only the types inside the shape are generated.
+    for lam in partitions_of(n, poset.chain_shape()):
+        if any(achieved.get(merged) for merged in _merges(lam)):
             achieved[lam] = True
         else:
             tried = (_exchange(poset, b, lam) for b in reversed(known.get(len(lam), ())))
@@ -173,21 +170,24 @@ def is_nice(
             else:
                 known.setdefault(len(lam), []).append(found)
     types = tuple(lam for lam, ok in achieved.items() if ok)
-    # mu is dominated by lam when no prefix sum of mu exceeds lam's.  Pairing
-    # the sums with zip is exact: past the end of lam its sums stay at n,
-    # and if mu is the shorter one its last sum, n, meets one of lam's below n.
-    for lam in types:
-        top = sums[lam]
-        for mu in failed:
-            if all(map(operator.le, sums[mu], top)):
-                found = masks.get(lam) or searcher.find(lam)
-                return NiceVerdict(
-                    False,
-                    witness=(lam, mu),
-                    witness_certificate=_certificate_from_masks(poset, found, lam),
-                    achieved_types=types if include_types else None,
-                    nodes=searcher.nodes,
-                )
+    if failed:
+        # mu is dominated by lam when no prefix sum of mu exceeds lam's.
+        # Pairing the sums with zip is exact: past the end of lam its sums
+        # stay at n, and if mu is the shorter one its last sum, n, meets one
+        # of lam's below n.
+        bars = [tuple(itertools.accumulate(mu)) for mu in failed]
+        for lam in types:
+            top = tuple(itertools.accumulate(lam))
+            for mu, bar in zip(failed, bars):
+                if all(map(operator.le, bar, top)):
+                    found = masks.get(lam) or searcher.find(lam)
+                    return NiceVerdict(
+                        False,
+                        witness=(lam, mu),
+                        witness_certificate=_certificate_from_masks(poset, found, lam),
+                        achieved_types=types if include_types else None,
+                        nodes=searcher.nodes,
+                    )
     return NiceVerdict(
         True,
         achieved_types=types if include_types else None,

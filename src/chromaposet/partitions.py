@@ -7,7 +7,7 @@ unique partition of 0.  Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import DomainError, DslParseError, SizeMismatchError
 
@@ -76,36 +76,43 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
     return True
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of ``n`` (with no part above ``max_part``, when
-    given) in descending lexicographic order.
+def partitions_of(n: int, bound: Sequence[int] = ()) -> Iterator[Partition]:
+    """All partitions of ``n`` whose k-th prefix sum is at most
+    ``bound[k-1]``, in descending lexicographic order; parts past the end
+    of ``bound`` are not capped.  ``(m,)`` caps every part at m, and a
+    poset's chain shape admits exactly the types inside it.
 
     Each partition follows from the one before: lower its rightmost part
-    above 1 by one and refill what that part and the 1s after it held with
-    parts no larger than the lowered one, as many as fit first."""
+    above 1 by one and refill the rest greedily, each part as large as the
+    one before it, the remainder and the bound allow.  Since ``bound``
+    strictly increases, a part of 1 fits wherever the prefix before it
+    does, so every refill completes; a first bound below 1 admits no
+    partition of a positive ``n``."""
     if n < 0:
         raise DomainError("cannot partition a negative integer")
-    if n == 0:
-        yield ()
-        return
-    top = n if max_part is None else min(max_part, n)
-    if top < 1:
-        return
-    q, r = divmod(n, top)
-    parts = [top] * q + ([r] if r else [])
+    if any(a >= b for a, b in zip(bound, bound[1:])):
+        raise DomainError(f"prefix-sum bound must strictly increase, got {tuple(bound)}")
+    caps = [min(b, n) for b in bound] + [n] * n
+    parts: list[int] = []
+    total, part = 0, n
     while True:
+        while total < n:
+            cap = caps[len(parts)] - total
+            if cap < part:
+                part = cap
+                if part < 1:
+                    return
+            parts.append(part)
+            total += part
         yield tuple(parts)
-        ones = 0
         while parts and parts[-1] == 1:
             parts.pop()
-            ones += 1
+            total -= 1
         if not parts:
             return
-        part = parts.pop() - 1
-        q, r = divmod(part + 1 + ones, part)
-        parts += [part] * q
-        if r:
-            parts.append(r)
+        parts[-1] -= 1
+        part = parts[-1]
+        total -= 1
 
 
 def multiplicity_profile(lam: Partition) -> tuple[tuple[int, int], ...]:

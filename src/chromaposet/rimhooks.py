@@ -145,22 +145,23 @@ def enumerate_srht(
     With ``content_prefix`` the family is restricted to tabloids whose
     sorted content starts with the given parts; ``content`` is the prefix
     that fills the shape, so it keeps the tabloids of exactly that content.
-    Every tabloid is built and the filter applied to the finished list.
-    Output is sorted by the sequence of hook sizes in peel order.
+    The prefix prunes the peel as in :func:`signed_contents`, so no tabloid
+    outside the family is built.  Output is sorted by the sequence of hook
+    sizes in peel order.
     """
     shape = as_partition(shape)
     if content is not None and content_prefix is not None:
         raise DomainError("give at most one of content and content_prefix")
+    prefix: Partition = ()
     if content is not None:
-        content = as_partition(content)
-        if sum(content) != sum(shape):
-            raise SizeMismatchError(f"content {content} does not fill shape {shape}")
-        content_prefix = content
+        prefix = as_partition(content)
+        if sum(prefix) != sum(shape):
+            raise SizeMismatchError(f"content {prefix} does not fill shape {shape}")
     elif content_prefix is not None:
-        content_prefix = as_partition(content_prefix)
-        if sum(content_prefix) > sum(shape):
-            raise SizeMismatchError(f"prefix {content_prefix} exceeds shape {shape}")
-
+        prefix = as_partition(content_prefix)
+        if sum(prefix) > sum(shape):
+            raise SizeMismatchError(f"prefix {prefix} exceeds shape {shape}")
+    floor = prefix[-1] if prefix else sum(shape)
     found: list[SpecialRimHookTabloid] = []
 
     # The hook through the bottom-left cell is forced once its top row r is
@@ -168,28 +169,43 @@ def enumerate_srht(
     # between the lengths of rows i+1 and i.  Its size mu_r + L - r is
     # strictly decreasing in r, so distinct choices give distinct hooks and
     # the recursion produces each tabloid exactly once.
-    def peel(lengths: tuple[int, ...], rows: tuple[int, ...], acc: list[RimHook]):
+    def peel(lengths: Partition, unmet: Partition, acc: list[RimHook]):
         if not lengths:
-            found.append(SpecialRimHookTabloid(shape, tuple(acc)))
+            if not unmet:
+                found.append(SpecialRimHookTabloid(shape, tuple(acc)))
             return
         bottom = len(lengths) - 1
-        for top in range(bottom + 1):
+        for top, _, rest, trimmed in _peel_steps(lengths, unmet, floor):
             spans = tuple(
-                (rows[i], 1 if i == bottom else lengths[i + 1], lengths[i])
+                (i + 1, 1 if i == bottom else lengths[i + 1], lengths[i])
                 for i in range(top, bottom + 1)
             )
-            trimmed = lengths[:top] + tuple(x - 1 for x in lengths[top + 1 :])
-            keep = sum(1 for x in trimmed if x > 0)
             acc.append(RimHook(spans))
-            peel(trimmed[:keep], rows[:keep], acc)
+            peel(trimmed, rest, acc)
             acc.pop()
 
-    peel(shape, tuple(range(1, len(shape) + 1)), [])
-    if content_prefix is not None:
-        k = len(content_prefix)
-        found = [t for t in found if t.content[:k] == content_prefix]
+    peel(shape, prefix, [])
     found.sort(key=lambda t: tuple(h.size for h in t.hooks))
     return TabloidFamily(shape, tuple(found))
+
+
+def _peel_steps(lengths: Partition, unmet: Partition, floor: int):
+    """Each hook through the bottom-left cell of the shape ``lengths`` that
+    a content prefix admits: (its top row, 0-based; its size; the prefix
+    parts still unmet; the shape left).  A hook of a size still unmet uses
+    up one such part, any other hook larger than ``floor``, the last prefix
+    part, is pruned, and smaller hooks are free."""
+    bottom = len(lengths) - 1
+    for top in range(bottom + 1):
+        size = lengths[top] + bottom - top
+        if size in unmet:
+            i = unmet.index(size)
+            rest = unmet[:i] + unmet[i + 1 :]
+        elif size > floor:
+            continue
+        else:
+            rest = unmet
+        yield top, size, rest, lengths[:top] + tuple(x - 1 for x in lengths[top + 1 :] if x > 1)
 
 
 def signed_contents(shape, prefix=()) -> dict[Partition, int]:
@@ -199,10 +215,8 @@ def signed_contents(shape, prefix=()) -> dict[Partition, int]:
 
     The bottom-left peel of :func:`enumerate_srht`, summed instead of listed:
     no hook is built, and the table of each remaining sub-shape is memoized
-    together with the prefix parts it still has to supply.  With t the last
-    prefix part, a hook of a size still unmet uses up one such part, any
-    other hook larger than t is pruned, and smaller hooks are free.  A
-    sub-shape is pruned when its largest hook (first row plus height) is
+    together with the prefix parts it still has to supply (``_peel_steps``).
+    A sub-shape is pruned when its largest hook (first row plus height) is
     below the largest unmet part, or its cells cannot cover the unmet parts.
     """
     shape = as_partition(shape)
@@ -227,16 +241,7 @@ def signed_contents(shape, prefix=()) -> dict[Partition, int]:
             unmet[0] < lengths[0] + len(lengths) and sum(unmet) <= sum(lengths)
         ):
             bottom = len(lengths) - 1
-            for top in range(bottom + 1):
-                size = lengths[top] + bottom - top
-                if size in unmet:
-                    i = unmet.index(size)
-                    rest = unmet[:i] + unmet[i + 1 :]
-                elif size > floor:
-                    continue
-                else:
-                    rest = unmet
-                trimmed = lengths[:top] + tuple(x - 1 for x in lengths[top + 1 :] if x > 1)
+            for top, size, rest, trimmed in _peel_steps(lengths, unmet, floor):
                 sign = -1 if (bottom - top) % 2 else 1
                 for content, count in table(trimmed, rest).items():
                     i = bisect_left(content, size)

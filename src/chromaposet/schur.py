@@ -52,6 +52,10 @@ from .posets import Graph, Poset, Product, build_poset, iter_bits
 from .rimhooks import kostka_number, signed_contents
 
 
+# Largest poset ``schur_expansion`` takes unless told otherwise.
+EXPANSION_LIMIT = 12
+
+
 class _Expansion:
     """Sparse map from partitions to coefficients in one basis (absent = 0);
     two expansions are equal when they are in the same basis and agree."""
@@ -185,7 +189,7 @@ def _tabloid_expansion(poset: Poset) -> dict[Partition, int]:
     longest = poset.max_chain_size()
     count = _searched_counts(poset, longest)
     coeffs = {}
-    for lam in partitions_of(len(poset), longest):
+    for lam in partitions_of(len(poset), (longest,)):
         total = _tabloid_sum(lam, count)
         if total:
             coeffs[lam] = total
@@ -205,7 +209,7 @@ def _times_s1(coeffs: dict[Partition, int]) -> dict[Partition, int]:
     return {mu: c for mu, c in out.items() if c}
 
 
-def schur_expansion(poset: Poset, max_elements: int = 12) -> SchurExpansion:
+def schur_expansion(poset: Poset, max_elements: int = EXPANSION_LIMIT) -> SchurExpansion:
     """Full Schur expansion over all partitions of |P|, zero coefficients
     omitted: the tabloid sum on the elements not comparable to all others,
     times s_1 once for each element that is."""
@@ -228,9 +232,7 @@ def schur_expansion(poset: Poset, max_elements: int = 12) -> SchurExpansion:
 def rho_shape(n: int, k: int) -> Partition:
     """The witness shape: staircase prefix down to k+3, then (k-3, 2, 2).
     A partition of n(n+k) with n+2 parts."""
-    shape = staircase_delta(n, k) + (k - 3, 2, 2)
-    assert sum(shape) == n * (n + k)
-    return shape
+    return staircase_delta(n, k) + (k - 3, 2, 2)
 
 
 def theorem41_coefficient(n: int, k: int) -> int:

@@ -78,3 +78,16 @@ def test_every_definition_is_named_somewhere():
         and used[node.name] == _names(node)[node.name]
     ]
     assert not dead, f"defined but never named: {dead}"
+
+
+def test_no_assert_in_the_package():
+    """``python -O`` strips asserts, so an invariant the package relies on
+    raises ``InternalInvariantError`` instead, and a fact about a fixed
+    construction is checked in the tests."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(chromaposet.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert in library code: {found}"

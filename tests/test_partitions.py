@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -15,6 +16,8 @@ from chromaposet.partitions import (
     sorted_partition,
     symmetry_factor,
 )
+from chromaposet.posets import build_poset
+from conftest import builder_specs
 
 
 @st.composite
@@ -94,7 +97,7 @@ def test_partitions_of_counts_and_order():
 
 
 def test_partitions_of_max_part():
-    assert list(partitions_of(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert list(partitions_of(4, bound=(2,))) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 def recursive_partitions(n, max_part=None):
@@ -111,7 +114,42 @@ def recursive_partitions(n, max_part=None):
 def test_partitions_of_matches_the_recursive_order():
     for n in range(23):
         for max_part in (None, -1, 0, 1, 2, 3, 5, 8, n, n + 3):
-            assert list(partitions_of(n, max_part)) == list(recursive_partitions(n, max_part))
+            bound = () if max_part is None else (max_part,)
+            assert list(partitions_of(n, bound=bound)) == list(recursive_partitions(n, max_part))
+
+
+def inside(mu, bound):
+    """Every prefix sum of ``mu``, zero-padded, at most the bound's."""
+    padded = mu + (0,) * len(bound)
+    return all(s <= b for s, b in zip(itertools.accumulate(padded), bound))
+
+
+def test_partitions_of_inside_every_chain_shape():
+    for spec in builder_specs(20):
+        poset = build_poset(spec)
+        n, shape = len(poset), poset.chain_shape()
+        kept = [mu for mu in partitions_of(n) if inside(mu, shape)]
+        assert list(partitions_of(n, shape)) == kept, spec
+
+
+@given(partition_st(max_n=16), st.integers(min_value=0, max_value=16))
+def test_partitions_of_inside_prefix_sums(rho, n):
+    bound = tuple(itertools.accumulate(rho))
+    assert list(partitions_of(n, bound)) == [mu for mu in partitions_of(n) if inside(mu, bound)]
+
+
+def test_partitions_of_below_a_partition_in_dominance():
+    for n in range(10):
+        everything = list(partitions_of(n))
+        for lam in everything:
+            below = [mu for mu in everything if dominance_leq(mu, lam)]
+            assert list(partitions_of(n, tuple(itertools.accumulate(lam)))) == below
+
+
+def test_partitions_of_a_bound_that_does_not_increase():
+    for bound in ((3, 3), (2, 1), (1, 2, 2), (1, 3, 5, 4)):
+        with pytest.raises(DomainError):
+            next(partitions_of(6, bound))
 
 
 def test_partitions_of_a_negative_integer():

@@ -134,19 +134,39 @@ def test_boolean_is_cube_product():
 
 
 def test_b3_embeds_cube_with_tails():
-    for n in range(1, 7):
+    """The facts the non-niceness argument uses, on the built poset and on
+    the coordinates it is built from."""
+    for n in range(1, 13):
         poset = build_poset(B3(n))
         assert len(poset) == 2 * n + 6
         a = poset.index_of("a")
         assert poset.dn[a].bit_count() == len(poset) - poset.up[a].bit_count() + 1
-        # b,c,d mutually incomparable; e,f,1 mutually incomparable
-        for x, y in itertools.combinations(("b", "c", "d"), 2):
+
+        def comparable(x, y):
             i, j = poset.index_of(x), poset.index_of(y)
-            assert not poset.up[i] >> j & 1 and not poset.up[j] >> i & 1
-        if n >= 2:
-            for x, y in itertools.combinations(("e", "f", "1"), 2):
-                i, j = poset.index_of(x), poset.index_of(y)
-                assert not poset.up[i] >> j & 1 and not poset.up[j] >> i & 1
+            return bool(poset.up[i] >> j & 1 or poset.up[j] >> i & 1)
+
+        def chain(names):
+            return all(comparable(x, y) for x, y in itertools.combinations(names, 2))
+
+        tail = [str(i) for i in range(1, n + 1)]
+        assert chain(["a", "d", "f", *(f"{i}'" for i in tail)])
+        assert chain(["c", *tail])
+        assert comparable("b", "e")
+        # b,c,d mutually incomparable; e,f,1 mutually incomparable
+        for trio in (("b", "c", "d"), ("e", "f", "1")):
+            assert not any(comparable(x, y) for x, y in itertools.combinations(trio, 2))
+        assert not any(comparable("d", i) for i in tail)
+        assert not any(comparable(i, x) for i in tail for x in ("e", "f"))
+        # Meet/join closure of the coordinates: a sublattice of the product.
+        labels, coords = posets._b3_coords(n)
+        assert labels == list(poset.labels)
+        cset = set(coords)
+        assert len(cset) == len(coords)
+        for x, y in itertools.combinations(coords, 2):
+            assert tuple(map(min, x, y)) in cset and tuple(map(max, x, y)) in cset
+        if n == 1:
+            assert cset == set(itertools.product((1, 2), repeat=3))
         assert verify_distributive_lattice(poset)
 
 

@@ -129,6 +129,20 @@ def test_exact_filter_equals_post_filter():
                 assert [t.hooks for t in direct] == [t.hooks for t in filtered]
 
 
+def test_prefix_filter_equals_post_filter():
+    pairs = 0
+    for n in range(1, 9):
+        for shape in partitions_of(n):
+            everything = enumerate_srht(shape)
+            prefixes = {t.content[:k] for t in everything for k in range(len(t.content) + 1)}
+            for prefix in prefixes:
+                direct = enumerate_srht(shape, content_prefix=prefix)
+                filtered = [t for t in everything if t.content[: len(prefix)] == prefix]
+                assert [t.hooks for t in direct] == [t.hooks for t in filtered], (shape, prefix)
+                pairs += 1
+    assert pairs == 1008
+
+
 def test_prefix_filter():
     fam = enumerate_srht((13, 11, 9, 3, 2, 2), content_prefix=(13, 11, 9))
     assert len(fam) == 6
