@@ -67,6 +67,7 @@ class Reply(NamedTuple):
 
 def _cmd_poset(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
+    lattice = verify_distributive_lattice(poset) if args.lattice else None
     covers = sorted(
         (poset.labels[i], poset.labels[j])
         for i in range(len(poset))
@@ -87,7 +88,7 @@ def _cmd_poset(args) -> Reply:
         f"incomparable pairs {result['incomparable_pairs']}",
     ]
     if args.lattice:
-        result["distributive_lattice"] = verify_distributive_lattice(poset)
+        result["distributive_lattice"] = lattice
         lines.append(f"  distributive lattice: {result['distributive_lattice']}")
     lines += [f"  {a} < {b}" for a, b in covers]
     return Reply(result, "construction", lines, EXIT_OK)

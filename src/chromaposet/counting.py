@@ -40,7 +40,6 @@ from .partitions import (
     Partition,
     as_partition,
     multiplicity_profile,
-    sorted_partition,
     symmetry_factor,
 )
 from .posets import Graph, Poset, chain_lengths
@@ -245,12 +244,6 @@ class ChainPartitionCounter:
         return total
 
 
-def count_semiordered_stable_partitions(graph: Graph, type_) -> int:
-    """Ordered tuples of disjoint independent sets covering the graph with
-    the given block sizes."""
-    return StablePartitionCounter(graph).count(type_)
-
-
 def count_scp(poset: Poset, type_, stats: SearchStats | None = None) -> int:
     """Semi-ordered chain partitions of the poset with the given type."""
     return ChainPartitionCounter(poset).count(type_, stats)
@@ -363,20 +356,6 @@ def staircase_delta(n: int, k: int) -> Partition:
     if k < 5 or n < 2:
         raise PreconditionError(f"need k >= 5 and n >= 2, got ({n}, {k})")
     return staircase_type(n + k, n)[:-1]
-
-
-def witness_case_contents(n: int, k: int) -> dict[str, Partition]:
-    """Contents of the six tabloids of the negativity witness shape."""
-    delta = staircase_delta(n, k)
-    tails = {
-        "T1": (k - 1, 2),
-        "T2": (k - 1, 1, 1),
-        "T3": (k - 2, 3),
-        "T4": (k - 2, 2, 1),
-        "T5": (k - 3, 3, 1),
-        "T6": (k - 3, 2, 2),
-    }
-    return {name: delta + sorted_partition(tail) for name, tail in tails.items()}
 
 
 def _exact(num: int, den: int) -> int:

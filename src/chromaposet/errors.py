@@ -29,10 +29,6 @@ class PreconditionError(DomainError):
     """A documented precondition of an operation does not hold."""
 
 
-class InvalidParamsError(DomainError):
-    """Structured parameters (permutation, index set, ...) are inconsistent."""
-
-
 class FastPathInapplicableError(DomainError):
     """The closed-form route was requested but its hypotheses do not hold."""
 

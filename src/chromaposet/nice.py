@@ -24,7 +24,6 @@ from .counting import ChainPartitionCounter, SearchStats, staircase_type
 from .errors import (
     CertificateError,
     InternalInvariantError,
-    InvalidParamsError,
     PreconditionError,
     TooLargeError,
 )
@@ -238,86 +237,7 @@ def _merges(lam: Partition):
 
 
 # ---------------------------------------------------------------------------
-# Constructive results for products of two chains and their ordinal sums
-
-
-@dataclass(frozen=True)
-class ChainFamilyParams:
-    """A permutation of {1..n-1} and an (n-1)-subset of {1..m}, the data that
-    freely parameterizes the families of n-1 nested chains in m x n."""
-
-    m: int
-    n: int
-    sigma: tuple[int, ...]
-    upsilon: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.m >= self.n >= 1:
-            raise InvalidParamsError(f"need m >= n >= 1, got ({self.m}, {self.n})")
-        object.__setattr__(self, "sigma", tuple(self.sigma))
-        object.__setattr__(self, "upsilon", tuple(sorted(self.upsilon)))
-        if sorted(self.sigma) != list(range(1, self.n)):
-            raise InvalidParamsError(f"sigma {self.sigma} is not a permutation of 1..{self.n - 1}")
-        if len(set(self.upsilon)) != self.n - 1 or any(
-            not 1 <= r <= self.m for r in self.upsilon
-        ):
-            raise InvalidParamsError(
-                f"upsilon {self.upsilon} is not an ({self.n - 1})-subset of 1..{self.m}"
-            )
-
-
-def parameterized_chain_family(
-    params: ChainFamilyParams,
-) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """The chains C_1..C_{n-1} (sizes m+n-1, m+n-3, ..., m-n+3) and leftover
-    blocks R_1..R_n determined by (sigma, upsilon) inside the m x n product.
-
-    Chain number sigma_i runs through the i-th position: up the column n-i
-    from (i, n-i) to row r_i, across to column n-i+1, and on to
-    (m-n+1+i, n-i+1).  Below rank n-2 and above rank m, the i leftmost
-    elements of rank i-1 and of rank m+n-i-1 go to the chains numbered by
-    sigma with entries larger than i removed.  Leftover block R_i is the run
-    of column n+1-i strictly between r_{i-1} and r_i.
-    """
-    m, n, sigma = params.m, params.n, params.sigma
-    r = (0,) + params.upsilon + (m + 1,)
-    chains: dict[int, list[tuple[int, int]]] = {j: [] for j in range(1, n)}
-    for i in range(1, n):
-        ri = r[i]
-        mid = [(x, n - i) for x in range(i, ri + 1)]
-        mid += [(x, n - i + 1) for x in range(ri, m - n + 1 + i + 1)]
-        chains[sigma[i - 1]].extend(mid)
-    for i in range(1, n - 1):
-        trunc = [v for v in sigma if v <= i]
-        for k in range(1, i + 1):
-            chains[trunc[k - 1]].append((k, i - k + 1))
-            chains[trunc[k - 1]].append((m - i + k, n - k + 1))
-    family = tuple(
-        tuple(sorted(chains[j], key=lambda c: c[0] + c[1])) for j in range(1, n)
-    )
-    blocks = tuple(
-        tuple((x, n + 1 - i) for x in range(r[i - 1] + 1, r[i])) for i in range(1, n + 1)
-    )
-    _check_chain_family(m, n, family, blocks)
-    return family, blocks
-
-
-def _check_chain_family(m, n, family, blocks) -> None:
-    for j, chain in enumerate(family, start=1):
-        if len(chain) != m + n + 1 - 2 * j:
-            raise InternalInvariantError(f"chain {j} has size {len(chain)}")
-    cells = [c for chain in family for c in chain] + [c for b in blocks for c in b]
-    if len(cells) != m * n or len(set(cells)) != m * n:
-        raise InternalInvariantError("family and leftovers do not tile the product")
-    comparable = lambda a, b: (a[0] <= b[0] and a[1] <= b[1]) or (b[0] <= a[0] and b[1] <= a[1])
-    for chain in family:
-        for a, b in itertools.combinations(chain, 2):
-            if not comparable(a, b):
-                raise InternalInvariantError(f"{a} and {b} share a chain but are incomparable")
-    for b1, b2 in itertools.combinations(blocks, 2):
-        for a, b in itertools.product(b1, b2):
-            if comparable(a, b):
-                raise InternalInvariantError(f"leftovers {a} and {b} are comparable")
+# Constructive results for ordinal sums of products of two chains
 
 
 def ordinal_sum_chain_partition(

@@ -48,7 +48,7 @@ from .partitions import (
     partitions_of,
     rearrangement_count,
 )
-from .posets import Graph, Poset, Product, build_poset, iter_bits
+from .posets import Graph, Poset, iter_bits
 from .rimhooks import kostka_number, signed_contents
 
 
@@ -260,29 +260,6 @@ def witness_coefficient_from_cases(n: int, k: int) -> int:
     return sum(
         (-1) ** WITNESS_CASE_HEIGHTS[name] * count for name, count in counts.items()
     )
-
-
-def pieri_shift_coefficient(p: int, q: int, m: int, n: int, shape_tilde) -> int:
-    """Coefficient of the shifted shape in the ordinal sum of a p-chain, the
-    m x n product, and a q-chain: the added chain is absorbed entirely by the
-    first part, so the value equals the unshifted coefficient on the product
-    alone."""
-    if p < 0 or q < 0:
-        raise PreconditionError("added chain lengths must be >= 0")
-    if m < 1 or n < 1:
-        raise PreconditionError("product sides must be >= 1")
-    tilde = as_partition(shape_tilde)
-    if sum(tilde) != m * n + p + q:
-        raise SizeMismatchError(f"shape {tilde} does not fill the ordinal sum")
-    if not tilde or tilde[0] != m + n - 1 + p + q:
-        raise PreconditionError(
-            "first part must equal the longest chain of the ordinal sum"
-        )
-    rho = (m + n - 1,) + tilde[1:]
-    if any(rho[i] < rho[i + 1] for i in range(len(rho) - 1)):
-        raise PreconditionError(f"{tilde} is not a shift of a valid product shape")
-    big, small = max(m, n), min(m, n)
-    return schur_coefficient(build_poset(Product((big, small))), rho)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Shared test helpers: the builder posets up to a size, and hypothesis
-strategies for posets beyond the five builders."""
+"""Shared test helpers: the builder posets up to a size, hypothesis
+strategies for posets beyond the five builders, and the contents of the
+six tabloids of the negativity witness."""
 
 import itertools
 
 from hypothesis import strategies as st
 
 from chromaposet import B3, Boolean, Chain, OrdinalSum, Poset, Product, build_poset
+from chromaposet import sorted_partition, staircase_delta
 from chromaposet.cli import _factorizations
 
 
@@ -21,6 +23,19 @@ def builder_specs(size):
         room = size - len(build_poset(inner))
         specs += [OrdinalSum(p, inner, q) for p in range(3) for q in range(3) if 0 < p + q <= room]
     return specs
+
+
+def witness_case_contents(n, k):
+    """Contents of the six tabloids of the negativity witness shape."""
+    tails = {
+        "T1": (k - 1, 2),
+        "T2": (k - 1, 1, 1),
+        "T3": (k - 2, 3),
+        "T4": (k - 2, 2, 1),
+        "T5": (k - 3, 3, 1),
+        "T6": (k - 3, 2, 2),
+    }
+    return {name: staircase_delta(n, k) + sorted_partition(tail) for name, tail in tails.items()}
 
 
 @st.composite

@@ -437,6 +437,14 @@ def test_poset_description_envelope(capsys):
     assert len(result["covers"]) == 12  # the cube has twelve edges
 
 
+def test_lattice_check_refuses_large_posets(capsys):
+    """The check is cubic, so bool:9 (512 elements) is refused before any
+    triple is tested."""
+    code, out, err = run(capsys, "poset", "--poset", "bool:9", "--lattice")
+    assert (code, out) == (1, "")
+    assert err == "error: 512 elements exceeds the lattice-check limit of 256\n"
+
+
 def test_incomparable_pairs_are_the_incomparability_graph_edges(capsys):
     for spec in builder_specs(40):
         code, env, _ = run_json(capsys, "poset", "--poset", spec.dsl())

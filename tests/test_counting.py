@@ -10,12 +10,10 @@ from chromaposet.counting import (
     StablePartitionCounter,
     closed_route,
     count_scp,
-    count_semiordered_stable_partitions,
     proof_case_closed_forms,
     scp_closed_form,
     staircase_delta,
     staircase_type,
-    witness_case_contents,
 )
 from chromaposet.errors import DomainError, PreconditionError, SizeMismatchError
 from chromaposet.nice import ChainPartitionSearcher, chain_partition_exists
@@ -35,7 +33,7 @@ from chromaposet.posets import (
     parse_poset_spec,
 )
 from chromaposet.schur import count_colorings_by_type
-from conftest import builder_specs, random_posets
+from conftest import builder_specs, random_posets, witness_case_contents
 
 
 def brute_count_scp(poset, type_):
@@ -101,7 +99,7 @@ def test_graph_and_poset_counters_agree():
         poset = build_poset(spec)
         graph = incomparability_graph(poset)
         for lam in partitions_of(len(poset)):
-            assert count_scp(poset, lam) == count_semiordered_stable_partitions(graph, lam)
+            assert count_scp(poset, lam) == StablePartitionCounter(graph).count(lam)
 
 
 def test_counters_against_assignment_brute():

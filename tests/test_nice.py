@@ -12,25 +12,24 @@ from chromaposet import (
     B3,
     Boolean,
     Chain,
-    ChainFamilyParams,
     ChainPartitionCertificate,
     BudgetExceededError,
     CertificateError,
-    InvalidParamsError,
     OrdinalSum,
     Poset,
     PreconditionError,
     Product,
     SearchStats,
     SizeMismatchError,
+    StablePartitionCounter,
     TooLargeError,
     UnknownElementError,
     build_poset,
     chain_partition_exists,
     dominance_leq,
+    incomparability_graph,
     is_nice,
     ordinal_sum_chain_partition,
-    parameterized_chain_family,
     parse_poset_spec,
     partitions_of,
     staircase_type,
@@ -215,6 +214,26 @@ def test_random_posets_match_per_type_search(poset):
     _check_against_per_type_search(poset)
 
 
+def _check_against_stable_partitions(poset):
+    """Chains are the stable sets of the incomparability graph, so the
+    achieved types are the types with a stable partition, which a counter
+    that shares no code with the chain-partition engine decides."""
+    counter = StablePartitionCounter(incomparability_graph(poset))
+    stable = {mu for mu in partitions_of(len(poset)) if counter.count(mu)}
+    assert set(is_nice(poset, include_types=True).achieved_types) == stable
+
+
+@pytest.mark.parametrize("spec", builder_specs(11), ids=lambda spec: spec.dsl())
+def test_achieved_types_match_stable_partition_counts(spec):
+    _check_against_stable_partitions(build_poset(spec))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_posets())
+def test_random_posets_match_stable_partition_counts(poset):
+    _check_against_stable_partitions(poset)
+
+
 def _check_exchange(poset):
     """Every partition the exchange builds, from the first partition of an
     achieved type to each type of the same length, passes the certificate
@@ -327,22 +346,53 @@ def test_staircase_type_values():
         staircase_type(3, 4)
 
 
-def test_family_params_validation():
-    ChainFamilyParams(4, 3, (2, 1), (1, 3))
-    # upsilon is stored sorted
-    assert ChainFamilyParams(4, 3, (1, 2), (3, 1)).upsilon == (1, 3)
-    with pytest.raises(InvalidParamsError):
-        ChainFamilyParams(3, 4, (1, 2, 3), (1, 2, 3))
-    with pytest.raises(InvalidParamsError):
-        ChainFamilyParams(4, 3, (1, 3), (1, 2))
-    with pytest.raises(InvalidParamsError):
-        ChainFamilyParams(4, 3, (2, 1), (1, 2, 3))
-    with pytest.raises(InvalidParamsError):
-        ChainFamilyParams(4, 3, (2, 1), (0, 2))
+def _chain_family(m, n, sigma, upsilon):
+    """The chains C_1..C_{n-1} and leftover blocks R_1..R_n that a
+    permutation sigma of 1..n-1 and a sorted (n-1)-subset upsilon of 1..m
+    pick inside the m x n product.
+
+    Chain number sigma_i runs through the i-th position: up the column n-i
+    from (i, n-i) to row r_i, across to column n-i+1, and on to
+    (m-n+1+i, n-i+1).  Below rank n-2 and above rank m, the i leftmost
+    elements of rank i-1 and of rank m+n-i-1 go to the chains numbered by
+    sigma with entries larger than i removed.  Leftover block R_i is the run
+    of column n+1-i strictly between r_{i-1} and r_i.
+    """
+    r = (0,) + tuple(upsilon) + (m + 1,)
+    chains = {j: [] for j in range(1, n)}
+    for i in range(1, n):
+        chains[sigma[i - 1]] += [(x, n - i) for x in range(i, r[i] + 1)]
+        chains[sigma[i - 1]] += [(x, n - i + 1) for x in range(r[i], m - n + 2 + i)]
+    for i in range(1, n - 1):
+        trunc = [v for v in sigma if v <= i]
+        for k in range(1, i + 1):
+            chains[trunc[k - 1]] += [(k, i - k + 1), (m - i + k, n - k + 1)]
+    family = tuple(tuple(sorted(chains[j], key=sum)) for j in range(1, n))
+    blocks = tuple(
+        tuple((x, n + 1 - i) for x in range(r[i - 1] + 1, r[i])) for i in range(1, n + 1)
+    )
+    _check_chain_family(m, n, family, blocks)
+    return family, blocks
+
+
+def _check_chain_family(m, n, family, blocks):
+    """The chains have sizes m+n-1, m+n-3, ..., m-n+3; with the nonempty
+    leftover runs they form a chain partition of m x n, and no two leftover
+    blocks hold comparable elements."""
+    assert [len(chain) for chain in family] == list(range(m + n - 1, m - n + 1, -2))
+    parts = [block for block in family + blocks if block]
+    ChainPartitionCertificate(
+        build_poset(Product((m, n))),
+        tuple(tuple(f"({x},{y})" for x, y in block) for block in parts),
+        tuple(sorted(map(len, parts), reverse=True)),
+    ).validate()
+    for b1, b2 in itertools.combinations(blocks, 2):
+        for (a, b), (c, d) in itertools.product(b1, b2):
+            assert (a - c) * (b - d) < 0, ((a, b), (c, d))
 
 
 def test_single_chain_family_8x2():
-    family, blocks = parameterized_chain_family(ChainFamilyParams(8, 2, (1,), (3,)))
+    family, blocks = _chain_family(8, 2, (1,), (3,))
     assert family == (
         ((1, 1), (2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (6, 2), (7, 2), (8, 2)),
     )
@@ -350,9 +400,7 @@ def test_single_chain_family_8x2():
 
 
 def test_leftover_blocks_are_column_runs():
-    _, blocks = parameterized_chain_family(
-        ChainFamilyParams(16, 4, (1, 2, 3), (4, 10, 14))
-    )
+    _, blocks = _chain_family(16, 4, (1, 2, 3), (4, 10, 14))
     assert blocks == (
         ((1, 4), (2, 4), (3, 4)),
         ((5, 3), (6, 3), (7, 3), (8, 3), (9, 3)),
@@ -365,9 +413,7 @@ def test_rank_rows_follow_truncated_permutation():
     """Reading the cells of fixed rank left to right gives the permutation
     with its large entries removed, one entry per surviving chain."""
     sigma = (3, 1, 6, 5, 2, 7, 4)
-    family, _ = parameterized_chain_family(
-        ChainFamilyParams(8, 8, sigma, (1, 2, 3, 4, 5, 6, 7))
-    )
+    family, _ = _chain_family(8, 8, sigma, (1, 2, 3, 4, 5, 6, 7))
     owner = {cell: j for j, chain in enumerate(family, start=1) for cell in chain}
     rows = {
         rank: [owner[(k, rank + 2 - k)] for k in range(1, rank + 2)]
@@ -384,9 +430,7 @@ def test_families_are_distinct_and_counted():
             seen = set()
             for sigma in itertools.permutations(range(1, n)):
                 for upsilon in itertools.combinations(range(1, m + 1), n - 1):
-                    family, _ = parameterized_chain_family(
-                        ChainFamilyParams(m, n, sigma, upsilon)
-                    )
+                    family, _ = _chain_family(m, n, sigma, upsilon)
                     seen.add(family)
             expected = math.factorial(n - 1) * math.comb(m, n - 1)
             assert len(seen) == expected, (m, n)

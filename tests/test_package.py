@@ -58,26 +58,44 @@ def _names(tree) -> Counter:
     return names
 
 
-def test_every_definition_is_named_somewhere():
-    """A module-level function or class of the package that nothing in
-    ``src/``, ``tests/`` or ``perfbench/`` names, outside its own
-    definition, is dead code."""
+def _named_only_where_defined(folders, skip=()):
+    """The module-level functions and classes of the package that no module
+    under ``folders``, outside the paths in ``skip``, names outside their
+    own definition."""
     root = Path(__file__).resolve().parent.parent
     package = root / "src" / "chromaposet"
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
-        for folder in ("src", "tests", "perfbench")
+        for folder in folders
         for path in sorted((root / folder).rglob("*.py"))
+        if path.relative_to(root).as_posix() not in skip
     }
     used = sum((_names(tree) for tree in trees.values()), Counter())
-    dead = [
+    return [
         f"{path.name}:{node.lineno} {node.name}"
         for path in sorted(package.glob("*.py"))
+        if path in trees
         for node in trees[path].body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and used[node.name] == _names(node)[node.name]
     ]
+
+
+def test_every_definition_is_named_somewhere():
+    """A module-level function or class of the package that nothing in
+    ``src/``, ``tests/`` or ``perfbench/`` names, outside its own
+    definition, is dead code."""
+    dead = _named_only_where_defined(("src", "tests", "perfbench"))
     assert not dead, f"defined but never named: {dead}"
+
+
+def test_no_definition_is_named_only_by_tests():
+    """A module-level function or class of the package must be named by
+    another module of ``src/`` (the ``__init__`` re-export aside) or by
+    ``perfbench/``; one that only tests name belongs in those tests."""
+    skip = ("src/chromaposet/__init__.py",)
+    test_only = _named_only_where_defined(("src", "perfbench"), skip)
+    assert not test_only, f"named only by tests: {test_only}"
 
 
 def test_no_assert_in_the_package():

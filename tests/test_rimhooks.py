@@ -10,11 +10,7 @@ from collections import Counter
 
 import pytest
 
-from chromaposet.counting import (
-    WITNESS_CASE_HEIGHTS,
-    staircase_delta,
-    witness_case_contents,
-)
+from chromaposet.counting import WITNESS_CASE_HEIGHTS, staircase_delta
 from chromaposet.errors import DomainError
 from chromaposet.partitions import dominance_leq, partitions_of
 from chromaposet.rimhooks import (
@@ -27,6 +23,7 @@ from chromaposet.rimhooks import (
     signed_contents,
 )
 from chromaposet.schur import rho_shape
+from conftest import witness_case_contents
 
 
 def _set_partitions(items):
