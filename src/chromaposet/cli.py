@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .counting import ChainPartitionCounter, SearchStats, closed_route, scp_closed_form
-from .errors import DomainError, DslParseError
+from .errors import DomainError, DslParseError, SizeMismatchError
 from .nice import NICENESS_LIMIT, chain_partition_exists, is_nice
 from .partitions import format_partition, parse_partition, sorted_partition
 from .posets import (
@@ -65,6 +65,19 @@ class Reply(NamedTuple):
     code: int
 
 
+def _decimal(value: int) -> str:
+    """``str(value)`` at any length; parsing keeps CPython's 4,300-digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def _cmd_poset(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
     lattice = verify_distributive_lattice(poset) if args.lattice else None
@@ -98,7 +111,11 @@ def _cmd_tabloid(args) -> Reply:
     shape = parse_partition(args.shape)
     content = parse_partition(args.content) if args.content is not None else None
     prefix = parse_partition(args.content_prefix) if args.content_prefix is not None else None
-    family = enumerate_srht(shape, content=content, content_prefix=prefix)
+    if content is not None and prefix is not None:
+        raise DomainError("give at most one of content and content_prefix")
+    if content is not None and sum(content) != sum(shape):
+        raise SizeMismatchError(f"content {content} does not fill shape {shape}")
+    family = enumerate_srht(shape, content or prefix or ())
     tabloids, lines = [], [
         f"{len(family)} special rim hook tabloids of shape {format_partition(shape)}"
     ]
@@ -123,30 +140,29 @@ def _cmd_tabloid(args) -> Reply:
 def _cmd_scp(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
     type_ = parse_partition(args.type)
-    stats = SearchStats()
     sides = closed_route(poset, type_, args.method)
     if sides is None:
         counter = ChainPartitionCounter(poset, args.node_budget)
-        count, method = counter.count(type_, stats=stats), "brute"
+        count, method, nodes = counter.count(type_), "brute", counter.nodes
     else:
-        count, method = scp_closed_form(*sides, type_), "closed"
+        count, method, nodes = scp_closed_form(*sides, type_), "closed", 0
     result = {
         "poset": poset.spec.dsl(),
         "type": format_partition(type_),
-        "count": str(count),
-        "nodes": stats.nodes,
+        "count": _decimal(count),
+        "nodes": nodes,
     }
-    return Reply(result, method, [f"{count} ({method})"], EXIT_OK)
+    return Reply(result, method, [f"{result['count']} ({method})"], EXIT_OK)
 
 
 def _cmd_schur(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
     expansion = schur_expansion(poset, max_elements=args.max_elements)
-    items = [(format_partition(lam), c) for lam, c in expansion.sorted_items()]
+    items = [(format_partition(lam), _decimal(c)) for lam, c in expansion.sorted_items()]
     result = {
         "poset": poset.spec.dsl(),
         "degree": expansion.degree,
-        "coeffs": {lam: str(c) for lam, c in items},
+        "coeffs": dict(items),
     }
     lines = [f"s[{lam}] {c}" for lam, c in items]
     return Reply(result, "tabloid_sum", lines,
@@ -162,19 +178,14 @@ def _cmd_schur_coeff(args) -> Reply:
     result = {
         "poset": poset.spec.dsl(),
         "shape": format_partition(shape),
-        "coefficient": str(value),
+        "coefficient": _decimal(value),
     }
-    return Reply(result, method, [str(value)], EXIT_NEGATIVE if value < 0 else EXIT_OK)
+    return Reply(result, method, [result["coefficient"]], EXIT_NEGATIVE if value < 0 else EXIT_OK)
 
 
 def _cmd_nice(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
-    verdict = is_nice(
-        poset,
-        max_elements=args.max_elements,
-        include_types=args.all_types,
-        node_budget=args.node_budget,
-    )
+    verdict = is_nice(poset, max_elements=args.max_elements, node_budget=args.node_budget)
     result: dict = {"poset": poset.spec.dsl(), "nice": verdict.nice, "nodes": verdict.nodes}
     lines = [f"nice: {str(verdict.nice).lower()}"]
     if verdict.witness is not None and args.witness:
@@ -214,8 +225,9 @@ def _cmd_chain_partition(args) -> Reply:
 
 def _cmd_theorem41(args) -> Reply:
     value = theorem41_coefficient(args.n, args.k)
-    result = {"n": args.n, "k": args.k, "coefficient": str(value)}
-    return Reply(result, "closed_form", [str(value)], EXIT_NEGATIVE if value < 0 else EXIT_OK)
+    result = {"n": args.n, "k": args.k, "coefficient": _decimal(value)}
+    return Reply(result, "closed_form", [result["coefficient"]],
+                 EXIT_NEGATIVE if value < 0 else EXIT_OK)
 
 
 def _sweep_two_chain(args) -> Reply:
@@ -236,8 +248,9 @@ def _sweep_two_chain(args) -> Reply:
         poset = build_poset(Product((m, 2)))
         value = schur_coefficient(poset, shape, method="tabloid_closed")
         any_negative = any_negative or value < 0
-        rows.append({"m": m, "shape": format_partition(shape), "coefficient": str(value)})
-        lines.append(f"m={m} shape={format_partition(shape)} coefficient={value}")
+        row = {"m": m, "shape": format_partition(shape), "coefficient": _decimal(value)}
+        rows.append(row)
+        lines.append(f"m={m} shape={row['shape']} coefficient={row['coefficient']}")
     return Reply({"rows": rows}, args.family, lines, EXIT_NEGATIVE if any_negative else EXIT_OK)
 
 
@@ -312,7 +325,10 @@ def _criteria(text: str | None) -> list[int] | None:
     # scripts' digits, signs, spaces and underscores.
     if not all(x.isascii() and x.isdigit() for x in pieces):
         raise UsageError(f"--criteria takes comma-separated numbers, got {text!r}")
-    numbers = [int(x) for x in pieces]
+    try:
+        numbers = [int(x) for x in pieces]
+    except ValueError:  # over the interpreter's limit on digits
+        raise UsageError("--criteria numbers are too long") from None
     unknown = sorted(set(numbers) - {num for num, *_ in verification.CRITERIA})
     if unknown:
         raise UsageError(f"no criterion numbered {', '.join(map(str, unknown))}")

@@ -244,11 +244,6 @@ class ChainPartitionCounter:
         return total
 
 
-def count_scp(poset: Poset, type_, stats: SearchStats | None = None) -> int:
-    """Semi-ordered chain partitions of the poset with the given type."""
-    return ChainPartitionCounter(poset).count(type_, stats)
-
-
 # ---------------------------------------------------------------------------
 # Closed form for products of two chains
 

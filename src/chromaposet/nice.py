@@ -77,12 +77,11 @@ class NiceVerdict:
     nice: bool
     witness: tuple[Partition, Partition] | None = None
     witness_certificate: ChainPartitionCertificate | None = None
-    achieved_types: tuple[Partition, ...] | None = None
+    achieved_types: tuple[Partition, ...] = ()
     nodes: int = 0
 
 
-# The existence search is the counting engine's ``find``; the two names are
-# one class.
+# The benchmark's tracer wraps ``find`` under this name; the package uses ChainPartitionCounter.
 ChainPartitionSearcher = ChainPartitionCounter
 
 
@@ -109,7 +108,7 @@ def chain_partition_exists(
     """A validated certificate of the given type, or None when the exhaustive
     (pruned) search proves none exists."""
     lam = as_partition(type_)
-    searcher = ChainPartitionSearcher(poset, node_budget)
+    searcher = ChainPartitionCounter(poset, node_budget)
     masks = searcher.find(lam)
     if stats is not None:
         stats.nodes += searcher.nodes
@@ -121,11 +120,11 @@ def chain_partition_exists(
 def is_nice(
     poset: Poset,
     max_elements: int = NICENESS_LIMIT,
-    include_types: bool = False,
     node_budget: int | None = None,
 ) -> NiceVerdict:
-    """Compute the achievable chain-partition types and decide whether they
-    are closed downward in dominance.
+    """Compute the achievable chain-partition types, in descending
+    lexicographic order (``achieved_types``), and decide whether they are
+    closed downward in dominance.
 
     The witness of a failure is the first pair (achieved type, unachieved
     dominated type) in descending lexicographic order over both coordinates,
@@ -141,7 +140,7 @@ def is_nice(
     n = len(poset)
     if n > max_elements:
         raise TooLargeError(f"{n} elements exceeds the niceness limit of {max_elements}")
-    searcher = ChainPartitionSearcher(poset, node_budget)
+    searcher = ChainPartitionCounter(poset, node_budget)
     # Descending lex order decides every merge of a type before the type; a
     # merge above the shape is never generated, and never achieved.
     achieved: dict[Partition, bool] = {}
@@ -180,18 +179,9 @@ def is_nice(
             for mu, bar in zip(failed, bars):
                 if all(map(operator.le, bar, top)):
                     found = masks.get(lam) or searcher.find(lam)
-                    return NiceVerdict(
-                        False,
-                        witness=(lam, mu),
-                        witness_certificate=_certificate_from_masks(poset, found, lam),
-                        achieved_types=types if include_types else None,
-                        nodes=searcher.nodes,
-                    )
-    return NiceVerdict(
-        True,
-        achieved_types=types if include_types else None,
-        nodes=searcher.nodes,
-    )
+                    cert = _certificate_from_masks(poset, found, lam)
+                    return NiceVerdict(False, (lam, mu), cert, types, searcher.nodes)
+    return NiceVerdict(True, achieved_types=types, nodes=searcher.nodes)
 
 
 def _exchange(poset: Poset, blocks: list[int], lam: Partition) -> list[int] | None:
@@ -259,14 +249,11 @@ def ordinal_sum_chain_partition(
     mu = as_partition(mu)
     if not dominance_leq(mu, lam_tilde):
         raise PreconditionError(f"{mu} is not dominated by {lam_tilde}")
-    padded = lam + (0,) * max(0, len(mu) - n)
     t: list[int] = []
-    acc_mu = acc_lam = 0
-    for j, part in enumerate(mu):
-        acc_mu += part
-        acc_lam += padded[j]
-        t.append(max(0, acc_mu - acc_lam - sum(t)))
-    nu = tuple(mu[j] - t[j] for j in range(len(mu)))
+    bars = itertools.accumulate(lam + (0,) * len(mu))
+    for top, bar in zip(itertools.accumulate(mu), bars):
+        t.append(max(0, top - bar - sum(t)))
+    nu = tuple(part - tj for part, tj in zip(mu, t))
     if sum(t) != p + q or any(x < 0 for x in nu):
         raise InternalInvariantError(f"bad absorption split t={t} for mu={mu}")
     if list(nu) != sorted(nu, reverse=True):
@@ -275,26 +262,19 @@ def ordinal_sum_chain_partition(
     if not dominance_leq(positive, lam):
         raise InternalInvariantError(f"nu={positive} escapes the staircase {lam}")
 
-    product = build_poset(Product((m, n)))
-    inner = chain_partition_exists(product, positive)
+    sum_poset = build_poset(OrdinalSum(p, Product((m, n)), q))
+    # Elements p .. p+mn-1 are the product, with its order and labels.
+    inner = chain_partition_exists(sum_poset.induced(((1 << m * n) - 1) << p), positive)
     if inner is None:
         raise InternalInvariantError(f"no product partition of type {positive}")
-    sum_poset = build_poset(OrdinalSum(p, product.spec, q))
-    # Inner labels can be renamed on collision, so map by element index.
-    rename = {
-        product.labels[i]: sum_poset.labels[p + i] for i in range(len(product))
-    }
-    extras = [f"lo{i + 1}" for i in range(p)] + [f"hi{j + 1}" for j in range(q)]
-    blocks: list[tuple[str, ...]] = []
-    inner_iter = iter(inner.blocks)
-    cursor = 0
-    for j in range(len(mu)):
-        base = tuple(rename[x] for x in next(inner_iter)) if nu[j] else ()
-        take = extras[cursor : cursor + t[j]]
-        cursor += t[j]
-        lo_part = tuple(x for x in take if x.startswith("lo"))
-        hi_part = tuple(x for x in take if x.startswith("hi"))
-        blocks.append(lo_part + base + hi_part)
+    # The added chains bottom up: the first p below the product, the rest above.
+    extras = sum_poset.labels[:p] + sum_poset.labels[p + m * n :]
+    blocks, cursor = [], 0
+    for tj, base in itertools.zip_longest(t, inner.blocks, fillvalue=()):
+        take = extras[cursor : cursor + tj]
+        below = max(0, p - cursor)
+        cursor += tj
+        blocks.append(take[:below] + base + take[below:])
     cert = ChainPartitionCertificate(sum_poset, tuple(blocks), mu)
     cert.validate()
     return cert

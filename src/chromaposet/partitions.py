@@ -47,7 +47,10 @@ def parse_partition(text: str) -> Partition:
     for piece in text.split(","):
         if not (piece.isascii() and piece.isdigit()):
             raise DslParseError(f"bad partition part {piece!r}", offset)
-        parts.append(int(piece))
+        try:
+            parts.append(int(piece))
+        except ValueError:  # over the interpreter's limit on digits
+            raise DslParseError(f"partition part too long: {len(piece)} digits", offset) from None
         offset += len(piece) + 1
     return as_partition(parts)
 

@@ -524,7 +524,10 @@ def _parse_int(text: str, pos: int) -> tuple[int, int]:
         pos += 1
     if pos == start:
         raise DslParseError("expected an integer", start)
-    return int(text[start:pos]), pos
+    try:
+        return int(text[start:pos]), pos
+    except ValueError:  # over the interpreter's limit on digits
+        raise DslParseError(f"integer too long: {pos - start} digits", start) from None
 
 
 def _expect(text: str, pos: int, token: str) -> int:

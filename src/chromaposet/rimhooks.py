@@ -135,32 +135,17 @@ class TabloidFamily:
         return self.tabloids[index]
 
 
-def enumerate_srht(
-    shape,
-    content: Partition | None = None,
-    content_prefix: Partition | None = None,
-) -> TabloidFamily:
-    """All special rim hook tabloids of ``shape``.
-
-    With ``content_prefix`` the family is restricted to tabloids whose
-    sorted content starts with the given parts; ``content`` is the prefix
-    that fills the shape, so it keeps the tabloids of exactly that content.
-    The prefix prunes the peel as in :func:`signed_contents`, so no tabloid
-    outside the family is built.  Output is sorted by the sequence of hook
-    sizes in peel order.
+def enumerate_srht(shape, prefix=()) -> TabloidFamily:
+    """The special rim hook tabloids of ``shape`` whose sorted content
+    starts with ``prefix``: all of them by default, and those of exactly
+    one content when the prefix fills the shape.  The prefix prunes the
+    peel as in :func:`signed_contents`, so no tabloid outside the family is
+    built.  Output is sorted by the sequence of hook sizes in peel order.
     """
     shape = as_partition(shape)
-    if content is not None and content_prefix is not None:
-        raise DomainError("give at most one of content and content_prefix")
-    prefix: Partition = ()
-    if content is not None:
-        prefix = as_partition(content)
-        if sum(prefix) != sum(shape):
-            raise SizeMismatchError(f"content {prefix} does not fill shape {shape}")
-    elif content_prefix is not None:
-        prefix = as_partition(content_prefix)
-        if sum(prefix) > sum(shape):
-            raise SizeMismatchError(f"prefix {prefix} exceeds shape {shape}")
+    prefix = as_partition(prefix)
+    if sum(prefix) > sum(shape):
+        raise SizeMismatchError(f"prefix {prefix} exceeds shape {shape}")
     floor = prefix[-1] if prefix else sum(shape)
     found: list[SpecialRimHookTabloid] = []
 

@@ -11,7 +11,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .counting import StablePartitionCounter, count_scp, scp_closed_form, staircase_type
+from .counting import ChainPartitionCounter, StablePartitionCounter, scp_closed_form
+from .counting import staircase_type
 from .nice import chain_partition_exists, is_nice, ordinal_sum_chain_partition
 from .partitions import dominance_leq, partitions_of, sorted_partition
 from .posets import B3, Chain, OrdinalSum, Product, build_poset, incomparability_graph
@@ -71,7 +72,7 @@ def _check_general_k_coefficient() -> tuple[bool, str]:
 
 
 def _check_scp_chain4() -> tuple[bool, str]:
-    value = count_scp(build_poset(Chain(4)), (2, 1, 1))
+    value = ChainPartitionCounter(build_poset(Chain(4))).count((2, 1, 1))
     return value == 12, f"value={value} (want 12)"
 
 
@@ -110,12 +111,12 @@ def _check_b3_small_nice() -> tuple[bool, str]:
 def _check_closed_form_oracle() -> tuple[bool, str]:
     checked = 0
     for m, n in ((3, 2), (4, 2), (5, 2), (4, 3), (5, 3)):
-        poset = build_poset(Product((m, n)))
+        counter = ChainPartitionCounter(build_poset(Product((m, n))))
         prefix = staircase_type(m, n)[:-1]
         for tail in partitions_of(m - n + 1):
             type_ = prefix + tail
             closed = scp_closed_form(m, n, type_)
-            brute = count_scp(poset, type_)
+            brute = counter.count(type_)
             if closed != brute:
                 return False, f"mismatch at (m,n)={(m, n)} type={type_}: {closed} != {brute}"
             checked += 1

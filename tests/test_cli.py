@@ -105,6 +105,40 @@ def test_non_ascii_digits_are_parse_errors(capsys, dsl, offset):
     assert err == f"error: expected an integer (at byte {offset})\n"
 
 
+# Past CPython's default limit of 4,300 digits on int <-> text conversion.
+HUGE = "1" + "0" * 4999
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("scp", "--poset", "chain:3", "--type", f"1,{HUGE}"),
+     "partition part too long: 5000 digits (at byte 2)"),
+    (("tabloid", "--shape", HUGE), "partition part too long: 5000 digits (at byte 0)"),
+    (("poset", "--poset", f"chain:{HUGE}"), "integer too long: 5000 digits (at byte 6)"),
+    (("poset", "--poset", f"prod:2x{HUGE}"), "integer too long: 5000 digits (at byte 7)"),
+    (("verify", "--criteria", f"1,{HUGE}"), "--criteria numbers are too long"),
+], ids=("scp-type", "tabloid-shape", "chain", "prod", "criteria"))
+def test_over_long_numbers_are_parse_errors(capsys, argv, message):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_results_of_any_length_print_exactly(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "theorem41", "--n", "2000", "--k", "5")
+    _, env, _ = run_json(capsys, "theorem41", "--n", "2000", "--k", "5")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(chromaposet.theorem41_coefficient(2000, 5))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(text) == 5741  # a minus sign and 5,740 digits
+    assert (code, out, err) == (3, text + "\n", "")
+    assert env["result"]["coefficient"] == text
+
+
 def test_partition_text_takes_ascii_digits_only(capsys):
     code, out, err = run(capsys, "scp", "--poset", "chain:3", "--type", "٣")
     assert (code, out, err) == (2, "", "error: bad partition part '٣' (at byte 0)\n")
@@ -471,14 +505,43 @@ def test_tabloid_content_filter(capsys):
     assert all(t["sign"] == -1 for t in env["result"]["tabloids"])
 
 
-def test_readme_quick_start_nice_output(capsys):
-    """The README's `nice --poset b3:6 --witness` example, line for line."""
+def test_tabloid_content_and_prefix_filters(capsys):
+    code, env, _ = run_json(capsys, "tabloid", "--shape", "5,3,2,1", "--content-prefix", "6")
+    assert code == 0
+    assert {t["content"][:2] for t in env["result"]["tabloids"]} == {"6,"}
+    code, out, err = run(capsys, "tabloid", "--shape", "5,3,2,1", "--content", "6,3",
+                         "--content-prefix", "6")
+    assert (code, out, err) == (1, "", "error: give at most one of content and content_prefix\n")
+    code, out, err = run(capsys, "tabloid", "--shape", "5,3,2,1", "--content", "6,3")
+    assert (code, out) == (1, "")
+    assert err == "error: content (6, 3) does not fill shape (5, 3, 2, 1)\n"
+    # partition text is parsed before the filters are checked
+    code, _, err = run(capsys, "tabloid", "--shape", "5,3,x", "--content", "6",
+                       "--content-prefix", "6")
+    assert (code, err) == (2, "error: bad partition part 'x' (at byte 4)\n")
+
+
+def _readme_sessions():
+    """Each `$ chromaposet ...` session of README.md shown in full ("..."
+    marks a cut one): its arguments, output and exit code, which a
+    following `$ echo $?` prints and is 0 otherwise."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    session = readme.split("$ chromaposet nice --poset b3:6 --witness\n", 1)[1]
-    expected = session.split("```", 1)[0]
-    assert expected.count("\n") == 5
-    code, out, err = run(capsys, "nice", "--poset", "b3:6", "--witness")
-    assert (code, out, err) == (4, expected, "")
+    sessions = []
+    for block in readme.split("```")[1::2]:
+        for session in block.split("$ chromaposet ")[1:]:
+            command, _, shown = session.partition("\n")
+            out, _, echo = shown.partition("$ echo $?\n")
+            if "..." not in out:
+                argv = command.split()
+                code = int(echo.split()[0]) if echo else 0
+                sessions.append(pytest.param(argv, out, code, id=argv[0]))
+    return sessions
+
+
+@pytest.mark.parametrize("argv, shown, exit_code", _readme_sessions())
+def test_readme_session(capsys, argv, shown, exit_code):
+    code, out, err = run(capsys, *argv)
+    assert (code, out.splitlines(), err) == (exit_code, shown.splitlines(), "")
 
 
 def test_b3_7_witness_is_pinned(capsys):

@@ -9,7 +9,6 @@ from chromaposet.counting import (
     SearchStats,
     StablePartitionCounter,
     closed_route,
-    count_scp,
     proof_case_closed_forms,
     scp_closed_form,
     staircase_delta,
@@ -61,52 +60,54 @@ def brute_count_scp(poset, type_):
 
 
 def test_known_small_counts():
-    assert count_scp(build_poset(Chain(4)), (2, 1, 1)) == 12
-    assert count_scp(build_poset(Product((2, 2))), (2, 2)) == 4
-    assert count_scp(build_poset(Chain(3)), (3,)) == 1
-    assert count_scp(build_poset(Chain(3)), (2, 1)) == 3
+    assert ChainPartitionCounter(build_poset(Chain(4))).count((2, 1, 1)) == 12
+    assert ChainPartitionCounter(build_poset(Product((2, 2)))).count((2, 2)) == 4
+    assert ChainPartitionCounter(build_poset(Chain(3))).count((3,)) == 1
+    assert ChainPartitionCounter(build_poset(Chain(3))).count((2, 1)) == 3
 
 
 def test_size_mismatch():
     with pytest.raises(SizeMismatchError):
-        count_scp(build_poset(Chain(4)), (2, 1))
+        ChainPartitionCounter(build_poset(Chain(4))).count((2, 1))
 
 
 def test_zero_when_part_exceeds_longest_chain():
     p = build_poset(Product((2, 2)))
-    assert count_scp(p, (4,)) == 0
+    assert ChainPartitionCounter(p).count((4,)) == 0
     b = build_poset(B3(2))
-    assert count_scp(b, (len(b),)) == 0
+    assert ChainPartitionCounter(b).count((len(b),)) == 0
 
 
 def test_chain_counts_are_multinomials():
     for n in range(1, 9):
         poset = build_poset(Chain(n))
         for lam in partitions_of(n):
-            assert count_scp(poset, lam) == multinomial(lam)
+            assert ChainPartitionCounter(poset).count(lam) == multinomial(lam)
 
 
 def test_semiordered_divisible_by_symmetry():
     for spec in (Chain(5), Product((3, 2)), Boolean(3), B3(1)):
         poset = build_poset(spec)
         for lam in partitions_of(len(poset)):
-            c = count_scp(poset, lam)
+            c = ChainPartitionCounter(poset).count(lam)
             assert c % symmetry_factor(lam) == 0
 
 
 def test_graph_and_poset_counters_agree():
     for spec in (Chain(5), Product((3, 2)), Product((2, 2, 2)), B3(1), OrdinalSum(1, Chain(2), 1)):
         poset = build_poset(spec)
+        counter = ChainPartitionCounter(poset)
         graph = incomparability_graph(poset)
         for lam in partitions_of(len(poset)):
-            assert count_scp(poset, lam) == StablePartitionCounter(graph).count(lam)
+            assert counter.count(lam) == StablePartitionCounter(graph).count(lam)
 
 
 def test_counters_against_assignment_brute():
     for spec in (Chain(4), Product((3, 2)), Product((2, 2)), OrdinalSum(1, Product((2, 2)), 1)):
         poset = build_poset(spec)
+        counter = ChainPartitionCounter(poset)
         for lam in partitions_of(len(poset)):
-            assert count_scp(poset, lam) == brute_count_scp(poset, lam), (spec, lam)
+            assert counter.count(lam) == brute_count_scp(poset, lam), (spec, lam)
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,7 +118,7 @@ def test_engine_matches_coloring_oracle_on_random_posets(poset):
     graph = incomparability_graph(poset)
     for lam in partitions_of(len(poset)):
         expected = count_colorings_by_type(graph, lam)
-        assert count_scp(poset, lam) == expected, lam
+        assert ChainPartitionCounter(poset).count(lam) == expected, lam
         cert = chain_partition_exists(poset, lam)
         assert (cert is not None) == (expected > 0), lam
         if cert is not None:
@@ -172,7 +173,7 @@ def test_two_chain_test_matches_stable_partitions_on_random_posets(poset):
 
 def test_search_stats_populated():
     stats = SearchStats()
-    count_scp(build_poset(Product((3, 2))), (4, 2), stats=stats)
+    ChainPartitionCounter(build_poset(Product((3, 2)))).count((4, 2), stats=stats)
     assert stats.nodes > 0
 
 
@@ -253,7 +254,7 @@ def test_closed_form_matches_counter_exhaustively():
         poset = build_poset(Product((m, n)))
         for tail in partitions_of(m - n + 1):
             type_ = staircase_type(m, n)[:-1] + tail
-            assert scp_closed_form(m, n, type_) == count_scp(poset, type_), type_
+            assert scp_closed_form(m, n, type_) == ChainPartitionCounter(poset).count(type_), type_
 
 
 def test_forced_content_prefix():
@@ -280,7 +281,7 @@ def test_forced_prefix_is_really_forced():
         for tail in partitions_of(m - n + 1):
             shape = prefix + tail
             for t in enumerate_srht(shape):
-                if count_scp(poset, t.content):
+                if ChainPartitionCounter(poset).count(t.content):
                     assert t.content[: n - 1] == prefix, (shape, t.content)
 
 

@@ -13,6 +13,7 @@ from chromaposet import (
     Boolean,
     Chain,
     ChainPartitionCertificate,
+    ChainPartitionCounter,
     BudgetExceededError,
     CertificateError,
     OrdinalSum,
@@ -34,13 +35,13 @@ from chromaposet import (
     partitions_of,
     staircase_type,
 )
-from chromaposet.nice import ChainPartitionSearcher, _exchange
+from chromaposet.nice import _exchange
 from chromaposet.posets import iter_bits
 from conftest import builder_specs, random_posets
 
 
 def achieved_set(poset):
-    verdict = is_nice(poset, include_types=True)
+    verdict = is_nice(poset)
     return verdict, set(verdict.achieved_types)
 
 
@@ -184,7 +185,7 @@ def _check_against_per_type_search(poset):
     """is_nice agrees with a separate search for every type: the achieved
     set, the verdict (downward closure) and the first witness pair."""
     n = len(poset)
-    verdict = is_nice(poset, include_types=True)
+    verdict = is_nice(poset)
     types = list(partitions_of(n))
     per_type = {lam for lam in types if chain_partition_exists(poset, lam) is not None}
     assert set(verdict.achieved_types) == per_type
@@ -220,7 +221,7 @@ def _check_against_stable_partitions(poset):
     that shares no code with the chain-partition engine decides."""
     counter = StablePartitionCounter(incomparability_graph(poset))
     stable = {mu for mu in partitions_of(len(poset)) if counter.count(mu)}
-    assert set(is_nice(poset, include_types=True).achieved_types) == stable
+    assert set(is_nice(poset).achieved_types) == stable
 
 
 @pytest.mark.parametrize("spec", builder_specs(11), ids=lambda spec: spec.dsl())
@@ -238,8 +239,8 @@ def _check_exchange(poset):
     """Every partition the exchange builds, from the first partition of an
     achieved type to each type of the same length, passes the certificate
     check, which reads only the raw order relation."""
-    engine = ChainPartitionSearcher(poset)
-    for mu in is_nice(poset, include_types=True).achieved_types:
+    engine = ChainPartitionCounter(poset)
+    for mu in is_nice(poset).achieved_types:
         blocks = engine.find(mu)
         assert _exchange(poset, blocks, mu) == sorted(blocks, key=int.bit_count, reverse=True)
         for lam in partitions_of(len(poset)):
@@ -291,15 +292,25 @@ def test_b3_8_keeps_its_witness_and_certificate():
     )
 
 
+@pytest.mark.parametrize("n, missing", [(6, (6, 6, 6)), (7, (7, 7, 6)), (8, (8, 8, 6))],
+                         ids=("b3:6", "b3:7", "b3:8"))
+def test_b3_witness_types_have_no_stable_partition(n, missing):
+    """Chains are the stable sets of the incomparability graph, so a zero
+    count refutes the unachieved witness type with no code shared with the
+    search behind ``is_nice``."""
+    graph = incomparability_graph(build_poset(B3(n)))
+    assert StablePartitionCounter(graph).count(missing) == 0
+
+
 def test_b3_6_and_its_sum_keep_their_answers():
-    verdict = is_nice(build_poset(B3(6)), include_types=True)
+    verdict = is_nice(build_poset(B3(6)))
     assert (verdict.nice, verdict.witness) == (False, ((9, 7, 2), (6, 6, 6)))
     assert len(verdict.achieved_types) == 315
     assert all(dominance_leq(lam, (9, 7, 2)) for lam in verdict.achieved_types)
     # Adding a bottom and a top makes it nice: every type dominated by
     # (11, 7, 2), the steps of its Greene-Kleitman shape (11, 18, 20), is
     # achieved.
-    verdict = is_nice(build_poset(OrdinalSum(1, B3(6), 1)), include_types=True)
+    verdict = is_nice(build_poset(OrdinalSum(1, B3(6), 1)))
     assert (verdict.nice, verdict.witness) == (True, None)
     assert verdict.achieved_types == tuple(
         mu for mu in partitions_of(20) if dominance_leq(mu, (11, 7, 2))
@@ -314,18 +325,16 @@ def test_is_nice_size_guard():
 
 
 def test_empty_poset_is_nice():
-    verdict = is_nice(Poset((), ()), include_types=True)
+    verdict = is_nice(Poset((), ()))
     assert verdict.nice is True
     assert verdict.achieved_types == ((),)
     assert verdict.witness is None and verdict.witness_certificate is None
     assert verdict.nodes == 0
-    assert is_nice(Poset((), ())).achieved_types is None
 
 
-def test_verdict_carries_types_only_on_request():
+def test_verdict_carries_achieved_types():
     poset = build_poset(Product((2, 2)))
-    assert is_nice(poset).achieved_types is None
-    assert is_nice(poset, include_types=True).achieved_types == (
+    assert is_nice(poset).achieved_types == (
         (3, 1),
         (2, 2),
         (2, 1, 1),

@@ -44,7 +44,12 @@ from chromaposet.schur import (
     SchurExpansion,
     _tabloid_expansion,
 )
-from chromaposet.counting import closed_route, count_scp, scp_closed_form, staircase_type
+from chromaposet.counting import (
+    ChainPartitionCounter,
+    closed_route,
+    scp_closed_form,
+    staircase_type,
+)
 from conftest import posets_with_universal, random_posets
 
 
@@ -370,7 +375,8 @@ def test_closed_path_matches_brute_over_staircase_grid():
         assert closed_route(poset, shape, "auto") == sides, (dsl, shape)
         auto = schur_coefficient(poset, shape)
         assert auto == schur_coefficient(poset, shape, method="tabloid_brute"), (dsl, shape)
-        assert scp_closed_form(*sides, shape) == count_scp(poset, shape), (dsl, shape)
+        brute = ChainPartitionCounter(poset).count(shape)
+        assert scp_closed_form(*sides, shape) == brute, (dsl, shape)
 
 
 def test_schur_coefficient_errors():
