@@ -157,16 +157,13 @@ def _cmd_scp(args) -> Reply:
 
 def _cmd_schur(args) -> Reply:
     poset = build_poset(parse_poset_spec(args.poset))
-    expansion = schur_expansion(poset, max_elements=args.max_elements)
-    items = [(format_partition(lam), _decimal(c)) for lam, c in expansion.sorted_items()]
-    result = {
-        "poset": poset.spec.dsl(),
-        "degree": expansion.degree,
-        "coeffs": dict(items),
-    }
+    coeffs = schur_expansion(poset, max_elements=args.max_elements)
+    ordered = sorted(coeffs.items(), reverse=True)
+    items = [(format_partition(lam), _decimal(c)) for lam, c in ordered]
+    result = {"poset": poset.spec.dsl(), "degree": len(poset), "coeffs": dict(items)}
     lines = [f"s[{lam}] {c}" for lam, c in items]
-    return Reply(result, "tabloid_sum", lines,
-                 EXIT_OK if expansion.is_nonnegative() else EXIT_NEGATIVE)
+    negative = any(c < 0 for c in coeffs.values())
+    return Reply(result, "tabloid_sum", lines, EXIT_NEGATIVE if negative else EXIT_OK)
 
 
 def _cmd_schur_coeff(args) -> Reply:
@@ -357,6 +354,19 @@ def _cmd_verify(args) -> Reply:
                  EXIT_OK if all_ok else EXIT_DOMAIN)
 
 
+def _integer(text: str) -> int:
+    """``int`` for integer flags.  A digit string past CPython's digit limit
+    gets its length in the message, not a copy of every digit."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        digits = body[1:] if body.startswith(("+", "-")) else body
+        if digits.isascii() and digits.isdigit():
+            raise argparse.ArgumentTypeError(f"integer too long: {len(digits)} digits") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _require_at_least(args, dest: str, least: int, bound: str | None = None) -> None:
     """argparse only checks that integer flags are integers; a value below
     ``least`` (spelled ``bound`` in the message, when given) exits 2."""
@@ -407,14 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset", required=True)
     p.add_argument("--type", required=True, help='partition, e.g. "2,1,1"')
     p.add_argument("--method", choices=("auto", "brute", "closed"), default="auto")
-    p.add_argument("--node-budget", type=int, default=None,
+    p.add_argument("--node-budget", type=_integer, default=None,
                    help="search at most this many nodes (the closed form ignores it)")
     common(p)
     p.set_defaults(fn=_cmd_scp)
 
     p = sub.add_parser("schur", help="full Schur expansion (exit 3 if any coefficient < 0)")
     p.add_argument("--poset", required=True)
-    p.add_argument("--max-elements", type=int, default=EXPANSION_LIMIT)
+    p.add_argument("--max-elements", type=_integer, default=EXPANSION_LIMIT)
     common(p)
     p.set_defaults(fn=_cmd_schur)
 
@@ -423,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True)
     p.add_argument("--method", choices=("auto", "tabloid_brute", "tabloid_closed"),
                    default="auto")
-    p.add_argument("--node-budget", type=int, default=None,
+    p.add_argument("--node-budget", type=_integer, default=None,
                    help="search at most this many nodes (the closed form ignores it)")
     common(p)
     p.set_defaults(fn=_cmd_schur_coeff)
@@ -432,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset", required=True)
     p.add_argument("--witness", action="store_true", help="include the witness certificate")
     p.add_argument("--all-types", action="store_true", help="list all achievable types")
-    p.add_argument("--max-elements", type=int, default=NICENESS_LIMIT)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--max-elements", type=_integer, default=NICENESS_LIMIT)
+    p.add_argument("--node-budget", type=_integer, default=None)
     common(p)
     p.set_defaults(fn=_cmd_nice)
 
@@ -441,30 +451,30 @@ def build_parser() -> argparse.ArgumentParser:
                        help="find a chain partition of a type (exit 4 if none exists)")
     p.add_argument("--poset", required=True)
     p.add_argument("--type", required=True)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_integer, default=None)
     common(p)
     p.set_defaults(fn=_cmd_chain_partition)
 
     p = sub.add_parser("theorem41",
                        help="closed-form coefficient of the distinguished shape in "
                             "the (n+k) x n product (exit 3 if negative)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     common(p)
     p.set_defaults(fn=_cmd_theorem41)
 
     p = sub.add_parser("sweep", help="run a family of sign or niceness checks")
     p.add_argument("--family", required=True, choices=tuple(_SWEEPS))
-    p.add_argument("--m-min", type=int, default=8)
-    p.add_argument("--m-max", type=int, default=12)
-    p.add_argument("--j", type=int, default=4, help="shape family (m+1, m-2j, 2^a, 1^b)")
-    p.add_argument("--a", type=int, default=3)
-    p.add_argument("--b", type=int, default=1)
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--max-product", type=int, default=12)
-    p.add_argument("--max-elements", type=int, default=NICENESS_LIMIT)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--m-min", type=_integer, default=8)
+    p.add_argument("--m-max", type=_integer, default=12)
+    p.add_argument("--j", type=_integer, default=4, help="shape family (m+1, m-2j, 2^a, 1^b)")
+    p.add_argument("--a", type=_integer, default=3)
+    p.add_argument("--b", type=_integer, default=1)
+    p.add_argument("--n-min", type=_integer, default=1)
+    p.add_argument("--n-max", type=_integer, default=4)
+    p.add_argument("--max-product", type=_integer, default=12)
+    p.add_argument("--max-elements", type=_integer, default=NICENESS_LIMIT)
+    p.add_argument("--node-budget", type=_integer, default=None)
     common(p)
     p.set_defaults(fn=_cmd_sweep)
 

@@ -142,11 +142,7 @@ def enumerate_srht(shape, prefix=()) -> TabloidFamily:
     peel as in :func:`signed_contents`, so no tabloid outside the family is
     built.  Output is sorted by the sequence of hook sizes in peel order.
     """
-    shape = as_partition(shape)
-    prefix = as_partition(prefix)
-    if sum(prefix) > sum(shape):
-        raise SizeMismatchError(f"prefix {prefix} exceeds shape {shape}")
-    floor = prefix[-1] if prefix else sum(shape)
+    shape, prefix, floor = _peel_start(shape, prefix)
     found: list[SpecialRimHookTabloid] = []
 
     # The hook through the bottom-left cell is forced once its top row r is
@@ -172,6 +168,17 @@ def enumerate_srht(shape, prefix=()) -> TabloidFamily:
     peel(shape, prefix, [])
     found.sort(key=lambda t: tuple(h.size for h in t.hooks))
     return TabloidFamily(shape, tuple(found))
+
+
+def _peel_start(shape, prefix) -> tuple[Partition, Partition, int]:
+    """Shape and prefix as partitions, and the ``floor`` of :func:`_peel_steps`:
+    the last prefix part, or without a prefix the whole size, since no hook
+    is larger and so none is pruned."""
+    shape = as_partition(shape)
+    prefix = as_partition(prefix)
+    if sum(prefix) > sum(shape):
+        raise SizeMismatchError(f"prefix {prefix} exceeds shape {shape}")
+    return shape, prefix, prefix[-1] if prefix else sum(shape)
 
 
 def _peel_steps(lengths: Partition, unmet: Partition, floor: int):
@@ -204,12 +211,7 @@ def signed_contents(shape, prefix=()) -> dict[Partition, int]:
     A sub-shape is pruned when its largest hook (first row plus height) is
     below the largest unmet part, or its cells cannot cover the unmet parts.
     """
-    shape = as_partition(shape)
-    prefix = as_partition(prefix)
-    if sum(prefix) > sum(shape):
-        raise SizeMismatchError(f"prefix {prefix} exceeds shape {shape}")
-    # No hook is larger than the whole shape, so without a prefix none is pruned.
-    floor = prefix[-1] if prefix else sum(shape)
+    shape, prefix, floor = _peel_start(shape, prefix)
     memo: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
 
     # Contents are kept ascending inside the recursion, so a hook size goes

@@ -56,54 +56,6 @@ from .rimhooks import kostka_number, signed_contents
 EXPANSION_LIMIT = 12
 
 
-class _Expansion:
-    """Sparse map from partitions to coefficients in one basis (absent = 0);
-    two expansions are equal when they are in the same basis and agree."""
-
-    def __init__(self, degree: int, coeffs: dict[Partition, int]):
-        self.degree = degree
-        self.coeffs = dict(coeffs)
-
-    def coefficient(self, lam) -> int:
-        return self.coeffs.get(as_partition(lam), 0)
-
-    def sorted_items(self) -> list[tuple[Partition, int]]:
-        return sorted(self.coeffs.items(), reverse=True)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, type(self))
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(degree={self.degree}, {len(self.coeffs)} terms)"
-
-
-class MonomialExpansion(_Expansion):
-    """Sparse map from partitions to monomial coefficients (absent = 0)."""
-
-    def specialize(self, colors: int) -> int:
-        """Underlying function with ``colors`` variables set to 1: the
-        chromatic polynomial of the source graph at that many colors."""
-        return sum(
-            c * rearrangement_count(lam, colors) for lam, c in self.coeffs.items()
-        )
-
-
-class SchurExpansion(_Expansion):
-    """Sparse map from partitions to Schur coefficients (absent = 0)."""
-
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coeffs.values())
-
-    def specialize(self, colors: int) -> int:
-        return sum(
-            c * schur_at_ones(lam, colors) for lam, c in self.coeffs.items()
-        )
-
-
 def schur_at_ones(lam, colors: int) -> int:
     """The Schur function of shape ``lam`` with ``colors`` variables set
     to 1: semistandard tableaux with bounded entries, counted through the
@@ -115,17 +67,11 @@ def schur_at_ones(lam, colors: int) -> int:
     )
 
 
-def monomial_expansion(graph: Graph) -> MonomialExpansion:
-    """Monomial coefficients of the chromatic symmetric function: one
-    stable-partition count per type."""
-    n = len(graph)
+def monomial_expansion(graph: Graph) -> dict[Partition, int]:
+    """Monomial coefficients of the chromatic symmetric function, zero
+    coefficients omitted: one stable-partition count per type."""
     counter = StablePartitionCounter(graph)
-    coeffs = {}
-    for lam in partitions_of(n):
-        c = counter.count(lam)
-        if c:
-            coeffs[lam] = c
-    return MonomialExpansion(n, coeffs)
+    return {lam: c for lam in partitions_of(len(graph)) if (c := counter.count(lam))}
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +155,7 @@ def _times_s1(coeffs: dict[Partition, int]) -> dict[Partition, int]:
     return {mu: c for mu, c in out.items() if c}
 
 
-def schur_expansion(poset: Poset, max_elements: int = EXPANSION_LIMIT) -> SchurExpansion:
+def schur_expansion(poset: Poset, max_elements: int = EXPANSION_LIMIT) -> dict[Partition, int]:
     """Full Schur expansion over all partitions of |P|, zero coefficients
     omitted: the tabloid sum on the elements not comparable to all others,
     times s_1 once for each element that is."""
@@ -222,7 +168,7 @@ def schur_expansion(poset: Poset, max_elements: int = EXPANSION_LIMIT) -> SchurE
     coeffs = _tabloid_expansion(inner)
     for _ in range(n - len(inner)):
         coeffs = _times_s1(coeffs)
-    return SchurExpansion(n, coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

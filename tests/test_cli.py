@@ -16,11 +16,14 @@ import pytest
 import chromaposet
 from chromaposet import (
     ChainPartitionCertificate,
+    SizeMismatchError,
     __version__,
     build_poset,
+    enumerate_srht,
     incomparability_graph,
     parse_partition,
     parse_poset_spec,
+    signed_contents,
 )
 from chromaposet.cli import build_parser, main
 from conftest import builder_specs
@@ -122,6 +125,28 @@ def test_over_long_numbers_are_parse_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("theorem41", "--k", "5", "--n"), "--n"),
+    (("nice", "--poset", "chain:3", "--node-budget"), "--node-budget"),
+], ids=("n", "node-budget"))
+def test_over_long_integer_flags_give_their_length(capsys, argv, flag):
+    """argparse's own message would repeat all 5,000 digits."""
+    limit = sys.get_int_max_str_digits()
+    for value, message in (
+        (HUGE, "integer too long: 5000 digits"),
+        ("-" + HUGE, "integer too long: 5000 digits"),
+        ("abc", "invalid int value: 'abc'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"error: argument {flag}: {message}\n")
+    assert sys.get_int_max_str_digits() == limit
+    # every integer flag goes through the same conversion
+    assert not [a.dest for sub in _subcommands().values() for a in sub._actions if a.type is int]
 
 
 def test_results_of_any_length_print_exactly(capsys):
@@ -459,6 +484,22 @@ def test_schur_expansion_envelope(capsys):
     }
 
 
+def test_schur_exits_3_on_a_negative_coefficient(capsys):
+    argv = ("schur", "--poset", "prod:8x2", "--max-elements", "16")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, "")
+    negative = [line for line in out.splitlines() if " -" in line]
+    assert negative == ["s[9,2,2,2,1] -4", "s[6,6,4] -16", "s[6,5,5] -56", "s[5,5,5,1] -56"]
+    code, env, _ = run_json(capsys, *argv)
+    assert (code, env["result"]["degree"]) == (3, 16)
+    assert env["result"]["coeffs"]["9,2,2,2,1"] == "-4"
+    # the same coefficient on its own, by the closed form
+    argv = ("schur-coeff", "--poset", "prod:8x2", "--shape", "9,2,2,2,1")
+    assert run(capsys, *argv) == (3, "-4\n", "")
+    code, env, _ = run_json(capsys, *argv)
+    assert (code, env["method"], env["result"]["coefficient"]) == (3, "tabloid_closed", "-4")
+
+
 def test_poset_description_envelope(capsys):
     code, env, _ = run_json(capsys, "poset", "--poset", "b3:1", "--lattice")
     assert code == 0
@@ -519,6 +560,15 @@ def test_tabloid_content_and_prefix_filters(capsys):
     code, _, err = run(capsys, "tabloid", "--shape", "5,3,x", "--content", "6",
                        "--content-prefix", "6")
     assert (code, err) == (2, "error: bad partition part 'x' (at byte 4)\n")
+
+
+def test_prefix_past_the_shape_is_one_error(capsys):
+    for peel in (enumerate_srht, signed_contents):
+        with pytest.raises(SizeMismatchError) as exc:
+            peel((2, 1), (4,))
+        assert str(exc.value) == "prefix (4,) exceeds shape (2, 1)", peel
+    code, out, err = run(capsys, "tabloid", "--shape", "2,1", "--content-prefix", "4")
+    assert (code, out, err) == (1, "", "error: prefix (4,) exceeds shape (2, 1)\n")
 
 
 def _readme_sessions():

@@ -1,9 +1,12 @@
 """The package's export list against what the package namespace binds, the
-imports of its modules against the names they use, and its definitions
-against the code that names them."""
+imports of its modules against the names they use, its definitions
+against the code that names them, and README's library example against
+the values it shows."""
 
 import ast
 import inspect
+import io
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -109,3 +112,39 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert in library code: {found}"
+
+
+
+def _leading_text(comment: str) -> str:
+    """A comment's text up to its first comma outside brackets."""
+    text, depth = comment.lstrip("#").strip(), 0
+    for i, ch in enumerate(text):
+        depth += (ch in "([{") - (ch in ")]}")
+        if ch == "," and depth == 0:
+            return text[:i]
+    return text
+
+
+def test_readme_library_block_runs():
+    """The python block under README's "Library" heading runs as shown,
+    and every expression whose comment starts with a Python literal equals
+    that literal."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    source = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    shown = {}
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            try:
+                shown[token.start[0]] = ast.literal_eval(_leading_text(token.string))
+            except (SyntaxError, ValueError):
+                pass  # prose, not a value
+    namespace, checked = {}, []
+    for node in ast.parse(source).body:
+        code = ast.get_source_segment(source, node)
+        lines = [line for line in range(node.lineno, node.end_lineno + 1) if line in shown]
+        if isinstance(node, ast.Expr) and lines:
+            assert eval(code, namespace) == shown[lines[-1]], code
+            checked.append(code)
+        else:
+            exec(code, namespace)
+    assert checked, "no expression in the block shows its value"
