@@ -9,8 +9,11 @@ poset's Greene–Kleitman shape, and searches only those that neither a merge
 nor an exchange settles: splitting a chain gives two chains, so a type is
 achieved whenever merging two of its parts gives an achieved type, and
 moving an element to a chain it is comparable with throughout keeps both
-chains (the exchange argument of Greene and Kleitman, JCTA 20, 1976).  Certificates are checked
-by ``ChainPartitionCertificate.validate``, which uses only the raw order
+chains (the exchange argument of Greene and Kleitman, JCTA 20, 1976).  One
+lookup usually settles the merges: every merge of a type dominates the
+merge of its two smallest parts, so when that one lies outside the shape
+they all do.  Certificates are checked by
+``ChainPartitionCertificate.validate``, which uses only the raw order
 relation.
 """
 
@@ -134,8 +137,13 @@ def is_nice(
     prefix sum above it.  One of them is searched only when nothing cheaper
     settles it: a merge of two parts into an achieved type, or an exchange
     (``_exchange``) that reaches it from a partition already found with as
-    many blocks, newest first.  ``nodes`` counts the search nodes of the
-    types that were searched, and types settled otherwise cost none.
+    many blocks, newest first.  The merges cost one lookup unless it fails:
+    the merge of the two smallest parts (``_smallest_merge``) is dominated
+    by every other merge, and the generated types are closed downward in
+    dominance, so when it was not generated no merge was, and when it is
+    achieved so is the type.  Only when it was generated and failed are the
+    other merges looked up.  ``nodes`` counts the search nodes of the types
+    that were searched, and types settled otherwise cost none.
     """
     n = len(poset)
     if n > max_elements:
@@ -153,7 +161,12 @@ def is_nice(
     # partition, and since dominance only lowers prefix sums no achieved
     # type dominates it, so only the types inside the shape are generated.
     for lam in partitions_of(n, poset.chain_shape()):
-        if any(achieved.get(merged) for merged in _merges(lam)):
+        # Every other merge of lam dominates its smallest merge, so when that
+        # one lies outside the shape (None) so do they all.
+        settled = achieved.get(_smallest_merge(lam)) if len(lam) > 1 else None
+        if settled is False:
+            settled = any(achieved.get(merged) for merged in _merges(lam))
+        if settled:
             achieved[lam] = True
         else:
             tried = (_exchange(poset, b, lam) for b in reversed(known.get(len(lam), ())))
@@ -211,6 +224,17 @@ def _exchange(poset: Poset, blocks: list[int], lam: Partition) -> list[int] | No
                 break
         else:
             return None
+
+
+def _smallest_merge(lam: Partition) -> Partition:
+    """The merge of the two smallest parts of ``lam``, which every other
+    merge dominates: merging x with y' <= y instead of with y turns the pair
+    {x + y, y'} into {x + y', y}, which the first pair majorizes."""
+    merged = lam[-2] + lam[-1]
+    i = len(lam) - 2
+    while i and lam[i - 1] < merged:
+        i -= 1
+    return lam[:i] + (merged,) + lam[i:-2]
 
 
 def _merges(lam: Partition):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass
 
 from .errors import DslParseError, InvalidSpecError, TooLargeError, UnknownElementError
@@ -253,9 +253,13 @@ class Poset:
         a "pass" arc (unbounded, cost 0); the source feeds every in node and
         every out node drains to the sink.  A unit of flow follows a chain
         of covers and collects the elements it uses, so k units cover at
-        most c_k elements, and successive shortest paths (Bellman–Ford, as
-        the residual costs go negative) reach c_k after the k-th
-        augmentation (Frank, JCTB 29, 1980)."""
+        most c_k elements, and successive shortest paths reach c_k after
+        the k-th augmentation (Frank, JCTB 29, 1980).  Each path is found
+        by Dijkstra on costs reduced by node potentials.  The first
+        potentials are the distances in the empty network, read off the
+        heights: -h at the in node of an element at height h, -h - 1 at its
+        out node.  After each search the distances are added to them, and
+        every node stays reachable, since the source arcs never fill."""
         n = len(self)
         source, sink = 2 * n, 2 * n + 1
         head: list[int] = []
@@ -281,32 +285,42 @@ class Poset:
             for j in iter_bits(self.covers[i]):
                 arc(2 * i + 1, 2 * j, n, 0)
 
+        levels = self.levels()
+        pot = [0] * (2 * n + 2)
+        for h, level in enumerate(levels):
+            for i in iter_bits(level):
+                pot[2 * i], pot[2 * i + 1] = -h, -h - 1
+        pot[sink] = -len(levels)
         shape: list[int] = []
         covered = 0
         while covered < n:
-            # Pass arcs reach every node at cost <= 0, so 1 means unreached.
-            dist = [1] * (2 * n + 2)
+            dist = [math.inf] * (2 * n + 2)
             via = [-1] * (2 * n + 2)
             dist[source] = 0
-            queue, queued = deque([source]), {source}
-            while queue:
-                u = queue.popleft()
-                queued.discard(u)
+            heap = [(0, source)]
+            while heap:
+                d, u = heappop(heap)
+                if d > dist[u]:
+                    continue
+                du = d + pot[u]
                 for a in arcs[u]:
-                    v = head[a]
-                    if cap[a] and dist[u] + cost[a] < dist[v]:
-                        dist[v] = dist[u] + cost[a]
-                        via[v] = a
-                        if v not in queued:
-                            queued.add(v)
-                            queue.append(v)
+                    if cap[a]:
+                        v = head[a]
+                        dv = du + cost[a] - pot[v]
+                        if dv < dist[v]:
+                            dist[v] = dv
+                            via[v] = a
+                            heappush(heap, (dv, v))
+            for v, d in enumerate(dist):
+                pot[v] += d
             v = sink
             while v != source:
                 a = via[v]
                 cap[a] -= 1
                 cap[a ^ 1] += 1
                 v = head[a ^ 1]
-            covered -= dist[sink]
+            # The source's potential stays 0, so the sink's is the path's cost.
+            covered -= pot[sink]
             shape.append(covered)
         return tuple(shape)
 

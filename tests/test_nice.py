@@ -35,7 +35,8 @@ from chromaposet import (
     partitions_of,
     staircase_type,
 )
-from chromaposet.nice import _exchange
+from chromaposet import nice
+from chromaposet.nice import _exchange, _merges, _smallest_merge
 from chromaposet.posets import iter_bits
 from conftest import builder_specs, random_posets
 
@@ -280,6 +281,34 @@ def test_scan_searches_at_most_pinned_nodes(dsl, most):
     # Greene-Kleitman filter searches thousands more (prod:5x4 searched
     # 6,954 nodes without it).
     assert is_nice(build_poset(parse_poset_spec(dsl))).nodes <= most
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_smallest_merge_is_dominated_by_every_merge(n):
+    for lam in partitions_of(n):
+        if len(lam) < 2:
+            continue
+        merges = list(_merges(lam))
+        smallest = _smallest_merge(lam)
+        assert smallest in merges, lam
+        assert all(dominance_leq(smallest, m) for m in merges), lam
+
+
+@pytest.mark.parametrize("dsl, most", [
+    ("prod:5x4", 0),
+    ("bool:4", 0),
+    ("b3:5", 0),
+    ("sum:1+b3:6+1", 0),
+    ("b3:6", 6),
+    ("b3:7", 12),
+])
+def test_scan_settles_types_by_their_smallest_merge(monkeypatch, dsl, most):
+    # Call counts do not depend on the machine: a scan that generated every
+    # merge of every type calls _merges once per type inside the shape.
+    calls = []
+    monkeypatch.setattr(nice, "_merges", lambda lam: calls.append(lam) or _merges(lam))
+    is_nice(build_poset(parse_poset_spec(dsl)))
+    assert len(calls) <= most
 
 
 def test_b3_8_keeps_its_witness_and_certificate():

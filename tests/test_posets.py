@@ -357,10 +357,11 @@ def test_chain_shape_is_the_best_cover_of_achieved_types(poset):
 
 
 def test_chain_shape_of_two_chain_products_is_the_staircase():
-    for m in range(1, 9):
-        for n in range(1, m + 1):
-            shape = build_poset(Product((m, n))).chain_shape()
-            assert shape == tuple(itertools.accumulate(staircase_type(m, n))), (m, n)
+    sides = [(m, n) for m in range(1, 9) for n in range(1, m + 1)] + [(40, 25), (600, 2)]
+    for m, n in sides:
+        shape = build_poset(Product((m, n))).chain_shape()
+        assert shape == tuple(itertools.accumulate(staircase_type(m, n))), (m, n)
+    assert build_poset(Chain(1200)).chain_shape() == (1200,)
 
 
 def _dilworth_width(poset):
