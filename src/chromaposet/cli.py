@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .counting import ChainPartitionCounter, SearchStats, closed_route, scp_closed_form
-from .errors import DomainError, DslParseError, SizeMismatchError
+from .errors import DomainError, DslParseError
 from .nice import NICENESS_LIMIT, chain_partition_exists, is_nice
 from .partitions import format_partition, parse_partition, sorted_partition
 from .posets import (
@@ -114,7 +114,7 @@ def _cmd_tabloid(args) -> Reply:
     if content is not None and prefix is not None:
         raise DomainError("give at most one of content and content_prefix")
     if content is not None and sum(content) != sum(shape):
-        raise SizeMismatchError(f"content {content} does not fill shape {shape}")
+        raise DomainError(f"content {content} does not fill shape {shape}")
     family = enumerate_srht(shape, content or prefix or ())
     tabloids, lines = [], [
         f"{len(family)} special rim hook tabloids of shape {format_partition(shape)}"

@@ -28,14 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    FastPathInapplicableError,
-    InternalInvariantError,
-    PreconditionError,
-    SizeMismatchError,
-)
+from .errors import DomainError, InternalInvariantError
 from .partitions import (
     Partition,
     as_partition,
@@ -64,7 +57,7 @@ class StablePartitionCounter:
     def count(self, type_) -> int:
         lam = as_partition(type_)
         if sum(lam) != len(self.graph):
-            raise SizeMismatchError(f"type {lam} does not cover {len(self.graph)} vertices")
+            raise DomainError(f"type {lam} does not cover {len(self.graph)} vertices")
         return self._count(self.full, lam) * symmetry_factor(lam)
 
     def _count(self, rem: int, sizes: tuple[int, ...]) -> int:
@@ -132,7 +125,7 @@ class ChainPartitionCounter:
     def _type(self, type_) -> Partition:
         lam = as_partition(type_)
         if sum(lam) != len(self.poset):
-            raise SizeMismatchError(f"type {lam} does not cover {len(self.poset)} elements")
+            raise DomainError(f"type {lam} does not cover {len(self.poset)} elements")
         return lam
 
     def count(self, type_, stats: SearchStats | None = None) -> int:
@@ -164,7 +157,7 @@ class ChainPartitionCounter:
             return hit
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
-            raise BudgetExceededError(f"search exceeded {self.node_budget} nodes")
+            raise DomainError(f"search exceeded {self.node_budget} nodes")
         k = len(sizes)
         if blocks is not None and k == 2 and not self._splits(rem, sizes[0]):
             self._memo[key] = 0
@@ -253,7 +246,7 @@ def staircase_type(m: int, n: int) -> Partition:
     of the m x n product.  Its first n-1 parts are the staircase forced on
     the types the closed form applies to."""
     if not m >= n >= 1:
-        raise PreconditionError(f"need m >= n >= 1, got ({m}, {n})")
+        raise DomainError(f"need m >= n >= 1, got ({m}, {n})")
     return tuple(m + n - 2 * i + 1 for i in range(1, n + 1))
 
 
@@ -270,7 +263,7 @@ def closed_route(poset: Poset, partition, method: str) -> tuple[int, int] | None
     the poset fails alike under every method."""
     lam = as_partition(partition)
     if sum(lam) != len(poset):
-        raise SizeMismatchError(f"partition {lam} does not fill the {len(poset)}-element poset")
+        raise DomainError(f"partition {lam} does not fill the {len(poset)}-element poset")
     if method not in ("auto", "brute", "closed"):
         raise DomainError(f"unknown method {method!r}")
     lengths = chain_lengths(poset.spec)
@@ -280,7 +273,7 @@ def closed_route(poset: Poset, partition, method: str) -> tuple[int, int] | None
         if lam[: n - 1] == staircase_type(m, n)[:-1]:
             sides = (m, n)
     if method == "closed" and sides is None:
-        raise FastPathInapplicableError(
+        raise DomainError(
             "closed form needs a product of two chains and a staircase-prefixed partition"
         )
     return sides
@@ -309,9 +302,9 @@ def scp_closed_form(m: int, n: int, type_) -> int:
     pre = staircase_type(m, n)[:-1]
     lam = as_partition(type_)
     if sum(lam) != m * n:
-        raise SizeMismatchError(f"type {lam} does not cover the {m}x{n} product")
+        raise DomainError(f"type {lam} does not cover the {m}x{n} product")
     if lam[: n - 1] != pre:
-        raise PreconditionError(f"type {lam} does not start with the staircase {pre}")
+        raise DomainError(f"type {lam} does not start with the staircase {pre}")
     tail = lam[n - 1 :]
     states: dict[tuple[int, ...], int] = {(): 1}
     for s in tail:
@@ -349,7 +342,7 @@ def staircase_delta(n: int, k: int) -> Partition:
     """(2n+k-1, 2n+k-3, ..., k+3): the length-(n-1) forced prefix for the
     (n+k) x n product."""
     if k < 5 or n < 2:
-        raise PreconditionError(f"need k >= 5 and n >= 2, got ({n}, {k})")
+        raise DomainError(f"need k >= 5 and n >= 2, got ({n}, {k})")
     return staircase_type(n + k, n)[:-1]
 
 
@@ -365,7 +358,7 @@ def proof_case_closed_forms(n: int, k: int) -> dict[str, int]:
     contents, from their closed polynomial forms (with the small-k branches
     where the tail multiplicities change)."""
     if k < 5 or n < 2:
-        raise PreconditionError(f"need k >= 5 and n >= 2, got ({n}, {k})")
+        raise DomainError(f"need k >= 5 and n >= 2, got ({n}, {k})")
     nf = math.factorial(n)
     t1 = nf * (n + _exact(k * k + k - 2, 2))
     t2 = nf * (n * n + (2 * k - 1) * n + (k * k - k))

@@ -2,47 +2,16 @@
 
 
 class DomainError(ValueError):
-    """Base class for invalid inputs to library operations."""
+    """Invalid input to a library operation; the CLI exits 1 on it."""
 
 
-class SizeMismatchError(DomainError):
-    """Two partitions (or a partition and a ground set) disagree in total size."""
-
-
-class UnknownElementError(DomainError):
-    """An element label does not belong to the poset."""
-
-
-class InvalidSpecError(DomainError):
-    """A poset specification is malformed."""
-
-
-class DslParseError(InvalidSpecError):
-    """Poset DSL text failed to parse; ``offset`` is the byte position."""
+class DslParseError(DomainError):
+    """Poset DSL or partition text failed to parse; ``offset`` is the byte
+    position.  The CLI exits 2 on it."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
         self.offset = offset
-
-
-class PreconditionError(DomainError):
-    """A documented precondition of an operation does not hold."""
-
-
-class FastPathInapplicableError(DomainError):
-    """The closed-form route was requested but its hypotheses do not hold."""
-
-
-class TooLargeError(DomainError):
-    """Input exceeds the configured size limit."""
-
-
-class BudgetExceededError(DomainError):
-    """A search exceeded its node budget."""
-
-
-class CertificateError(DomainError):
-    """A chain-partition certificate failed validation."""
 
 
 class InternalInvariantError(RuntimeError):

@@ -24,12 +24,7 @@ import operator
 from dataclasses import dataclass
 
 from .counting import ChainPartitionCounter, SearchStats, staircase_type
-from .errors import (
-    CertificateError,
-    InternalInvariantError,
-    PreconditionError,
-    TooLargeError,
-)
+from .errors import DomainError, InternalInvariantError
 from .partitions import Partition, as_partition, dominance_leq, partitions_of
 from .posets import Poset, Product, build_poset, OrdinalSum, iter_bits
 
@@ -56,17 +51,17 @@ class ChainPartitionCertificate:
         for block in self.blocks:
             for label in block:
                 if label in seen:
-                    raise CertificateError(f"element {label!r} appears twice")
+                    raise DomainError(f"element {label!r} appears twice")
                 seen.add(label)
             for x, y in itertools.combinations(block, 2):
                 i, j = poset.index_of(x), poset.index_of(y)
                 if not (poset.up[i] >> j & 1 or poset.up[j] >> i & 1):
-                    raise CertificateError(f"{x!r} and {y!r} are incomparable")
+                    raise DomainError(f"{x!r} and {y!r} are incomparable")
         if seen != set(poset.labels):
-            raise CertificateError("blocks do not cover the poset")
+            raise DomainError("blocks do not cover the poset")
         sizes = tuple(sorted((len(b) for b in self.blocks), reverse=True))
         if sizes != self.type:
-            raise CertificateError(f"block sizes {sizes} do not match type {self.type}")
+            raise DomainError(f"block sizes {sizes} do not match type {self.type}")
 
     def to_jsonable(self) -> dict:
         return {
@@ -147,7 +142,7 @@ def is_nice(
     """
     n = len(poset)
     if n > max_elements:
-        raise TooLargeError(f"{n} elements exceeds the niceness limit of {max_elements}")
+        raise DomainError(f"{n} elements exceeds the niceness limit of {max_elements}")
     searcher = ChainPartitionCounter(poset, node_budget)
     # Descending lex order decides every merge of a type before the type; a
     # merge above the shape is never generated, and never achieved.
@@ -267,12 +262,12 @@ def ordinal_sum_chain_partition(
     up with t_j consecutive added-chain elements.
     """
     if p < 0 or q < 0:
-        raise PreconditionError("added chain lengths must be >= 0")
+        raise DomainError("added chain lengths must be >= 0")
     lam = staircase_type(m, n)
     lam_tilde = (lam[0] + p + q,) + lam[1:]
     mu = as_partition(mu)
     if not dominance_leq(mu, lam_tilde):
-        raise PreconditionError(f"{mu} is not dominated by {lam_tilde}")
+        raise DomainError(f"{mu} is not dominated by {lam_tilde}")
     t: list[int] = []
     bars = itertools.accumulate(lam + (0,) * len(mu))
     for top, bar in zip(itertools.accumulate(mu), bars):

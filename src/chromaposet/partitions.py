@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 
-from .errors import DomainError, DslParseError, SizeMismatchError
+from .errors import DomainError, DslParseError
 
 Partition = tuple[int, ...]
 
@@ -69,7 +69,7 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
     mu = as_partition(mu)
     lam = as_partition(lam)
     if sum(mu) != sum(lam):
-        raise SizeMismatchError(f"{mu} and {lam} have different totals")
+        raise DomainError(f"{mu} and {lam} have different totals")
     acc_mu = acc_lam = 0
     for k in range(len(mu)):
         acc_mu += mu[k]

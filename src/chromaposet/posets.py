@@ -18,7 +18,7 @@ import math
 from heapq import heappop, heappush
 from dataclasses import dataclass
 
-from .errors import DslParseError, InvalidSpecError, TooLargeError, UnknownElementError
+from .errors import DomainError, DslParseError
 
 # The most elements a spec may describe: every up-set is an n-bit mask and
 # validation walks the related pairs, so building costs up to n^2 / 2 steps
@@ -58,7 +58,7 @@ class Chain(PosetSpec):
 
     def __post_init__(self):
         if self.n < 1:
-            raise InvalidSpecError(f"chain length must be >= 1, got {self.n}")
+            raise DomainError(f"chain length must be >= 1, got {self.n}")
 
     def dsl(self) -> str:
         return f"chain:{self.n}"
@@ -71,7 +71,7 @@ class Product(PosetSpec):
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(int(x) for x in self.lengths))
         if not self.lengths or any(x < 1 for x in self.lengths):
-            raise InvalidSpecError(f"product factors must be >= 1, got {self.lengths}")
+            raise DomainError(f"product factors must be >= 1, got {self.lengths}")
 
     def dsl(self) -> str:
         return "prod:" + "x".join(str(x) for x in self.lengths)
@@ -83,7 +83,7 @@ class Boolean(PosetSpec):
 
     def __post_init__(self):
         if self.rank < 1:
-            raise InvalidSpecError(f"boolean rank must be >= 1, got {self.rank}")
+            raise DomainError(f"boolean rank must be >= 1, got {self.rank}")
 
     def dsl(self) -> str:
         return f"bool:{self.rank}"
@@ -97,7 +97,7 @@ class B3(PosetSpec):
 
     def __post_init__(self):
         if self.n < 1:
-            raise InvalidSpecError(f"tail length must be >= 1, got {self.n}")
+            raise DomainError(f"tail length must be >= 1, got {self.n}")
 
     def dsl(self) -> str:
         return f"b3:{self.n}"
@@ -113,9 +113,9 @@ class OrdinalSum(PosetSpec):
 
     def __post_init__(self):
         if self.p < 0 or self.q < 0:
-            raise InvalidSpecError("ordinal-sum chain lengths must be >= 0")
+            raise DomainError("ordinal-sum chain lengths must be >= 0")
         if not isinstance(self.inner, PosetSpec):
-            raise InvalidSpecError("ordinal-sum inner part must be a poset spec")
+            raise DomainError("ordinal-sum inner part must be a poset spec")
 
     def dsl(self) -> str:
         return f"sum:{self.p}+{self.inner.dsl()}+{self.q}"
@@ -149,9 +149,9 @@ class Poset:
     def __init__(self, labels: tuple[str, ...], up: tuple[int, ...]):
         n = len(labels)
         if len(set(labels)) != n:
-            raise InvalidSpecError("element labels must be distinct")
+            raise DomainError("element labels must be distinct")
         if len(up) != n:
-            raise InvalidSpecError("one up-set mask per element required")
+            raise DomainError("one up-set mask per element required")
         full = (1 << n) - 1
         # One pass over the related pairs i < j builds dn, notes the first
         # element whose up-set is not closed, and takes as covers of i the
@@ -164,10 +164,10 @@ class Poset:
         for i in range(n):
             upi = up[i]
             if upi & ~full:
-                raise InvalidSpecError("up-set mask out of range")
+                raise DomainError("up-set mask out of range")
             bit = 1 << i
             if not upi & bit:
-                raise InvalidSpecError(f"order not reflexive at {labels[i]}")
+                raise DomainError(f"order not reflexive at {labels[i]}")
             dn[i] |= bit
             strict = above = upi ^ bit
             beyond = 0
@@ -183,9 +183,9 @@ class Poset:
             covers[i] = strict & ~beyond
         for i in range(n):
             if up[i] & dn[i] != 1 << i:
-                raise InvalidSpecError(f"order not antisymmetric at {labels[i]}")
+                raise DomainError(f"order not antisymmetric at {labels[i]}")
             if i == open_at:
-                raise InvalidSpecError(f"order not transitive at {labels[i]}")
+                raise DomainError(f"order not transitive at {labels[i]}")
         self.labels = tuple(labels)
         self.up = tuple(up)
         self.dn = tuple(dn)
@@ -205,7 +205,7 @@ class Poset:
         try:
             return self._index[label]
         except KeyError:
-            raise UnknownElementError(f"no element labeled {label!r}") from None
+            raise DomainError(f"no element labeled {label!r}") from None
 
     def induced(self, mask: int) -> Poset:
         """The subposet on the elements of ``mask``, labels in index order."""
@@ -349,13 +349,13 @@ class Graph:
     def __init__(self, labels: tuple[str, ...], adj: tuple[int, ...]):
         n = len(labels)
         if len(adj) != n:
-            raise InvalidSpecError("one adjacency mask per vertex required")
+            raise DomainError("one adjacency mask per vertex required")
         for i in range(n):
             if adj[i] >> i & 1:
-                raise InvalidSpecError(f"self-loop at {labels[i]}")
+                raise DomainError(f"self-loop at {labels[i]}")
             for j in iter_bits(adj[i]):
                 if j >= n or not adj[j] >> i & 1:
-                    raise InvalidSpecError("adjacency not symmetric")
+                    raise DomainError("adjacency not symmetric")
         self.labels = tuple(labels)
         self.adj = tuple(adj)
 
@@ -382,10 +382,10 @@ def incomparability_graph(poset: Poset) -> Graph:
 
 def verify_distributive_lattice(poset: Poset) -> bool:
     """True iff all pairwise meets and joins exist and both distributive laws
-    hold over all triples.  TooLargeError past LATTICE_LIMIT elements."""
+    hold over all triples.  DomainError past LATTICE_LIMIT elements."""
     n = len(poset)
     if n > LATTICE_LIMIT:
-        raise TooLargeError(f"{n} elements exceeds the lattice-check limit of {LATTICE_LIMIT}")
+        raise DomainError(f"{n} elements exceeds the lattice-check limit of {LATTICE_LIMIT}")
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -510,18 +510,18 @@ def _element_count(spec: PosetSpec) -> int:
         return 2 * spec.n + 6
     if isinstance(spec, OrdinalSum):
         return spec.p + _element_count(spec.inner) + spec.q
-    raise InvalidSpecError(f"unknown poset spec {spec!r}")
+    raise DomainError(f"unknown poset spec {spec!r}")
 
 
 def check_size(spec: PosetSpec) -> None:
-    """TooLargeError, naming ``spec``, when it has over MAX_ELEMENTS elements."""
+    """DomainError, naming ``spec``, when it has over MAX_ELEMENTS elements."""
     if _element_count(spec) > MAX_ELEMENTS:
-        raise TooLargeError(f"poset {spec.dsl()} has more than {MAX_ELEMENTS} elements")
+        raise DomainError(f"poset {spec.dsl()} has more than {MAX_ELEMENTS} elements")
 
 
 def build_poset(spec: PosetSpec) -> Poset:
     """Construct the poset described by ``spec`` from its coordinates;
-    TooLargeError when it has more than MAX_ELEMENTS elements."""
+    DomainError when it has more than MAX_ELEMENTS elements."""
     check_size(spec)
     poset = _poset_from_coords(*_coords(spec))
     poset.spec = spec
@@ -588,7 +588,7 @@ def _parse_spec(text: str, pos: int, depth: int = 0) -> tuple[PosetSpec, int]:
 def parse_poset_spec(text: str) -> PosetSpec:
     """Parse the whitespace-free poset DSL; syntax errors carry the byte
     offset, while semantically invalid parameters (e.g. ``chain:0``) raise
-    plain :class:`InvalidSpecError`."""
+    plain :class:`DomainError`."""
     spec, pos = _parse_spec(text, 0)
     if pos != len(text):
         raise DslParseError("unexpected trailing text", pos)

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import DomainError, SizeMismatchError
+from .errors import DomainError
 from .partitions import Partition, as_partition, dominance_leq, sorted_partition
 
 
@@ -177,7 +177,7 @@ def _peel_start(shape, prefix) -> tuple[Partition, Partition, int]:
     shape = as_partition(shape)
     prefix = as_partition(prefix)
     if sum(prefix) > sum(shape):
-        raise SizeMismatchError(f"prefix {prefix} exceeds shape {shape}")
+        raise DomainError(f"prefix {prefix} exceeds shape {shape}")
     return shape, prefix, prefix[-1] if prefix else sum(shape)
 
 
@@ -257,7 +257,7 @@ def kostka_number(lam, mu) -> int:
     lam = as_partition(lam)
     mu = as_partition(mu)
     if sum(lam) != sum(mu):
-        raise SizeMismatchError(f"{lam} and {mu} have different sizes")
+        raise DomainError(f"{lam} and {mu} have different sizes")
     if sum(lam) == 0:
         return 1
 

@@ -35,13 +35,7 @@ from .counting import (
     staircase_delta,
     staircase_type,
 )
-from .errors import (
-    DomainError,
-    InternalInvariantError,
-    PreconditionError,
-    SizeMismatchError,
-    TooLargeError,
-)
+from .errors import DomainError, InternalInvariantError
 from .partitions import (
     Partition,
     as_partition,
@@ -114,7 +108,7 @@ def schur_coefficient(
     ``tabloid_closed`` (products of two chains, staircase-prefixed shapes
     only) evaluates each content by the closed form; ``auto`` picks the
     closed route whenever it applies.  ``node_budget`` bounds the nodes the
-    searches walk together (BudgetExceededError past it); the closed route
+    searches walk together (DomainError past it); the closed route
     does not search and ignores it.
     """
     if method not in ("auto", "tabloid_brute", "tabloid_closed"):
@@ -161,9 +155,7 @@ def schur_expansion(poset: Poset, max_elements: int = EXPANSION_LIMIT) -> dict[P
     times s_1 once for each element that is."""
     n = len(poset)
     if n > max_elements:
-        raise TooLargeError(
-            f"{n} elements exceeds the expansion limit of {max_elements}"
-        )
+        raise DomainError(f"{n} elements exceeds the expansion limit of {max_elements}")
     inner = poset.induced(sum(1 << v for v in range(n) if poset.comp[v] != poset.full_mask))
     coeffs = _tabloid_expansion(inner)
     for _ in range(n - len(inner)):
@@ -186,7 +178,7 @@ def theorem41_coefficient(n: int, k: int) -> int:
     product.  Negative for every n >= (k+2)/2; signs outside that range are
     reported by the caller, not asserted here."""
     if k < 5 or n < 2:
-        raise PreconditionError(f"need k >= 5 and n >= 2, got ({n}, {k})")
+        raise DomainError(f"need k >= 5 and n >= 2, got ({n}, {k})")
     nf = math.factorial(n)
     if k == 5:
         return nf * (-4 * n + 9)
@@ -248,5 +240,5 @@ def count_colorings_by_type(graph: Graph, type_) -> int:
     of vertices, so a coloring meets each one exactly."""
     lam = as_partition(type_)
     if sum(lam) != len(graph):
-        raise SizeMismatchError(f"type {lam} does not cover the graph")
+        raise DomainError(f"type {lam} does not cover the graph")
     return _count_colorings(graph, list(lam))

@@ -13,6 +13,7 @@ from typing import Callable
 
 from .counting import ChainPartitionCounter, StablePartitionCounter, scp_closed_form
 from .counting import staircase_type
+from .errors import DomainError
 from .nice import chain_partition_exists, is_nice, ordinal_sum_chain_partition
 from .partitions import dominance_leq, partitions_of, rearrangement_count, sorted_partition
 from .posets import B3, Chain, OrdinalSum, Product, build_poset, incomparability_graph
@@ -249,7 +250,7 @@ def run_criterion(number: int) -> CriterionResult:
             ok, detail = fn()
             elapsed = time.perf_counter() - start
             return CriterionResult(num, name, ok, detail, elapsed, limit)
-    raise ValueError(f"no criterion numbered {number}")
+    raise DomainError(f"no criterion numbered {number}")
 
 
 def run_all(numbers: list[int] | None = None) -> list[CriterionResult]:

@@ -1,6 +1,7 @@
 """Shared test helpers: the builder posets up to a size, hypothesis
-strategies for posets beyond the five builders, and the contents of the
-six tabloids of the negativity witness."""
+strategies for posets beyond the five builders (unit interval orders
+among them), and the contents of the six tabloids of the negativity
+witness."""
 
 import itertools
 
@@ -82,3 +83,20 @@ def posets_with_universal(draw, max_size=8):
     for i, mask in enumerate(up):
         moved[perm[i]] = sum(1 << perm[j] for j in range(n) if mask >> j & 1)
     return Poset(tuple(f"x{i}" for i in range(n)), tuple(moved))
+
+
+@st.composite
+def unit_interval_orders(draw, max_size=9):
+    """A unit interval order on 2..max_size elements from a Hessenberg
+    function: m is nondecreasing with m(i) >= i, and i < j exactly when
+    j > m(i).  The indices are then shuffled.  These posets are
+    (3+1)-free."""
+    n = draw(st.integers(2, max_size))
+    m = []
+    for i in range(n):
+        m.append(draw(st.integers(max(m[-1] if m else 0, i), n - 1)))
+    perm = draw(st.permutations(range(n)))
+    up = [0] * n
+    for i in range(n):
+        up[perm[i]] = 1 << perm[i] | sum(1 << perm[j] for j in range(m[i] + 1, n))
+    return Poset(tuple(f"x{i}" for i in range(n)), tuple(up))

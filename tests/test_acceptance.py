@@ -5,7 +5,7 @@ output on failure)."""
 
 import pytest
 
-from chromaposet import verification
+from chromaposet import DomainError, verification
 
 _IDS = [name for _, name, _, _ in verification.CRITERIA]
 _NUMBERS = [number for number, _, _, _ in verification.CRITERIA]
@@ -17,3 +17,8 @@ def test_criterion(number):
     print(result.line())
     assert result.ok, result.line()
     assert result.within_limit, result.line()
+
+
+def test_unknown_criterion_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"^no criterion numbered 99$"):
+        verification.run_criterion(99)

@@ -16,7 +16,7 @@ import pytest
 import chromaposet
 from chromaposet import (
     ChainPartitionCertificate,
-    SizeMismatchError,
+    DomainError,
     __version__,
     build_poset,
     enumerate_srht,
@@ -564,7 +564,7 @@ def test_tabloid_content_and_prefix_filters(capsys):
 
 def test_prefix_past_the_shape_is_one_error(capsys):
     for peel in (enumerate_srht, signed_contents):
-        with pytest.raises(SizeMismatchError) as exc:
+        with pytest.raises(DomainError, match=r"^prefix \(4,\) exceeds shape \(2, 1\)$") as exc:
             peel((2, 1), (4,))
         assert str(exc.value) == "prefix (4,) exceeds shape (2, 1)", peel
     code, out, err = run(capsys, "tabloid", "--shape", "2,1", "--content-prefix", "4")

@@ -14,7 +14,7 @@ from chromaposet.counting import (
     staircase_delta,
     staircase_type,
 )
-from chromaposet.errors import DomainError, PreconditionError, SizeMismatchError
+from chromaposet.errors import DomainError
 from chromaposet.nice import ChainPartitionSearcher, chain_partition_exists
 from chromaposet.partitions import (
     multiplicity_profile,
@@ -67,7 +67,7 @@ def test_known_small_counts():
 
 
 def test_size_mismatch():
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(DomainError, match=r"^type \(2, 1\) does not cover 4 elements$"):
         ChainPartitionCounter(build_poset(Chain(4))).count((2, 1))
 
 
@@ -182,17 +182,17 @@ def test_closed_form_rejects_bad_input():
     assert staircase_type(8, 3)[:-1] == (10, 8)
     assert scp_closed_form(8, 3, (10, 8, 4, 2)) == literal_closed_form(8, 3, (10, 8, 4, 2))
     with pytest.raises(
-        PreconditionError, match=r"^type \(10, 7, 5, 2\) does not start with the staircase \(10, 8\)$"
+        DomainError, match=r"^type \(10, 7, 5, 2\) does not start with the staircase \(10, 8\)$"
     ):
         scp_closed_form(8, 3, (10, 7, 5, 2))
-    with pytest.raises(SizeMismatchError, match=r"^type \(10, 8, 4\) does not cover the 8x3 product$"):
+    with pytest.raises(DomainError, match=r"^type \(10, 8, 4\) does not cover the 8x3 product$"):
         scp_closed_form(8, 3, (10, 8, 4))
     with pytest.raises(DomainError, match="weakly decreasing"):
         scp_closed_form(8, 3, (10, 8, 2, 4))
     # the sides are checked before the type
-    with pytest.raises(PreconditionError, match=r"^need m >= n >= 1, got \(3, 4\)$"):
+    with pytest.raises(DomainError, match=r"^need m >= n >= 1, got \(3, 4\)$"):
         scp_closed_form(3, 4, (10, 8))
-    with pytest.raises(PreconditionError, match=r"^need m >= n >= 1, got \(3, 0\)$"):
+    with pytest.raises(DomainError, match=r"^need m >= n >= 1, got \(3, 0\)$"):
         scp_closed_form(3, 0, ())
 
 
@@ -267,7 +267,7 @@ def test_forced_content_prefix():
     assert prefix((9, 9, 2, 2, 2), 8, 3) is None
     assert prefix((4, 2, 2), 4, 2) is None  # 4 != 4+2-1
     assert prefix((5, 2, 1), 4, 2) == (5,)
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(DomainError, match=r"^partition \(5, 2\) does not fill the 8-element poset$"):
         prefix((5, 2), 4, 2)
 
 
@@ -289,9 +289,9 @@ def test_staircase_delta():
     assert staircase_delta(3, 5) == (10, 8)
     assert staircase_delta(2, 5) == (8,)
     assert staircase_delta(5, 7) == (16, 14, 12, 10)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match=r"^need k >= 5 and n >= 2, got \(1, 5\)$"):
         staircase_delta(1, 5)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match=r"^need k >= 5 and n >= 2, got \(3, 4\)$"):
         staircase_delta(3, 4)
 
 

@@ -1,4 +1,5 @@
-"""Niceness decisions, chain-partition certificates, and the constructive
+"""Niceness decisions, chain-partition certificates, the negative Schur
+coefficient behind every failure of niceness, and the constructive
 partitions: the parameterized chain families inside products of two chains
 and the absorption recursion for ordinal sums."""
 
@@ -14,17 +15,12 @@ from chromaposet import (
     Chain,
     ChainPartitionCertificate,
     ChainPartitionCounter,
-    BudgetExceededError,
-    CertificateError,
+    DomainError,
     OrdinalSum,
     Poset,
-    PreconditionError,
     Product,
     SearchStats,
-    SizeMismatchError,
     StablePartitionCounter,
-    TooLargeError,
-    UnknownElementError,
     build_poset,
     chain_partition_exists,
     dominance_leq,
@@ -33,6 +29,7 @@ from chromaposet import (
     ordinal_sum_chain_partition,
     parse_poset_spec,
     partitions_of,
+    schur_coefficient,
     staircase_type,
 )
 from chromaposet import nice
@@ -74,7 +71,7 @@ def test_impossible_types_return_none():
     poset = build_poset(Product((2, 2)))
     assert chain_partition_exists(poset, (4,)) is None  # longest chain is 3
     assert chain_partition_exists(poset, (3, 1)) is not None
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(DomainError, match=r"^type \(3, 2\) does not cover 4 elements$"):
         chain_partition_exists(poset, (3, 2))
 
 
@@ -86,7 +83,7 @@ def test_search_stats_accumulate():
 
 def test_node_budget_is_enforced():
     poset = build_poset(B3(6))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(DomainError, match=r"^search exceeded 10 nodes$"):
         chain_partition_exists(poset, (6, 6, 6), node_budget=10)
 
 
@@ -96,21 +93,21 @@ def test_certificate_validation_rejects_bad_claims():
     ChainPartitionCertificate(poset, good, (3, 1)).validate()
 
     dup = (("(1,1)", "(1,2)", "(2,2)"), ("(2,1)", "(1,1)"))
-    with pytest.raises(CertificateError, match="twice"):
+    with pytest.raises(DomainError, match=r"^element '\(1,1\)' appears twice$"):
         ChainPartitionCertificate(poset, dup, (3, 2)).validate()
 
     incomp = (("(1,2)", "(2,1)"), ("(1,1)", "(2,2)"))
-    with pytest.raises(CertificateError, match="incomparable"):
+    with pytest.raises(DomainError, match=r"^'\(1,2\)' and '\(2,1\)' are incomparable$"):
         ChainPartitionCertificate(poset, incomp, (2, 2)).validate()
 
     missing = (("(1,1)", "(1,2)", "(2,2)"),)
-    with pytest.raises(CertificateError, match="cover"):
+    with pytest.raises(DomainError, match=r"^blocks do not cover the poset$"):
         ChainPartitionCertificate(poset, missing, (3,)).validate()
 
-    with pytest.raises(CertificateError, match="type"):
+    with pytest.raises(DomainError, match=r"^block sizes \(3, 1\) do not match type \(2, 2\)$"):
         ChainPartitionCertificate(poset, good, (2, 2)).validate()
 
-    with pytest.raises(UnknownElementError):
+    with pytest.raises(DomainError, match=r"^no element labeled 'bogus'$"):
         ChainPartitionCertificate(poset, (("(1,1)", "bogus"),), (2,)).validate()
 
 
@@ -331,6 +328,68 @@ def test_b3_witness_types_have_no_stable_partition(n, missing):
     assert StablePartitionCounter(graph).count(missing) == 0
 
 
+def _negative_coefficient(poset, verdict):
+    """The first shape nu dominating the witness's unachieved type mu, mu
+    itself tried first, whose Schur coefficient is negative, with that
+    coefficient; None if there is none.
+
+    Stanley's argument (Discrete Math. 193, 1998) says there is one.  The
+    coefficient of m_mu, the sum of c_nu K_{nu,mu} over nu dominating mu,
+    is 0.  Were no such c_nu negative, all would be 0, and so would the
+    coefficient of m_lam for the achieved lam.  Shapes outside the chain
+    shape have c_nu = 0, so only those inside it are tried."""
+    mu = verdict.witness[1]
+    shapes = [nu for nu in partitions_of(len(poset), poset.chain_shape()) if dominance_leq(mu, nu)]
+    for nu in sorted(shapes, key=lambda nu: nu != mu):
+        coefficient = schur_coefficient(poset, nu)
+        if coefficient < 0:
+            return nu, coefficient
+    return None
+
+
+@pytest.mark.parametrize("dsl, shape, coefficient", [
+    ("b3:6", (6, 6, 6), -72),
+    ("b3:7", (7, 7, 6), -168),
+    ("b3:8", (8, 8, 6), -328),
+    ("sum:0+b3:7+1", (7, 7, 7), -168),
+], ids=("b3:6", "b3:7", "b3:8", "sum:0+b3:7+1"))
+def test_not_nice_means_a_negative_schur_coefficient(dsl, shape, coefficient):
+    """The two halves of the paper meet: each non-nice poset's unachieved
+    witness type is itself a negative Schur coefficient."""
+    poset = build_poset(parse_poset_spec(dsl))
+    verdict = is_nice(poset, max_elements=len(poset))
+    assert not verdict.nice
+    assert _negative_coefficient(poset, verdict) == (shape, coefficient)
+
+
+def test_b3_6_negative_coefficients_above_its_witness():
+    """All shapes inside the chain shape that dominate (6, 6, 6), and the
+    two of them with a negative coefficient."""
+    poset = build_poset(B3(6))
+    shapes = [nu for nu in partitions_of(18, poset.chain_shape()) if dominance_leq((6, 6, 6), nu)]
+    negative = {nu: c for nu in shapes if (c := schur_coefficient(poset, nu)) < 0}
+    assert (len(shapes), negative) == (10, {(7, 6, 5): -92, (6, 6, 6): -72})
+
+
+def test_not_nice_builders_have_a_negative_schur_coefficient():
+    not_nice = []
+    for spec in builder_specs(20):
+        poset = build_poset(spec)
+        verdict = is_nice(poset)
+        if not verdict.nice:
+            assert _negative_coefficient(poset, verdict) is not None, spec
+            not_nice.append(spec.dsl())
+    assert not_nice == ["b3:6", "b3:7"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_posets())
+def test_not_nice_random_posets_have_a_negative_schur_coefficient(poset):
+    verdict = is_nice(poset)
+    if not verdict.nice:
+        assert _negative_coefficient(poset, verdict) is not None
+
+
 def test_b3_6_and_its_sum_keep_their_answers():
     verdict = is_nice(build_poset(B3(6)))
     assert (verdict.nice, verdict.witness) == (False, ((9, 7, 2), (6, 6, 6)))
@@ -347,9 +406,9 @@ def test_b3_6_and_its_sum_keep_their_answers():
 
 
 def test_is_nice_size_guard():
-    with pytest.raises(TooLargeError):
+    with pytest.raises(DomainError, match=r"^21 elements exceeds the niceness limit of 20$"):
         is_nice(build_poset(Product((7, 3))))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(DomainError, match=r"^search exceeded 10 nodes$"):
         is_nice(build_poset(B3(6)), node_budget=10)
 
 
@@ -380,7 +439,7 @@ def test_staircase_type_values():
     assert staircase_type(8, 3) == (10, 8, 6)
     assert staircase_type(16, 4) == (19, 17, 15, 13)
     assert staircase_type(5, 1) == (5,)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match=r"^need m >= n >= 1, got \(3, 4\)$"):
         staircase_type(3, 4)
 
 
@@ -496,11 +555,11 @@ def test_ordinal_sum_absorption_splits():
 
 
 def test_ordinal_sum_preconditions():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match=r"^added chain lengths must be >= 0$"):
         ordinal_sum_chain_partition(-1, 0, 2, 2, (4, 1))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match=r"^\(6,\) is not dominated by \(5, 1\)$"):
         ordinal_sum_chain_partition(1, 1, 2, 2, (6,))
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(DomainError, match=r"^\(4, 1\) and \(5, 1\) have different totals$"):
         ordinal_sum_chain_partition(1, 1, 2, 2, (4, 1))
 
 
@@ -517,7 +576,7 @@ def test_ordinal_sum_achieved_iff_dominated():
             assert cert.type == mu
             cert.validate()
         else:
-            with pytest.raises(PreconditionError):
+            with pytest.raises(DomainError, match=r"^\(6,\) is not dominated by \(5, 1\)$"):
                 ordinal_sum_chain_partition(1, 1, 2, 2, mu)
 
 

@@ -4,6 +4,7 @@ against the code that names them, and README's library example against
 the values it shows."""
 
 import ast
+import builtins
 import inspect
 import io
 import tokenize
@@ -113,6 +114,31 @@ def test_no_assert_in_the_package():
     ]
     assert not found, f"assert in library code: {found}"
 
+
+def test_one_exception_type_per_exit_code():
+    """``errors.py`` defines the three exception types: ``DomainError``
+    (exit 1), ``DslParseError`` (exit 2) and ``InternalInvariantError`` (a
+    bug).  No other module defines an exception, except the CLI's private
+    ``UsageError`` (exit 2), so a message, not a class, names the fault.
+    A class is an exception when one of its bases is a builtin exception
+    or a class already found to be one."""
+    bases = {}
+    for path in sorted(Path(chromaposet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[f"{path.stem}.{node.name}"] = {ast.unparse(b).rpartition(".")[2] for b in node.bases}
+    names = {n for n, v in vars(builtins).items() if inspect.isclass(v) and issubclass(v, BaseException)}
+    found = set()
+    while new := {q for q, b in bases.items() if b & names} - found:
+        found |= new
+        names |= {q.partition(".")[2] for q in new}
+    assert sorted(found) == [
+        "cli.UsageError",
+        "errors.DomainError",
+        "errors.DslParseError",
+        "errors.InternalInvariantError",
+    ]
+    assert bases["errors.DslParseError"] == {"DomainError"}
 
 
 def _leading_text(comment: str) -> str:

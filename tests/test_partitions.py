@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from chromaposet.errors import DomainError, DslParseError, SizeMismatchError
+from chromaposet.errors import DomainError, DslParseError
 from chromaposet.partitions import (
     as_partition,
     dominance_leq,
@@ -65,7 +65,7 @@ def test_dominance_examples():
     assert dominance_leq((6, 6, 6), (9, 7, 2))
     assert not dominance_leq((4, 2), (3, 3))
     assert dominance_leq((3, 3), (4, 2))
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(DomainError, match=r"^\(2, 1\) and \(2, 2\) have different totals$"):
         dominance_leq((2, 1), (2, 2))
 
 

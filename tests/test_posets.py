@@ -9,12 +9,7 @@ from chromaposet import posets
 from chromaposet.counting import staircase_type
 from chromaposet.nice import chain_partition_exists
 from chromaposet.partitions import partitions_of
-from chromaposet.errors import (
-    DslParseError,
-    InvalidSpecError,
-    TooLargeError,
-    UnknownElementError,
-)
+from chromaposet.errors import DomainError, DslParseError
 from chromaposet.posets import (
     B3,
     Boolean,
@@ -64,17 +59,17 @@ def test_chain_basics():
 
 
 def test_invalid_specs():
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(DomainError, match=r"^chain length must be >= 1, got 0$"):
         Chain(0)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(DomainError, match=r"^product factors must be >= 1, got \(\)$"):
         Product(())
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(DomainError, match=r"^product factors must be >= 1, got \(3, 0\)$"):
         Product((3, 0))
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(DomainError, match=r"^boolean rank must be >= 1, got -1$"):
         Boolean(-1)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(DomainError, match=r"^tail length must be >= 1, got 0$"):
         B3(0)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(DomainError, match=r"^ordinal-sum chain lengths must be >= 0$"):
         OrdinalSum(-1, Chain(1), 0)
 
 
@@ -87,7 +82,7 @@ def test_product_structure():
     j = p.index_of("(3,3)")
     assert p.up[i] >> j & 1
     assert not p.up[j] >> i & 1
-    with pytest.raises(UnknownElementError):
+    with pytest.raises(DomainError, match=r"^no element labeled '\(9,9\)'$"):
         p.index_of("(9,9)")
     # incomparable pair count: total pairs minus comparable ones
     comparable = sum(
@@ -206,7 +201,7 @@ def test_dsl_parse_errors_carry_offsets():
     # trailing garbage is a parse error, bad parameters a semantic one
     with pytest.raises(DslParseError):
         parse_poset_spec("chain:3junk")
-    with pytest.raises(InvalidSpecError) as exc2:
+    with pytest.raises(DomainError, match=r"^chain length must be >= 1, got 0$") as exc2:
         parse_poset_spec("chain:0")
     assert not isinstance(exc2.value, DslParseError)
 
@@ -223,7 +218,7 @@ def test_element_cap_is_checked_before_building(monkeypatch):
     ]
     for spec in too_large:
         message = f"^poset {re.escape(spec.dsl())} has more than 12 elements$"
-        with pytest.raises(TooLargeError, match=message):
+        with pytest.raises(DomainError, match=message):
             build_poset(spec)
 
 
@@ -471,7 +466,7 @@ def test_induced_on_the_empty_mask_is_the_empty_poset():
 ])
 def test_invalid_relations_raise_pinned_messages(up, message):
     labels = "abcde"[: len(up)]
-    with pytest.raises(InvalidSpecError) as exc:
+    with pytest.raises(DomainError) as exc:
         Poset(tuple(labels), up)
     assert str(exc.value) == message
 

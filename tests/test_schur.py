@@ -1,11 +1,12 @@
 """Schur and monomial expansions, checked against routes that share no code
 with the library: coloring enumeration for monomial coefficients, the hook
 length and hook content formulas for chain expansions and principal
-specializations, and the closed witness formula against its six-case
-assembly."""
+specializations, Gasharov's P-tableaux on unit interval orders, and the
+closed witness formula against its six-case assembly."""
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,9 @@ from chromaposet import (
     Boolean,
     Chain,
     DomainError,
-    FastPathInapplicableError,
     Graph,
     OrdinalSum,
-    PreconditionError,
     Product,
-    SizeMismatchError,
-    TooLargeError,
     build_poset,
     count_colorings_by_type,
     count_proper_colorings,
@@ -47,7 +44,12 @@ from chromaposet.counting import (
     scp_closed_form,
     staircase_type,
 )
-from conftest import posets_with_universal, random_posets
+from chromaposet.posets import iter_bits
+from conftest import posets_with_universal, random_posets, unit_interval_orders
+
+
+# what the closed route raises when its hypotheses fail
+NOT_CLOSED = r"^closed form needs a product of two chains and a staircase-prefixed partition$"
 
 
 def hook_products(lam):
@@ -144,7 +146,7 @@ def test_coloring_counters_on_a_path():
     assert count_colorings_by_type(g, (3,)) == 0
     assert count_colorings_by_type(g, (2, 1)) == 1
     assert count_colorings_by_type(g, (1, 1, 1)) == 6
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(DomainError, match=r"^type \(2, 2\) does not cover the graph$"):
         count_colorings_by_type(g, (2, 2))
 
 
@@ -235,7 +237,7 @@ def test_schur_at_ones_matches_hook_content_formula():
 
 
 def test_schur_expansion_size_guard():
-    with pytest.raises(TooLargeError):
+    with pytest.raises(DomainError, match=r"^13 elements exceeds the expansion limit of 12$"):
         schur_expansion(build_poset(Chain(13)))
     # explicit limit overrides the default
     schur_expansion(build_poset(Chain(13)), max_elements=13)
@@ -280,6 +282,64 @@ def test_brute_coefficients_match_the_reduced_expansion():
 
 
 # ---------------------------------------------------------------------------
+# P-tableaux: a third Schur route on (3+1)-free posets
+
+
+def p_tableaux(poset, shape):
+    """Gasharov's P-tableaux of ``shape`` (Discrete Math. 157, 1996): every
+    element once, each row a chain increasing left to right in P, and no
+    entry below, in P, the entry directly above it.  On a (3+1)-free poset
+    their number is the coefficient of s_shape.  Filled row by row; a row's
+    completions depend only on the elements left and the row above it."""
+    above = [up & ~(1 << i) for i, up in enumerate(poset.up)]
+
+    @lru_cache(maxsize=None)
+    def rows(r, free, prev):
+        if r == len(shape):
+            return 1
+
+        def fill(row, free):
+            if len(row) == shape[r]:
+                return rows(r + 1, free, row)
+            return sum(
+                fill(row + (x,), free & ~(1 << x))
+                for x in iter_bits(free)
+                if (not row or above[row[-1]] >> x & 1)
+                and not (prev and above[x] >> prev[len(row)] & 1)
+            )
+
+        return fill((), free)
+
+    return rows(0, (1 << len(poset)) - 1, ())
+
+
+def _check_p_tableaux(poset):
+    expansion = schur_expansion(poset)
+    for lam in partitions_of(len(poset)):
+        assert p_tableaux(poset, lam) == expansion.get(lam, 0), lam
+
+
+@settings(deadline=None, max_examples=60)
+@given(unit_interval_orders())
+def test_unit_interval_orders_count_p_tableaux(poset):
+    _check_p_tableaux(poset)
+
+
+@pytest.mark.parametrize("dsl", ["chain:5", "prod:2x2", "prod:2x3", "prod:2x2x2", "bool:3", "b3:1", "sum:1+b3:1+1"])
+def test_3_plus_1_free_builders_count_p_tableaux(dsl):
+    _check_p_tableaux(build_poset(parse_poset_spec(dsl)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(unit_interval_orders(max_size=12))
+def test_schur_never_exits_3_on_unit_interval_orders(poset):
+    """``schur`` exits 3 exactly when a coefficient is negative, and
+    (3+1)-free posets are Schur-positive; 12 elements is its default
+    limit."""
+    assert min(schur_expansion(poset).values()) > 0
+
+
+# ---------------------------------------------------------------------------
 # single coefficients and the closed fast path
 
 
@@ -314,12 +374,12 @@ def test_fast_path_detection():
         assert closed_route(poset, shape, "auto") == sides, (spec, shape)
         assert closed_route(poset, shape, "brute") is None
         if sides is None:
-            with pytest.raises(FastPathInapplicableError):
+            with pytest.raises(DomainError, match=NOT_CLOSED):
                 closed_route(poset, shape, "closed")
         else:
             assert closed_route(poset, shape, "closed") == sides
             assert staircase_type(*sides)[:-1] == prefix
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(DomainError, match=r"^partition \(5, 2\) does not fill the 8-element poset$"):
         closed_route(build_poset(Product((4, 2))), (5, 2), "auto")
 
 
@@ -363,14 +423,14 @@ def test_closed_path_matches_brute_over_staircase_grid():
 
 def test_schur_coefficient_errors():
     poset = build_poset(Product((8, 3)))
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(DomainError, match=r"^partition \(10, 8, 2, 2\) does not fill the 24-element poset$"):
         schur_coefficient(poset, (10, 8, 2, 2))
     with pytest.raises(DomainError):
         schur_coefficient(poset, rho_shape(3, 5), method="closed")
-    with pytest.raises(FastPathInapplicableError):
+    with pytest.raises(DomainError, match=NOT_CLOSED):
         # no staircase prefix under this shape
         schur_coefficient(poset, (9, 9, 2, 2, 2), method="tabloid_closed")
-    with pytest.raises(FastPathInapplicableError):
+    with pytest.raises(DomainError, match=NOT_CLOSED):
         b3 = build_poset(B3(1))
         schur_coefficient(b3, (len(b3) - 1, 1), method="tabloid_closed")
 
@@ -411,9 +471,9 @@ def test_theorem41_matches_case_assembly():
 
 
 def test_theorem41_preconditions():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match=r"^need k >= 5 and n >= 2, got \(3, 4\)$"):
         theorem41_coefficient(3, 4)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match=r"^need k >= 5 and n >= 2, got \(1, 5\)$"):
         theorem41_coefficient(1, 5)
 
 
