@@ -122,7 +122,7 @@ def _cmd_tabloid(args) -> Reply:
     for t in family:
         tabloids.append(
             {
-                "hooks": [[[r, c] for r, c in hook.cells()] for hook in t.hooks],
+                "hooks": [[list(cell) for cell in hook] for hook in t.hooks],
                 "height": t.height,
                 "sign": t.sign,
                 "content": format_partition(t.content),
@@ -315,7 +315,7 @@ def _cmd_sweep(args) -> Reply:
 
 def _criteria(text: str | None) -> list[int] | None:
     """The --criteria selection; None (all criteria) when absent."""
-    if not text:
+    if text is None:
         return None
     pieces = text.split(",")
     # ASCII digits only, as in partition text: int() also takes other

@@ -279,6 +279,13 @@ def closed_route(poset: Poset, partition, method: str) -> tuple[int, int] | None
     return sides
 
 
+def _exact(num: int, den: int) -> int:
+    out, r = divmod(num, den)
+    if r:
+        raise InternalInvariantError(f"{num} is not divisible by {den}")
+    return out
+
+
 def scp_closed_form(m: int, n: int, type_) -> int:
     """Closed-form chain-partition count of the m x n product (m >= n >= 1)
     for a type that starts with the staircase m+n-1, m+n-3, ..., m-n+3.
@@ -325,10 +332,7 @@ def scp_closed_form(m: int, n: int, type_) -> int:
     denom = 1
     for k, alpha in multiplicity_profile(tail):
         denom *= math.factorial(k) ** alpha
-    out, r = divmod(total, denom)
-    if r:
-        raise InternalInvariantError("closed-form sum not divisible by the block factorials")
-    return out
+    return _exact(total, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -338,27 +342,24 @@ def scp_closed_form(m: int, n: int, type_) -> int:
 WITNESS_CASE_HEIGHTS = {"T1": 3, "T2": 2, "T3": 2, "T4": 1, "T5": 1, "T6": 0}
 
 
+def check_witness_range(n: int, k: int) -> None:
+    """The range of Theorem 4.1's witness: k >= 5 and n >= 2."""
+    if k < 5 or n < 2:
+        raise DomainError(f"need k >= 5 and n >= 2, got ({n}, {k})")
+
+
 def staircase_delta(n: int, k: int) -> Partition:
     """(2n+k-1, 2n+k-3, ..., k+3): the length-(n-1) forced prefix for the
     (n+k) x n product."""
-    if k < 5 or n < 2:
-        raise DomainError(f"need k >= 5 and n >= 2, got ({n}, {k})")
+    check_witness_range(n, k)
     return staircase_type(n + k, n)[:-1]
-
-
-def _exact(num: int, den: int) -> int:
-    out, r = divmod(num, den)
-    if r:
-        raise InternalInvariantError(f"{num} is not divisible by {den}")
-    return out
 
 
 def proof_case_closed_forms(n: int, k: int) -> dict[str, int]:
     """Chain-partition counts of the (n+k) x n product for the six witness
     contents, from their closed polynomial forms (with the small-k branches
     where the tail multiplicities change)."""
-    if k < 5 or n < 2:
-        raise DomainError(f"need k >= 5 and n >= 2, got ({n}, {k})")
+    check_witness_range(n, k)
     nf = math.factorial(n)
     t1 = nf * (n + _exact(k * k + k - 2, 2))
     t2 = nf * (n * n + (2 * k - 1) * n + (k * k - k))

@@ -11,8 +11,9 @@ tabloid, and is what the Schur sums use; ``enumerate_srht`` builds the
 tabloids themselves for display and for the checks.
 
 Cells are (row, column) pairs, 1-based, with row 1 the longest row (English
-notation).  Hooks are stored bottom-up in peel order: the first hook is the
-one through the bottom-left cell.
+notation).  A hook is the tuple of its cells, row by row with columns
+ascending inside each row.  Hooks are stored bottom-up in peel order: the
+first hook is the one through the bottom-left cell.
 """
 
 from __future__ import annotations
@@ -25,45 +26,22 @@ from functools import cache
 from .errors import DomainError
 from .partitions import Partition, as_partition, dominance_leq, sorted_partition
 
-
-@dataclass(frozen=True)
-class RimHook:
-    """One rim hook, stored as per-row column intervals.
-
-    ``spans`` lists (row, col_lo, col_hi) with rows ascending; consecutive
-    rows overlap in exactly one column, which is what makes the cell set a
-    rim hook.
-    """
-
-    spans: tuple[tuple[int, int, int], ...]
-
-    @property
-    def size(self) -> int:
-        return sum(hi - lo + 1 for _, lo, hi in self.spans)
-
-    @property
-    def height(self) -> int:
-        """Rows spanned minus one."""
-        return len(self.spans) - 1
-
-    def cells(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (row, col) for row, lo, hi in self.spans for col in range(lo, hi + 1)
-        )
+Hook = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class SpecialRimHookTabloid:
     shape: Partition
-    hooks: tuple[RimHook, ...]
+    hooks: tuple[Hook, ...]
 
     @property
     def content(self) -> Partition:
-        return sorted_partition(h.size for h in self.hooks)
+        return sorted_partition(len(h) for h in self.hooks)
 
     @property
     def height(self) -> int:
-        return sum(h.height for h in self.hooks)
+        """Rows each hook spans, minus one, summed."""
+        return sum(len({r for r, _ in h}) - 1 for h in self.hooks)
 
     @property
     def sign(self) -> int:
@@ -79,7 +57,9 @@ class SpecialRimHookTabloid:
         }
         seen: set[tuple[int, int]] = set()
         for hook in self.hooks:
-            cells = set(hook.cells())
+            cells = set(hook)
+            if len(cells) < len(hook):
+                raise DomainError("hook repeats a cell")
             if seen & cells:
                 raise DomainError("hooks overlap")
             seen |= cells
@@ -107,7 +87,7 @@ class SpecialRimHookTabloid:
         # occupied rows are exactly 1..k, left-justified, weakly decreasing.
         remaining = set(shape_cells)
         for hook in self.hooks:
-            remaining -= set(hook.cells())
+            remaining -= set(hook)
             rows = Counter(r for r, _ in remaining)
             if sorted(rows) != list(range(1, len(rows) + 1)):
                 raise DomainError("peeling leaves a gap row")
@@ -150,23 +130,21 @@ def enumerate_srht(shape, prefix=()) -> TabloidFamily:
     # between the lengths of rows i+1 and i.  Its size mu_r + L - r is
     # strictly decreasing in r, so distinct choices give distinct hooks and
     # the recursion produces each tabloid exactly once.
-    def peel(lengths: Partition, unmet: Partition, acc: list[RimHook]):
+    def peel(lengths: Partition, unmet: Partition, acc: list[Hook]):
         if not lengths:
             if not unmet:
                 found.append(SpecialRimHookTabloid(shape, tuple(acc)))
             return
         bottom = len(lengths) - 1
         for top, _, rest, trimmed in _peel_steps(lengths, unmet, floor):
-            spans = tuple(
-                (i + 1, 1 if i == bottom else lengths[i + 1], lengths[i])
-                for i in range(top, bottom + 1)
-            )
-            acc.append(RimHook(spans))
+            hook = ((i + 1, c) for i in range(top, bottom + 1)
+                    for c in range(1 if i == bottom else lengths[i + 1], lengths[i] + 1))
+            acc.append(tuple(hook))
             peel(trimmed, rest, acc)
             acc.pop()
 
     peel(shape, prefix, [])
-    found.sort(key=lambda t: tuple(h.size for h in t.hooks))
+    found.sort(key=lambda t: tuple(len(h) for h in t.hooks))
     return TabloidFamily(shape, tuple(found))
 
 
@@ -301,7 +279,7 @@ def render_tabloid(tabloid: SpecialRimHookTabloid) -> str:
     """ASCII grid with cells labeled by hook index (bottom-up, 1-based)."""
     owner: dict[tuple[int, int], int] = {}
     for idx, hook in enumerate(tabloid.hooks, start=1):
-        for cell in hook.cells():
+        for cell in hook:
             owner[cell] = idx
     width = len(str(len(tabloid.hooks)))
     lines = []

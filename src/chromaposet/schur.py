@@ -29,13 +29,15 @@ from .counting import (
     WITNESS_CASE_HEIGHTS,
     ChainPartitionCounter,
     StablePartitionCounter,
+    _exact,
+    check_witness_range,
     closed_route,
     proof_case_closed_forms,
     scp_closed_form,
     staircase_delta,
     staircase_type,
 )
-from .errors import DomainError, InternalInvariantError
+from .errors import DomainError
 from .partitions import (
     Partition,
     as_partition,
@@ -177,18 +179,14 @@ def theorem41_coefficient(n: int, k: int) -> int:
     """Closed form of the witness-shape coefficient for the (n+k) x n
     product.  Negative for every n >= (k+2)/2; signs outside that range are
     reported by the caller, not asserted here."""
-    if k < 5 or n < 2:
-        raise DomainError(f"need k >= 5 and n >= 2, got ({n}, {k})")
+    check_witness_range(n, k)
     nf = math.factorial(n)
     if k == 5:
         return nf * (-4 * n + 9)
     if k == 6:
         return nf * (-11 * n + 32)
     num = nf * (k - 4) * ((-2 * k * k + 4 * k - 18) * n + (k**3 - 7 * k + 18))
-    out, r = divmod(num, 12)
-    if r:
-        raise InternalInvariantError("witness coefficient numerator not divisible by 12")
-    return out
+    return _exact(num, 12)
 
 
 def witness_coefficient_from_cases(n: int, k: int) -> int:

@@ -86,12 +86,12 @@ def posets_with_universal(draw, max_size=8):
 
 
 @st.composite
-def unit_interval_orders(draw, max_size=9):
-    """A unit interval order on 2..max_size elements from a Hessenberg
-    function: m is nondecreasing with m(i) >= i, and i < j exactly when
-    j > m(i).  The indices are then shuffled.  These posets are
-    (3+1)-free."""
-    n = draw(st.integers(2, max_size))
+def unit_interval_orders(draw, max_size=9, min_size=2):
+    """A unit interval order on min_size..max_size elements from a
+    Hessenberg function: m is nondecreasing with m(i) >= i, and i < j
+    exactly when j > m(i).  The indices are then shuffled.  These posets
+    are (3+1)-free."""
+    n = draw(st.integers(min_size, max_size))
     m = []
     for i in range(n):
         m.append(draw(st.integers(max(m[-1] if m else 0, i), n - 1)))

@@ -256,6 +256,13 @@ def test_unparseable_criteria_exit_2(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_empty_criteria_exit_2(capsys):
+    # an empty selection checks nothing, so it must not pass
+    code, out, err = run(capsys, "verify", "--criteria", "")
+    assert (code, out) == (2, "")
+    assert err == "error: --criteria takes comma-separated numbers, got ''\n"
+
+
 @pytest.mark.parametrize("text", ["\u0661", " 1", "+1", "1_0"])
 def test_criteria_take_ascii_digits_only(capsys, text):
     # int() reads each of these: an Arabic-Indic one, a padded or signed
@@ -560,6 +567,37 @@ def test_tabloid_content_and_prefix_filters(capsys):
     code, _, err = run(capsys, "tabloid", "--shape", "5,3,x", "--content", "6",
                        "--content-prefix", "6")
     assert (code, err) == (2, "error: bad partition part 'x' (at byte 4)\n")
+
+
+def test_tabloid_output_is_pinned(capsys):
+    """The whole text of one shape and the whole JSON result of another:
+    hooks in peel order, each hook's cells row by row with columns
+    ascending."""
+    code, out, err = run(capsys, "tabloid", "--shape", "2,2,1")
+    assert (code, err) == (0, "")
+    assert out == (
+        "4 special rim hook tabloids of shape 2,2,1\n"
+        "3 3\n2 2\n1\ncontent 2,2,1  height 0  sign +1\n\n"
+        "3 2\n2 2\n1\ncontent 3,1,1  height 1  sign -1\n\n"
+        "2 2\n1 1\n1\ncontent 3,2  height 1  sign -1\n\n"
+        "2 1\n1 1\n1\ncontent 4,1  height 2  sign +1\n\n"
+    )
+    code, env, _ = run_json(capsys, "tabloid", "--shape", "3,2,1")
+    assert code == 0
+    assert env["result"] == {
+        "shape": "3,2,1",
+        "count": 4,
+        "tabloids": [
+            {"content": "3,2,1", "height": 0, "sign": 1,
+             "hooks": [[[3, 1]], [[2, 1], [2, 2]], [[1, 1], [1, 2], [1, 3]]]},
+            {"content": "4,1,1", "height": 1, "sign": -1,
+             "hooks": [[[3, 1]], [[1, 2], [1, 3], [2, 1], [2, 2]], [[1, 1]]]},
+            {"content": "3,3", "height": 1, "sign": -1,
+             "hooks": [[[2, 1], [2, 2], [3, 1]], [[1, 1], [1, 2], [1, 3]]]},
+            {"content": "5,1", "height": 2, "sign": 1,
+             "hooks": [[[1, 2], [1, 3], [2, 1], [2, 2], [3, 1]], [[1, 1]]]},
+        ],
+    }
 
 
 def test_prefix_past_the_shape_is_one_error(capsys):

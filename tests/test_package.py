@@ -7,6 +7,7 @@ import ast
 import builtins
 import inspect
 import io
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -174,3 +175,14 @@ def test_readme_library_block_runs():
         else:
             exec(code, namespace)
     assert checked, "no expression in the block shows its value"
+
+
+def test_readme_layout_names_every_module():
+    """README's "Layout" block names each module of the package, the
+    ``__init__`` re-export and the ``__main__`` entry aside."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1].split("```", 2)[1]
+    listed = set(re.findall(r"^  (\S+\.py) ", layout, re.MULTILINE))
+    modules = {p.name for p in (root / "src" / "chromaposet").glob("*.py")} - {"__init__.py", "__main__.py"}
+    assert sorted(modules - listed) == []

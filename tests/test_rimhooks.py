@@ -14,7 +14,6 @@ from chromaposet.counting import WITNESS_CASE_HEIGHTS, staircase_delta
 from chromaposet.errors import DomainError
 from chromaposet.partitions import dominance_leq, partitions_of
 from chromaposet.rimhooks import (
-    RimHook,
     SpecialRimHookTabloid,
     enumerate_srht,
     inverse_kostka,
@@ -38,21 +37,21 @@ def _set_partitions(items):
 
 
 def _block_to_hook(block):
-    """Rebuild a RimHook from a raw cell set, or None when the cells do not
-    even form per-row intervals over contiguous rows."""
+    """Rebuild a hook, its cells row by row, from a raw cell set, or None
+    when the cells do not even form per-row intervals over contiguous rows."""
     rows: dict = {}
     for r, c in block:
         rows.setdefault(r, []).append(c)
     row_ids = sorted(rows)
     if row_ids != list(range(row_ids[0], row_ids[-1] + 1)):
         return None
-    spans = []
+    hook = []
     for r in row_ids:
         cs = sorted(rows[r])
         if cs != list(range(cs[0], cs[-1] + 1)):
             return None
-        spans.append((r, cs[0], cs[-1]))
-    return RimHook(tuple(spans))
+        hook += [(r, c) for c in cs]
+    return tuple(hook)
 
 
 def brute_tilings(shape):
@@ -76,7 +75,7 @@ def brute_tilings(shape):
                     SpecialRimHookTabloid(shape, tuple(order)).validate()
                 except DomainError:
                     continue
-                tilings.add(frozenset(frozenset(h.cells()) for h in order))
+                tilings.add(frozenset(frozenset(h) for h in order))
                 break
     return tilings
 
@@ -85,7 +84,7 @@ def brute_tilings(shape):
 def test_enumeration_matches_brute_decomposition(n):
     for shape in partitions_of(n):
         family = enumerate_srht(shape)
-        got = {frozenset(frozenset(h.cells()) for h in t.hooks) for t in family}
+        got = {frozenset(frozenset(h) for h in t.hooks) for t in family}
         assert len(got) == len(family), shape  # no duplicate tilings
         assert got == brute_tilings(shape), shape
 
@@ -157,6 +156,14 @@ def test_validate_rejects_corrupted():
     good = enumerate_srht((3, 2))[0]
     bad = SpecialRimHookTabloid(good.shape, good.hooks[:-1])
     with pytest.raises(DomainError):
+        bad.validate()
+
+
+def test_validate_rejects_a_repeated_cell():
+    good = SpecialRimHookTabloid((2, 1), (((2, 1),), ((1, 1), (1, 2))))
+    good.validate()
+    bad = SpecialRimHookTabloid((2, 1), (((2, 1), (2, 1)), ((1, 1), (1, 2))))
+    with pytest.raises(DomainError, match=r"^hook repeats a cell$"):
         bad.validate()
 
 

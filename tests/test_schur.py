@@ -330,6 +330,17 @@ def test_3_plus_1_free_builders_count_p_tableaux(dsl):
     _check_p_tableaux(build_poset(parse_poset_spec(dsl)))
 
 
+@settings(deadline=None, max_examples=15)
+@given(unit_interval_orders(max_size=12, min_size=10), st.data())
+def test_unit_interval_orders_count_p_tableaux_by_shape(poset, data):
+    """Single coefficients on 10-12 elements.  These posets carry no spec,
+    so ``schur_coefficient`` walks the whole poset, without the reduction
+    ``schur_expansion`` makes; the shape is drawn inside the chain shape,
+    where the coefficients can be nonzero."""
+    shape = data.draw(st.sampled_from(list(partitions_of(len(poset), poset.chain_shape()))))
+    assert schur_coefficient(poset, shape) == p_tableaux(poset, shape)
+
+
 @settings(deadline=None, max_examples=30)
 @given(unit_interval_orders(max_size=12))
 def test_schur_never_exits_3_on_unit_interval_orders(poset):
