@@ -112,7 +112,7 @@ def _cmd_tabloid(args) -> Reply:
     content = parse_partition(args.content) if args.content is not None else None
     prefix = parse_partition(args.content_prefix) if args.content_prefix is not None else None
     if content is not None and prefix is not None:
-        raise DomainError("give at most one of content and content_prefix")
+        raise UsageError("give at most one of --content and --content-prefix")
     if content is not None and sum(content) != sum(shape):
         raise DomainError(f"content {content} does not fill shape {shape}")
     family = enumerate_srht(shape, content or prefix or ())

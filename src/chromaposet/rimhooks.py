@@ -7,7 +7,8 @@ The signed count of tabloids of shape lambda and content mu (hook sizes,
 sorted) is the (lambda, mu) entry of the inverse Kostka matrix, i.e. the
 coefficient of s_lambda when m_mu is expanded in Schur functions.
 ``signed_contents`` computes those signed counts without building any
-tabloid, and is what the Schur sums use; ``enumerate_srht`` builds the
+tabloid, and is what the Schur sums use (``_signed_tables`` for many shapes
+at once, sharing their sub-shape tables); ``enumerate_srht`` builds the
 tabloids themselves for display and for the checks.
 
 Cells are (row, column) pairs, 1-based, with row 1 the longest row (English
@@ -185,17 +186,32 @@ def signed_contents(shape, prefix=()) -> dict[Partition, int]:
 
     The bottom-left peel of :func:`enumerate_srht`, summed instead of listed:
     no hook is built, and the table of each remaining sub-shape is memoized
-    together with the prefix parts it still has to supply (``_peel_steps``).
-    A sub-shape is pruned when its largest hook (first row plus height) is
-    below the largest unmet part, or its cells cannot cover the unmet parts.
+    together with the prefix parts it still has to supply and the peel floor
+    (``_peel_steps``).  A sub-shape is pruned when its largest hook (first
+    row plus height) is below the largest unmet part, or its cells cannot
+    cover the unmet parts.  :func:`_signed_tables` runs the same peel over
+    many shapes with one memo and a cap on the largest part: a full Schur
+    expansion builds one table, shared by its shapes, and peels no hook
+    longer than the longest chain.
     """
-    shape, prefix, floor = _peel_start(shape, prefix)
-    memo: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+    return next(_signed_tables((shape,), prefix))[1]
+
+
+def _signed_tables(shapes, prefix=(), cap=None):
+    """Yield (shape, :func:`signed_contents` of it) for each shape, keeping
+    only the contents whose parts are all at most ``cap`` (when given).
+
+    One memo serves every shape, so the table of a sub-shape that several
+    shapes peel down to is built once; it lives as long as the generator.
+    The cap lowers the peel floor, so no hook longer than ``cap`` is
+    peeled: those are exactly the tabloids of the contents dropped.
+    """
+    memo: dict[tuple[Partition, Partition, int], dict[Partition, int]] = {}
 
     # Contents are kept ascending inside the recursion, so a hook size goes
     # in by bisection; ``unmet`` is descending, like the prefix.
-    def table(lengths: Partition, unmet: Partition) -> dict[Partition, int]:
-        key = (lengths, unmet)
+    def table(lengths: Partition, unmet: Partition, floor: int) -> dict[Partition, int]:
+        key = (lengths, unmet, floor)
         if key in memo:
             return memo[key]
         out: dict[Partition, int] = {}
@@ -208,7 +224,7 @@ def signed_contents(shape, prefix=()) -> dict[Partition, int]:
             bottom = len(lengths) - 1
             for top, size, rest, trimmed in _peel_steps(lengths, unmet, floor):
                 sign = -1 if (bottom - top) % 2 else 1
-                for content, count in table(trimmed, rest).items():
+                for content, count in table(trimmed, rest, floor).items():
                     i = bisect_left(content, size)
                     grown = content[:i] + (size,) + content[i:]
                     out[grown] = out.get(grown, 0) + sign * count
@@ -216,7 +232,14 @@ def signed_contents(shape, prefix=()) -> dict[Partition, int]:
         memo[key] = out
         return out
 
-    return {content[::-1]: count for content, count in table(shape, prefix).items()}
+    for shape in shapes:
+        shape, unmet, floor = _peel_start(shape, prefix)
+        if cap is not None:
+            if unmet and unmet[0] > cap:
+                yield shape, {}
+                continue
+            floor = min(floor, cap)
+        yield shape, {content[::-1]: count for content, count in table(shape, unmet, floor).items()}
 
 
 def inverse_kostka(lam, mu) -> int:

@@ -10,14 +10,16 @@ of two chains m x n and a shape carrying the forced staircase prefix it
 returns (m, n), every count is ``scp_closed_form(m, n, content)``, and the
 table restricted to that prefix has a handful of entries; that fast path is
 what makes the large negativity sweeps cheap.  Otherwise the counts come
-from the backtracking search.
+from the backtracking search, and the table peels no hook longer than the
+longest chain: a content with a longer part counts 0.
 
 A full expansion sets aside the r elements comparable to every other one:
 each is an isolated vertex of the incomparability graph, a factor s_1 of
 its function (Stanley, Adv. Math. 111, 1995, Prop. 2.3).  The tabloid sum
-runs on the rest, and r single-box Pieri steps add them back.  Every
-builder poset has a bottom and a top.  `schur_coefficient` still walks the
-whole poset.
+runs on the rest, and r single-box Pieri steps add them back.  Its shapes
+share one signed-content table (``rimhooks._signed_tables``), so the table
+of a sub-shape is built once per expansion.  Every builder poset has a
+bottom and a top.  `schur_coefficient` still walks the whole poset.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .partitions import (
     rearrangement_count,
 )
 from .posets import Graph, Poset, iter_bits
-from .rimhooks import kostka_number, signed_contents
+from .rimhooks import _signed_tables, kostka_number, signed_contents
 
 
 # Largest poset ``schur_expansion`` takes unless told otherwise.
@@ -74,25 +76,19 @@ def monomial_expansion(graph: Graph) -> dict[Partition, int]:
 # Schur coefficients
 
 
-def _tabloid_sum(shape, count, prefix=()) -> int:
-    """The tabloid sum: each content's signed tabloid count (restricted to
-    contents starting with ``prefix``) times ``count(content)``."""
-    return sum(
-        signed * count(content)
-        for content, signed in signed_contents(shape, prefix).items()
-    )
+def _tabloid_sum(table: dict[Partition, int], count) -> int:
+    """The tabloid sum: each content's signed tabloid count in ``table``
+    times ``count(content)``."""
+    return sum(signed * count(content) for content, signed in table.items())
 
 
-def _searched_counts(poset: Poset, longest: int, node_budget: int | None = None):
-    """Chain-partition counts by backtracking search, cached per content; a
-    content with a part longer than the longest chain counts 0 unsearched.
+def _searched_counts(poset: Poset, node_budget: int | None = None):
+    """Chain-partition counts by backtracking search, cached per content.
     The searches share one engine, so ``node_budget`` bounds them together."""
     counter = ChainPartitionCounter(poset, node_budget)
     cache: dict[Partition, int] = {}
 
     def count(content: Partition) -> int:
-        if content and content[0] > longest:
-            return 0
         if content not in cache:
             cache[content] = counter.count(content)
         return cache[content]
@@ -119,20 +115,25 @@ def schur_coefficient(
     sides = closed_route(poset, shape, method.removeprefix("tabloid_"))
     if sides is not None:
         m, n = sides
-        return _tabloid_sum(shape, partial(scp_closed_form, m, n), staircase_type(m, n)[:-1])
-    longest = poset.max_chain_size()
-    return _tabloid_sum(shape, _searched_counts(poset, longest, node_budget))
+        table = signed_contents(shape, staircase_type(m, n)[:-1])
+        return _tabloid_sum(table, partial(scp_closed_form, m, n))
+    # A content with a part longer than the longest chain counts 0, so no
+    # such hook is peeled.
+    table = next(_signed_tables((shape,), cap=poset.max_chain_size()))[1]
+    return _tabloid_sum(table, _searched_counts(poset, node_budget))
 
 
 def _tabloid_expansion(poset: Poset) -> dict[Partition, int]:
     """Nonzero Schur coefficients of the whole poset by the tabloid sum,
     one shape at a time; only shapes whose first part fits in the longest
-    chain are generated (the coefficients of the others vanish)."""
+    chain are generated (the coefficients of the others vanish).  The
+    shapes share one signed-content table, which peels no hook longer than
+    the longest chain."""
     longest = poset.max_chain_size()
-    count = _searched_counts(poset, longest)
+    count = _searched_counts(poset)
     coeffs = {}
-    for lam in partitions_of(len(poset), (longest,)):
-        total = _tabloid_sum(lam, count)
+    for lam, table in _signed_tables(partitions_of(len(poset), (longest,)), cap=longest):
+        total = _tabloid_sum(table, count)
         if total:
             coeffs[lam] = total
     return coeffs

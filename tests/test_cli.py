@@ -559,7 +559,7 @@ def test_tabloid_content_and_prefix_filters(capsys):
     assert {t["content"][:2] for t in env["result"]["tabloids"]} == {"6,"}
     code, out, err = run(capsys, "tabloid", "--shape", "5,3,2,1", "--content", "6,3",
                          "--content-prefix", "6")
-    assert (code, out, err) == (1, "", "error: give at most one of content and content_prefix\n")
+    assert (code, out, err) == (2, "", "error: give at most one of --content and --content-prefix\n")
     code, out, err = run(capsys, "tabloid", "--shape", "5,3,2,1", "--content", "6,3")
     assert (code, out) == (1, "")
     assert err == "error: content (6, 3) does not fill shape (5, 3, 2, 1)\n"

@@ -15,6 +15,7 @@ from chromaposet.errors import DomainError
 from chromaposet.partitions import dominance_leq, partitions_of
 from chromaposet.rimhooks import (
     SpecialRimHookTabloid,
+    _signed_tables,
     enumerate_srht,
     inverse_kostka,
     kostka_number,
@@ -209,6 +210,32 @@ def test_signed_contents_witness_shapes(n, k):
     for name, content in witness_case_contents(n, k).items():
         cases[content] += (-1) ** WITNESS_CASE_HEIGHTS[name]
     assert table == dict(cases)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_capped_tables_match_enumeration(n):
+    """A cap drops exactly the contents with a larger part, with or without
+    a prefix (the shape's first part, which may itself exceed the cap)."""
+    for shape in partitions_of(n):
+        family = enumerate_srht(shape)
+        for prefix in ((), shape[:1]):
+            full = _signed_by_content(family, prefix)
+            for cap in range(1, n + 1):
+                table = next(_signed_tables((shape,), prefix, cap))[1]
+                assert table == {c: s for c, s in full.items() if c[0] <= cap}, (shape, prefix, cap)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("cap", (None, 2, 3))
+def test_shared_memo_tables_match_fresh_calls(n, cap):
+    """One memo filled in ascending or descending order of shapes gives each
+    shape the table a fresh call gives it."""
+    shapes = list(partitions_of(n))
+    fresh = {shape: next(_signed_tables((shape,), cap=cap))[1] for shape in shapes}
+    assert dict(_signed_tables(shapes, cap=cap)) == fresh
+    assert dict(_signed_tables(shapes[::-1], cap=cap)) == fresh
+    if cap is None:
+        assert fresh == {shape: signed_contents(shape) for shape in shapes}
 
 
 def test_signed_contents_prefix_outside_every_content():

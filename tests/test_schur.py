@@ -37,6 +37,7 @@ from chromaposet import (
     theorem41_coefficient,
     witness_coefficient_from_cases,
 )
+from chromaposet import rimhooks
 from chromaposet.schur import _tabloid_expansion
 from chromaposet.counting import (
     ChainPartitionCounter,
@@ -183,6 +184,36 @@ def test_chain_expansion_counts_standard_tableaux(n):
 def test_product_2x2_expansion_frozen():
     exp = schur_expansion(build_poset(Product((2, 2))))
     assert exp == {(3, 1): 2, (2, 2): 2, (2, 1, 1): 4, (1, 1, 1, 1): 2}
+
+
+@pytest.mark.parametrize("dsl, tables, steps", [
+    # Built per shape and uncapped, these took 197, 916, 385, 134 and 1,159
+    # tables of 611, 3,319, 1,634, 452 and 4,847 steps.  With the shared
+    # table but no cap, the steps were 413, 1,863, 957, 313 and 2,481.
+    ("b3:3", 93, 261),
+    ("prod:4x4", 323, 1152),
+    ("bool:4", 146, 361),
+    ("sum:0+prod:2x2x3+1", 66, 153),
+    ("prod:3x3x2", 358, 1133),
+])
+def test_expansion_builds_at_most_pinned_tables(dsl, tables, steps, monkeypatch):
+    """Sub-shape tables are counted, not timed: every table the peel builds
+    calls ``_peel_steps`` once, and each hook it peels is one step.  A table
+    rebuilt for each shape builds more tables; a peel of hooks longer than
+    the longest chain takes more steps."""
+    built = taken = 0
+    peel_steps = rimhooks._peel_steps
+
+    def counted(*args):
+        nonlocal built, taken
+        built += 1
+        for step in peel_steps(*args):
+            taken += 1
+            yield step
+
+    monkeypatch.setattr(rimhooks, "_peel_steps", counted)
+    schur_expansion(build_poset(parse_poset_spec(dsl)), max_elements=18)
+    assert built <= tables and taken <= steps
 
 
 def test_schur_expansion_matches_monomials_through_kostka():
