@@ -137,7 +137,11 @@ def is_nice(
     by every other merge, and the generated types are closed downward in
     dominance, so when it was not generated no merge was, and when it is
     achieved so is the type.  Only when it was generated and failed are the
-    other merges looked up.  ``nodes`` counts the search nodes of the types
+    other merges looked up.  Until some type fails, a type with more than
+    w parts (w the width, at least 2) whose part w-1 is at least the sum of
+    its two smallest needs no lookup: that merge keeps its first w-1 parts,
+    so it lies inside the shape, was generated, and was achieved.
+    ``nodes`` counts the search nodes of the types
     that were searched, and types settled otherwise cost none.
     """
     n = len(poset)
@@ -155,10 +159,18 @@ def is_nice(
     # A type with a prefix sum above the Greene–Kleitman shape has no chain
     # partition, and since dominance only lowers prefix sums no achieved
     # type dominates it, so only the types inside the shape are generated.
-    for lam in partitions_of(n, poset.chain_shape()):
-        # Every other merge of lam dominates its smallest merge, so when that
-        # one lies outside the shape (None) so do they all.
-        settled = achieved.get(_smallest_merge(lam)) if len(lam) > 1 else None
+    shape = poset.chain_shape()
+    w = max(len(shape), 2)
+    for lam in partitions_of(n, shape):
+        # The smallest merge keeps lam's first w-1 parts, and its later
+        # prefix sums are at most n = c_w, so it lies inside the shape: it
+        # was decided before lam, and while nothing has failed it was achieved.
+        if not failed and len(lam) > w and lam[w - 2] >= lam[-1] + lam[-2]:
+            settled = True
+        else:
+            # Every other merge of lam dominates its smallest merge, so when
+            # that one lies outside the shape (None) so do they all.
+            settled = achieved.get(_smallest_merge(lam)) if len(lam) > 1 else None
         if settled is False:
             settled = any(achieved.get(merged) for merged in _merges(lam))
         if settled:

@@ -188,8 +188,9 @@ def signed_contents(shape, prefix=()) -> dict[Partition, int]:
     no hook is built, and the table of each remaining sub-shape is memoized
     together with the prefix parts it still has to supply and the peel floor
     (``_peel_steps``).  A sub-shape is pruned when its largest hook (first
-    row plus height) is below the largest unmet part, or its cells cannot
-    cover the unmet parts.  :func:`_signed_tables` runs the same peel over
+    row plus height) is below the largest unmet part, its cells cannot
+    cover the unmet parts, or no content it can still take dominates it
+    (``_can_dominate``).  :func:`_signed_tables` runs the same peel over
     many shapes with one memo and a cap on the largest part: a full Schur
     expansion builds one table, shared by its shapes, and peels no hook
     longer than the longest chain.
@@ -219,7 +220,9 @@ def _signed_tables(shapes, prefix=(), cap=None):
             if not unmet:
                 out[()] = 1
         elif not unmet or (
-            unmet[0] < lengths[0] + len(lengths) and sum(unmet) <= sum(lengths)
+            unmet[0] < lengths[0] + len(lengths)
+            and sum(unmet) <= sum(lengths)
+            and _can_dominate(lengths, unmet, floor)
         ):
             bottom = len(lengths) - 1
             for top, size, rest, trimmed in _peel_steps(lengths, unmet, floor):
@@ -240,6 +243,22 @@ def _signed_tables(shapes, prefix=(), cap=None):
                 continue
             floor = min(floor, cap)
         yield shape, {content[::-1]: count for content, count in table(shape, unmet, floor).items()}
+
+
+def _can_dominate(lengths: Partition, unmet: Partition, floor: int) -> bool:
+    """Whether a content made of the ``unmet`` parts and free hooks of at
+    most ``floor`` cells can dominate the shape ``lengths``, as the content
+    of every special rim hook tabloid of it does (Eğecioğlu and Remmel
+    1990).  Every unmet part is at least ``floor``, so the j-th prefix sum
+    of such a content is at most sum(unmet[:j]) + max(0, j - len(unmet))
+    * floor."""
+    reach = row = 0
+    for j, length in enumerate(lengths):
+        reach += unmet[j] if j < len(unmet) else floor
+        row += length
+        if reach < row:
+            return False
+    return True
 
 
 def inverse_kostka(lam, mu) -> int:

@@ -35,7 +35,7 @@ from chromaposet import (
 from chromaposet import nice
 from chromaposet.nice import _exchange, _merges, _smallest_merge
 from chromaposet.posets import iter_bits
-from conftest import builder_specs, random_posets
+from conftest import builder_specs, random_posets, unit_interval_orders
 
 
 def achieved_set(poset):
@@ -233,6 +233,44 @@ def test_random_posets_match_stable_partition_counts(poset):
     _check_against_stable_partitions(poset)
 
 
+@settings(max_examples=60, deadline=None)
+@given(unit_interval_orders(max_size=10))
+def test_unit_interval_orders_match_stable_partition_counts(poset):
+    _check_against_stable_partitions(poset)
+
+
+def _chain_union(sizes):
+    """Disjoint chains of the given sizes; the elements of the first are
+    a1 < a2 < ..., of the second b1 < b2 < ..., and so on."""
+    labels, up = [], []
+    for name, size in zip("abc", sizes):
+        base = len(labels)
+        labels += [f"{name}{i}" for i in range(1, size + 1)]
+        up += [(1 << base + size) - (1 << base + i) for i in range(size)]
+    return Poset(tuple(labels), tuple(up))
+
+
+CHAIN_UNIONS = [
+    sizes
+    for k in (2, 3)
+    for sizes in itertools.combinations_with_replacement(range(1, 7), k)
+]
+
+
+@pytest.mark.parametrize("sizes", CHAIN_UNIONS, ids=lambda sizes: "+".join(map(str, sizes)))
+def test_chain_unions_match_stable_partition_counts(sizes):
+    # A union of w chains first fails on a type with more than w parts;
+    # from then on the scan may no longer settle a type by its part sizes
+    # alone.
+    _check_against_stable_partitions(_chain_union(sizes))
+
+
+def test_two_3_chains_are_not_nice():
+    verdict = is_nice(_chain_union((3, 3)))
+    assert (verdict.nice, verdict.witness) == (False, ((3, 3), (2, 2, 2)))
+    assert verdict.witness_certificate.blocks == (("a1", "a2", "a3"), ("b1", "b2", "b3"))
+
+
 def _check_exchange(poset):
     """Every partition the exchange builds, from the first partition of an
     achieved type to each type of the same length, passes the certificate
@@ -304,6 +342,23 @@ def test_scan_settles_types_by_their_smallest_merge(monkeypatch, dsl, most):
     # merge of every type calls _merges once per type inside the shape.
     calls = []
     monkeypatch.setattr(nice, "_merges", lambda lam: calls.append(lam) or _merges(lam))
+    is_nice(build_poset(parse_poset_spec(dsl)))
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("dsl, most", [
+    ("sum:0+b3:4+6", 105),
+    ("sum:1+b3:6+1", 93),
+    ("prod:5x4", 119),
+    ("bool:4", 56),
+    ("b3:7", 397),
+])
+def test_scan_settles_many_part_types_without_a_lookup(monkeypatch, dsl, most):
+    # Call counts do not depend on the machine: a scan that looked up the
+    # smallest merge of every type with two or more parts calls
+    # _smallest_merge 589, 556, 417, 72 and 528 times on these posets.
+    calls = []
+    monkeypatch.setattr(nice, "_smallest_merge", lambda lam: calls.append(lam) or _smallest_merge(lam))
     is_nice(build_poset(parse_poset_spec(dsl)))
     assert len(calls) <= most
 

@@ -198,6 +198,21 @@ def test_signed_contents_match_enumeration(n):
             )
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_signed_contents_match_enumeration_for_every_prefix(n):
+    """Every prefix that fits, most of them prefixes of no content: the
+    dominance prune cuts sub-shapes whose unmet parts and free hooks cannot
+    reach the sub-shape's prefix sums."""
+    for shape in partitions_of(n):
+        family = enumerate_srht(shape)
+        for size in range(1, n + 1):
+            for prefix in partitions_of(size):
+                assert signed_contents(shape, prefix) == _signed_by_content(family, prefix), (
+                    shape,
+                    prefix,
+                )
+
+
 @pytest.mark.parametrize("n", (2, 3, 4))
 @pytest.mark.parametrize("k", (5, 6, 7))
 def test_signed_contents_witness_shapes(n, k):

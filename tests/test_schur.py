@@ -512,6 +512,14 @@ def test_theorem41_matches_case_assembly():
             ), (n, k)
 
 
+@pytest.mark.parametrize("n, k", [(n, 9) for n in range(8, 21)] + [(20, k) for k in range(5, 9)])
+def test_closed_route_matches_theorem41_at_the_frontier(n, k):
+    # Without the dominance prune the signed-content table of rho_shape(16, 9)
+    # takes seconds to build.
+    poset = build_poset(Product((n + k, n)))
+    assert schur_coefficient(poset, rho_shape(n, k)) == theorem41_coefficient(n, k)
+
+
 def test_theorem41_preconditions():
     with pytest.raises(DomainError, match=r"^need k >= 5 and n >= 2, got \(3, 4\)$"):
         theorem41_coefficient(3, 4)
