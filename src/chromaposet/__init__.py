@@ -1,121 +1,93 @@
 """Exact chromatic symmetric function computations for incomparability
 graphs of finite posets: monomial and Schur expansions, chain-partition
-counting, and the nice property with certificates."""
+counting, and the nice property with certificates.
 
-from .counting import (
-    ChainPartitionCounter,
-    SearchStats,
-    StablePartitionCounter,
-    proof_case_closed_forms,
-    scp_closed_form,
-    staircase_delta,
-    staircase_type,
-)
+The exports resolve on first use (PEP 562): ``import chromaposet`` loads
+only the exception types, and any other name imports its module when it
+is first looked up."""
+
+import importlib
+
 from .errors import DomainError, DslParseError, InternalInvariantError
-from .nice import (
-    ChainPartitionCertificate,
-    NiceVerdict,
-    chain_partition_exists,
-    is_nice,
-    ordinal_sum_chain_partition,
-)
-from .partitions import (
-    Partition,
-    as_partition,
-    dominance_leq,
-    format_partition,
-    parse_partition,
-    partitions_of,
-    rearrangement_count,
-    sorted_partition,
-)
-from .posets import (
-    B3,
-    Boolean,
-    Chain,
-    Graph,
-    OrdinalSum,
-    Poset,
-    PosetSpec,
-    Product,
-    build_poset,
-    incomparability_graph,
-    parse_poset_spec,
-    verify_distributive_lattice,
-)
-from .rimhooks import (
-    SpecialRimHookTabloid,
-    TabloidFamily,
-    enumerate_srht,
-    inverse_kostka,
-    kostka_number,
-    render_tabloid,
-    signed_contents,
-)
-from .schur import (
-    count_colorings_by_type,
-    count_proper_colorings,
-    monomial_expansion,
-    rho_shape,
-    schur_at_ones,
-    schur_coefficient,
-    schur_expansion,
-    theorem41_coefficient,
-    witness_coefficient_from_cases,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "B3",
-    "Boolean",
-    "Chain",
-    "ChainPartitionCertificate",
-    "ChainPartitionCounter",
-    "DomainError",
-    "DslParseError",
-    "Graph",
-    "InternalInvariantError",
-    "NiceVerdict",
-    "OrdinalSum",
-    "Partition",
-    "Poset",
-    "PosetSpec",
-    "Product",
-    "SearchStats",
-    "SpecialRimHookTabloid",
-    "StablePartitionCounter",
-    "TabloidFamily",
-    "as_partition",
-    "build_poset",
-    "chain_partition_exists",
-    "count_colorings_by_type",
-    "count_proper_colorings",
-    "dominance_leq",
-    "enumerate_srht",
-    "format_partition",
-    "incomparability_graph",
-    "inverse_kostka",
-    "is_nice",
-    "kostka_number",
-    "monomial_expansion",
-    "ordinal_sum_chain_partition",
-    "parse_partition",
-    "parse_poset_spec",
-    "partitions_of",
-    "proof_case_closed_forms",
-    "rearrangement_count",
-    "render_tabloid",
-    "rho_shape",
-    "schur_at_ones",
-    "schur_coefficient",
-    "schur_expansion",
-    "scp_closed_form",
-    "signed_contents",
-    "sorted_partition",
-    "staircase_delta",
-    "staircase_type",
-    "theorem41_coefficient",
-    "verify_distributive_lattice",
-    "witness_coefficient_from_cases",
-]
+_EXPORTS = {
+    "errors": ("DomainError", "DslParseError", "InternalInvariantError"),
+    "counting": (
+        "ChainPartitionCounter",
+        "SearchStats",
+        "StablePartitionCounter",
+        "proof_case_closed_forms",
+        "scp_closed_form",
+        "staircase_delta",
+        "staircase_type",
+    ),
+    "nice": (
+        "ChainPartitionCertificate",
+        "NiceVerdict",
+        "chain_partition_exists",
+        "is_nice",
+        "ordinal_sum_chain_partition",
+    ),
+    "partitions": (
+        "Partition",
+        "as_partition",
+        "dominance_leq",
+        "format_partition",
+        "parse_partition",
+        "partitions_of",
+        "rearrangement_count",
+        "sorted_partition",
+    ),
+    "posets": (
+        "B3",
+        "Boolean",
+        "Chain",
+        "Graph",
+        "OrdinalSum",
+        "Poset",
+        "PosetSpec",
+        "Product",
+        "build_poset",
+        "incomparability_graph",
+        "parse_poset_spec",
+        "verify_distributive_lattice",
+    ),
+    "rimhooks": (
+        "SpecialRimHookTabloid",
+        "TabloidFamily",
+        "enumerate_srht",
+        "inverse_kostka",
+        "kostka_number",
+        "render_tabloid",
+        "signed_contents",
+    ),
+    "schur": (
+        "count_colorings_by_type",
+        "count_proper_colorings",
+        "monomial_expansion",
+        "rho_shape",
+        "schur_at_ones",
+        "schur_coefficient",
+        "schur_expansion",
+        "theorem41_coefficient",
+        "witness_coefficient_from_cases",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -20,29 +20,30 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import __version__
-from .counting import ChainPartitionCounter, SearchStats, closed_route, scp_closed_form
 from .errors import DomainError, DslParseError
-from .nice import NICENESS_LIMIT, chain_partition_exists, is_nice
 from .partitions import format_partition, parse_partition, sorted_partition
 from .posets import (
     B3,
+    LATTICE_LIMIT,
     Product,
+    _element_count,
     build_poset,
+    check_limit,
     check_size,
     iter_bits,
     parse_poset_spec,
     verify_distributive_lattice,
 )
-from .rimhooks import enumerate_srht, render_tabloid
-from .schur import EXPANSION_LIMIT, schur_coefficient, schur_expansion, theorem41_coefficient
-from . import verification
+
+# The modules behind the searches (counting, nice, rimhooks, schur,
+# verification), and json, are imported where they are used, so a command
+# loads only what it runs.
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -78,8 +79,19 @@ def _decimal(value: int) -> str:
             sys.set_int_max_str_digits(limit)
 
 
+def _checked_spec(text: str):
+    """The --poset spec and its element count, refused past the size cap;
+    nothing is built, so the flags can be checked against the count first."""
+    spec = parse_poset_spec(text)
+    check_size(spec)
+    return spec, _element_count(spec)
+
+
 def _cmd_poset(args) -> Reply:
-    poset = build_poset(parse_poset_spec(args.poset))
+    spec, size = _checked_spec(args.poset)
+    if args.lattice:
+        check_limit(size, LATTICE_LIMIT, "lattice-check")
+    poset = build_poset(spec)
     lattice = verify_distributive_lattice(poset) if args.lattice else None
     covers = sorted(
         (poset.labels[i], poset.labels[j])
@@ -108,6 +120,8 @@ def _cmd_poset(args) -> Reply:
 
 
 def _cmd_tabloid(args) -> Reply:
+    from .rimhooks import enumerate_srht, render_tabloid
+
     shape = parse_partition(args.shape)
     content = parse_partition(args.content) if args.content is not None else None
     prefix = parse_partition(args.content_prefix) if args.content_prefix is not None else None
@@ -138,8 +152,11 @@ def _cmd_tabloid(args) -> Reply:
 
 
 def _cmd_scp(args) -> Reply:
-    poset = build_poset(parse_poset_spec(args.poset))
-    type_ = parse_partition(args.type)
+    from .counting import ChainPartitionCounter, closed_route, filling_partition, scp_closed_form
+
+    spec, size = _checked_spec(args.poset)
+    type_ = filling_partition(parse_partition(args.type), size)
+    poset = build_poset(spec)
     sides = closed_route(poset, type_, args.method)
     if sides is None:
         counter = ChainPartitionCounter(poset, args.node_budget)
@@ -156,7 +173,11 @@ def _cmd_scp(args) -> Reply:
 
 
 def _cmd_schur(args) -> Reply:
-    poset = build_poset(parse_poset_spec(args.poset))
+    from .schur import schur_expansion
+
+    spec, size = _checked_spec(args.poset)
+    check_limit(size, args.max_elements, "expansion")
+    poset = build_poset(spec)
     coeffs = schur_expansion(poset, max_elements=args.max_elements)
     ordered = sorted(coeffs.items(), reverse=True)
     items = [(format_partition(lam), _decimal(c)) for lam, c in ordered]
@@ -167,8 +188,12 @@ def _cmd_schur(args) -> Reply:
 
 
 def _cmd_schur_coeff(args) -> Reply:
-    poset = build_poset(parse_poset_spec(args.poset))
-    shape = parse_partition(args.shape)
+    from .counting import closed_route, filling_partition
+    from .schur import schur_coefficient
+
+    spec, size = _checked_spec(args.poset)
+    shape = filling_partition(parse_partition(args.shape), size)
+    poset = build_poset(spec)
     sides = closed_route(poset, shape, args.method.removeprefix("tabloid_"))
     method = "tabloid_brute" if sides is None else "tabloid_closed"
     value = schur_coefficient(poset, shape, method=method, node_budget=args.node_budget)
@@ -181,7 +206,11 @@ def _cmd_schur_coeff(args) -> Reply:
 
 
 def _cmd_nice(args) -> Reply:
-    poset = build_poset(parse_poset_spec(args.poset))
+    from .nice import is_nice
+
+    spec, size = _checked_spec(args.poset)
+    check_limit(size, args.max_elements, "niceness")
+    poset = build_poset(spec)
     verdict = is_nice(poset, max_elements=args.max_elements, node_budget=args.node_budget)
     result: dict = {"poset": poset.spec.dsl(), "nice": verdict.nice, "nodes": verdict.nodes}
     lines = [f"nice: {str(verdict.nice).lower()}"]
@@ -203,8 +232,12 @@ def _cmd_nice(args) -> Reply:
 
 
 def _cmd_chain_partition(args) -> Reply:
-    poset = build_poset(parse_poset_spec(args.poset))
-    type_ = parse_partition(args.type)
+    from .counting import SearchStats, covering_type
+    from .nice import chain_partition_exists
+
+    spec, size = _checked_spec(args.poset)
+    type_ = covering_type(parse_partition(args.type), size)
+    poset = build_poset(spec)
     stats = SearchStats()
     cert = chain_partition_exists(poset, type_, node_budget=args.node_budget, stats=stats)
     result: dict = {
@@ -221,6 +254,8 @@ def _cmd_chain_partition(args) -> Reply:
 
 
 def _cmd_theorem41(args) -> Reply:
+    from .schur import theorem41_coefficient
+
     value = theorem41_coefficient(args.n, args.k)
     result = {"n": args.n, "k": args.k, "coefficient": _decimal(value)}
     return Reply(result, "closed_form", [result["coefficient"]],
@@ -228,6 +263,8 @@ def _cmd_theorem41(args) -> Reply:
 
 
 def _sweep_two_chain(args) -> Reply:
+    from .schur import schur_coefficient
+
     for dest in ("j", "a", "b"):
         _require_at_least(args, dest, 0)
     # The shape's second part is m - 2j, and the closed route on the m x 2
@@ -252,6 +289,8 @@ def _sweep_two_chain(args) -> Reply:
 
 
 def _sweep_b3(args) -> Reply:
+    from .nice import is_nice
+
     _require_at_least(args, "n_min", 1)
     rows, lines, any_failure = [], [], False
     for n in range(args.n_min, args.n_max + 1):
@@ -285,6 +324,8 @@ def _factorizations(bound: int):
 
 
 def _sweep_products(args) -> Reply:
+    from .nice import is_nice
+
     rows, lines, any_failure = [], [], False
     for lengths in _factorizations(min(args.max_product, args.max_elements)):
         poset = build_poset(Product(lengths))
@@ -315,6 +356,8 @@ def _cmd_sweep(args) -> Reply:
 
 def _criteria(text: str | None) -> list[int] | None:
     """The --criteria selection; None (all criteria) when absent."""
+    from . import verification
+
     if text is None:
         return None
     pieces = text.split(",")
@@ -333,6 +376,8 @@ def _criteria(text: str | None) -> list[int] | None:
 
 
 def _cmd_verify(args) -> Reply:
+    from . import verification
+
     results = verification.run_all(_criteria(args.criteria))
     rows = [
         {
@@ -382,88 +427,67 @@ def _check_counts(args) -> None:
             _require_at_least(args, dest, 0)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  ``parse_args`` fills a
-    fresh namespace on every call, so one parser serves every ``main``;
-    callers must not add arguments to it."""
-    parser = argparse.ArgumentParser(
-        prog="chromaposet",
-        description="Chromatic symmetric functions of poset incomparability graphs: "
-        "exact Schur/monomial coefficients, chain partitions, and niceness checks.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
-
-    p = sub.add_parser("poset", help="build a poset from its DSL and describe it")
+def _poset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--poset", required=True, help="poset DSL, e.g. prod:8x3 or sum:1+b3:2+2")
     p.add_argument("--lattice", action="store_true",
                    help="also check the distributive-lattice laws")
-    common(p)
-    p.set_defaults(fn=_cmd_poset)
 
-    p = sub.add_parser("tabloid", help="enumerate special rim hook tabloids of a shape")
+
+def _tabloid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", required=True, help='partition, e.g. "10,8,2,2,2"')
     p.add_argument("--content", default=None, help="keep only tabloids with this content")
     p.add_argument("--content-prefix", default=None,
                    help="keep only tabloids whose content starts with this prefix")
-    common(p)
-    p.set_defaults(fn=_cmd_tabloid)
 
-    p = sub.add_parser("scp", help="count semi-ordered chain partitions of a type")
+
+def _scp_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--poset", required=True)
     p.add_argument("--type", required=True, help='partition, e.g. "2,1,1"')
     p.add_argument("--method", choices=("auto", "brute", "closed"), default="auto")
     p.add_argument("--node-budget", type=_integer, default=None,
                    help="search at most this many nodes (the closed form ignores it)")
-    common(p)
-    p.set_defaults(fn=_cmd_scp)
 
-    p = sub.add_parser("schur", help="full Schur expansion (exit 3 if any coefficient < 0)")
+
+def _schur_args(p: argparse.ArgumentParser) -> None:
+    from .schur import EXPANSION_LIMIT
+
     p.add_argument("--poset", required=True)
     p.add_argument("--max-elements", type=_integer, default=EXPANSION_LIMIT)
-    common(p)
-    p.set_defaults(fn=_cmd_schur)
 
-    p = sub.add_parser("schur-coeff", help="one Schur coefficient (exit 3 if negative)")
+
+def _schur_coeff_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--poset", required=True)
     p.add_argument("--shape", required=True)
     p.add_argument("--method", choices=("auto", "tabloid_brute", "tabloid_closed"),
                    default="auto")
     p.add_argument("--node-budget", type=_integer, default=None,
                    help="search at most this many nodes (the closed form ignores it)")
-    common(p)
-    p.set_defaults(fn=_cmd_schur_coeff)
 
-    p = sub.add_parser("nice", help="decide the nice property (exit 4 if not nice)")
+
+def _nice_args(p: argparse.ArgumentParser) -> None:
+    from .nice import NICENESS_LIMIT
+
     p.add_argument("--poset", required=True)
     p.add_argument("--witness", action="store_true", help="include the witness certificate")
     p.add_argument("--all-types", action="store_true", help="list all achievable types")
     p.add_argument("--max-elements", type=_integer, default=NICENESS_LIMIT)
     p.add_argument("--node-budget", type=_integer, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_nice)
 
-    p = sub.add_parser("chain-partition",
-                       help="find a chain partition of a type (exit 4 if none exists)")
+
+def _chain_partition_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--poset", required=True)
     p.add_argument("--type", required=True)
     p.add_argument("--node-budget", type=_integer, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_chain_partition)
 
-    p = sub.add_parser("theorem41",
-                       help="closed-form coefficient of the distinguished shape in "
-                            "the (n+k) x n product (exit 3 if negative)")
+
+def _theorem41_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--k", type=_integer, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_theorem41)
 
-    p = sub.add_parser("sweep", help="run a family of sign or niceness checks")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
+    from .nice import NICENESS_LIMIT
+
     p.add_argument("--family", required=True, choices=tuple(_SWEEPS))
     p.add_argument("--m-min", type=_integer, default=8)
     p.add_argument("--m-max", type=_integer, default=12)
@@ -475,34 +499,148 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-product", type=_integer, default=12)
     p.add_argument("--max-elements", type=_integer, default=NICENESS_LIMIT)
     p.add_argument("--node-budget", type=_integer, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("verify", help="run the reproduction suite")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--criteria", default=None, help='subset, e.g. "1,2,5"')
-    common(p)
-    p.set_defaults(fn=_cmd_verify)
 
+
+class _Command(NamedTuple):
+    """A subcommand: its help line in the top-level listing, the function
+    that adds its flags (``--json`` aside), and its handler."""
+
+    help: str
+    arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], Reply]
+
+
+_COMMANDS = {
+    "poset": _Command("build a poset from its DSL and describe it", _poset_args, _cmd_poset),
+    "tabloid": _Command("enumerate special rim hook tabloids of a shape",
+                        _tabloid_args, _cmd_tabloid),
+    "scp": _Command("count semi-ordered chain partitions of a type", _scp_args, _cmd_scp),
+    "schur": _Command("full Schur expansion (exit 3 if any coefficient < 0)",
+                      _schur_args, _cmd_schur),
+    "schur-coeff": _Command("one Schur coefficient (exit 3 if negative)",
+                            _schur_coeff_args, _cmd_schur_coeff),
+    "nice": _Command("decide the nice property (exit 4 if not nice)", _nice_args, _cmd_nice),
+    "chain-partition": _Command("find a chain partition of a type (exit 4 if none exists)",
+                                _chain_partition_args, _cmd_chain_partition),
+    "theorem41": _Command("closed-form coefficient of the distinguished shape in "
+                          "the (n+k) x n product (exit 3 if negative)",
+                          _theorem41_args, _cmd_theorem41),
+    "sweep": _Command("run a family of sign or niceness checks", _sweep_args, _cmd_sweep),
+    "verify": _Command("run the reproduction suite", _verify_args, _cmd_verify),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: _Command) -> None:
+    command.arguments(p)
+    p.add_argument("--json", action="store_true", help="emit a JSON envelope")
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The whole argument parser, built once per process.  ``parse_args``
+    fills a fresh namespace on every call, so one parser serves every
+    ``main``; callers must not add arguments to it."""
+    parser = argparse.ArgumentParser(
+        prog="chromaposet",
+        description="Chromatic symmetric functions of poset incomparability graphs: "
+        "exact Schur/monomial coefficients, chain partitions, and niceness checks.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=command.help), command)
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand alone, built once per process: the one
+    the whole parser hands that subcommand's flags to, under the same prog."""
+    parser = argparse.ArgumentParser(prog=f"chromaposet {name}")
+    _add_arguments(parser, _COMMANDS[name])
+    return parser
+
+
+def _plain_flags(name: str, words: list[str]) -> argparse.Namespace | None:
+    """What ``_command_parser(name)`` makes of ``words`` when they are only
+    its flags spelled in full, each valued flag followed by a word that does
+    not start with "-", every value valid and every required flag given;
+    None otherwise.  This reads the usual call without argparse's matching,
+    which is most of the cost of parsing; argparse answers everything else
+    (help, abbreviations, "--flag=value", values that look like flags,
+    errors)."""
+    parser = _command_parser(name)
+    args = argparse.Namespace()
+    for action in parser._actions:
+        if action.default is not argparse.SUPPRESS:
+            setattr(args, action.dest, action.default)
+    seen = set()
+    rest = iter(words)
+    for word in rest:
+        action = parser._option_string_actions.get(word)
+        if isinstance(action, argparse._StoreTrueAction):
+            value = True
+        elif isinstance(action, argparse._StoreAction) and action.nargs is None:
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = value if action.type is None else action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        else:
+            return None
+        setattr(args, action.dest, value)
+        seen.add(action)
+    if any(action.required and action not in seen for action in parser._actions):
+        return None
+    return args
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, without building the whole tree
+    when the first word names a subcommand: plain flags are read directly,
+    and otherwise that subcommand's parser alone prints the same help and
+    errors.  What it leaves over is an error of the top-level parser, and
+    so is a word the top level reads as an ambiguous abbreviation
+    (``--=...``); those go to the whole tree."""
+    if argv and argv[0] in _COMMANDS:
+        name, words = argv[0], argv[1:]
+        args = _plain_flags(name, words)
+        if args is None and not any(a.startswith("--=") for a in words):
+            args, rest = _command_parser(name).parse_known_args(words)
+            args = None if rest else args
+        if args is not None:
+            args.command = name
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     started = time.perf_counter()
     try:
         _check_counts(args)
-        reply = args.fn(args)
+        reply = _COMMANDS[args.command].run(args)
         if args.json:
             envelope = {
                 "command": args.command,
                 "request": {
-                    k: v for k, v in vars(args).items() if k not in ("command", "fn", "json")
+                    k: v for k, v in vars(args).items() if k not in ("command", "json")
                 },
                 "result": reply.result,
                 "method": reply.method,
                 "wall_time_ms": round((time.perf_counter() - started) * 1000.0, 3),
                 "version": __version__,
             }
+            import json
+
             print(json.dumps(envelope, sort_keys=True, indent=2))
         else:
             for line in reply.lines:

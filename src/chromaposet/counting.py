@@ -45,6 +45,25 @@ class SearchStats:
     nodes: int = 0
 
 
+def covering_type(type_, n: int) -> Partition:
+    """``type_`` as a partition; DomainError unless it covers n elements.
+    The CLI calls it on a spec's element count before building."""
+    lam = as_partition(type_)
+    if sum(lam) != n:
+        raise DomainError(f"type {lam} does not cover {n} elements")
+    return lam
+
+
+def filling_partition(partition, n: int) -> Partition:
+    """``partition`` as a partition; DomainError unless it fills an
+    n-element poset.  The CLI calls it on a spec's element count before
+    building."""
+    lam = as_partition(partition)
+    if sum(lam) != n:
+        raise DomainError(f"partition {lam} does not fill the {n}-element poset")
+    return lam
+
+
 class StablePartitionCounter:
     """Counts semi-ordered stable partitions of a graph, sharing a memo
     across types (useful when expanding a whole symmetric function)."""
@@ -122,16 +141,10 @@ class ChainPartitionCounter:
         self._memo: dict[tuple[int, tuple[int, ...]], int] = {}
         self._height_masks = poset.levels()
 
-    def _type(self, type_) -> Partition:
-        lam = as_partition(type_)
-        if sum(lam) != len(self.poset):
-            raise DomainError(f"type {lam} does not cover {len(self.poset)} elements")
-        return lam
-
     def count(self, type_, stats: SearchStats | None = None) -> int:
         """Semi-ordered chain partitions of the given type; ``stats.nodes``
         grows by the states this call walks."""
-        lam = self._type(type_)
+        lam = covering_type(type_, len(self.poset))
         before = self.nodes
         total = self._walk(self.poset.full_mask, lam, None)
         if stats is not None:
@@ -141,7 +154,7 @@ class ChainPartitionCounter:
     def find(self, type_) -> list[int] | None:
         """Block bitmasks of the first chain partition of the given type in
         the search order, or None after exhausting the (pruned) search."""
-        lam = self._type(type_)
+        lam = covering_type(type_, len(self.poset))
         blocks: list[int] = []
         return blocks if self._walk(self.poset.full_mask, lam, blocks) else None
 
@@ -261,9 +274,7 @@ def closed_route(poset: Poset, partition, method: str) -> tuple[int, int] | None
     form, which must apply) or ``auto`` (the closed form whenever it
     applies).  The size is checked first, so a partition that does not fill
     the poset fails alike under every method."""
-    lam = as_partition(partition)
-    if sum(lam) != len(poset):
-        raise DomainError(f"partition {lam} does not fill the {len(poset)}-element poset")
+    lam = filling_partition(partition, len(poset))
     if method not in ("auto", "brute", "closed"):
         raise DomainError(f"unknown method {method!r}")
     lengths = chain_lengths(poset.spec)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .counting import ChainPartitionCounter, SearchStats, staircase_type
 from .errors import DomainError, InternalInvariantError
 from .partitions import Partition, as_partition, dominance_leq, partitions_of
-from .posets import Poset, Product, build_poset, OrdinalSum, iter_bits
+from .posets import Poset, Product, build_poset, check_limit, OrdinalSum, iter_bits
 
 
 # Largest poset ``is_nice`` takes unless told otherwise.
@@ -145,8 +145,7 @@ def is_nice(
     that were searched, and types settled otherwise cost none.
     """
     n = len(poset)
-    if n > max_elements:
-        raise DomainError(f"{n} elements exceeds the niceness limit of {max_elements}")
+    check_limit(n, max_elements, "niceness")
     searcher = ChainPartitionCounter(poset, node_budget)
     # Descending lex order decides every merge of a type before the type; a
     # merge above the shape is never generated, and never achieved.

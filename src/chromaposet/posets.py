@@ -384,8 +384,7 @@ def verify_distributive_lattice(poset: Poset) -> bool:
     """True iff all pairwise meets and joins exist and both distributive laws
     hold over all triples.  DomainError past LATTICE_LIMIT elements."""
     n = len(poset)
-    if n > LATTICE_LIMIT:
-        raise DomainError(f"{n} elements exceeds the lattice-check limit of {LATTICE_LIMIT}")
+    check_limit(n, LATTICE_LIMIT, "lattice-check")
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -517,6 +516,13 @@ def check_size(spec: PosetSpec) -> None:
     """DomainError, naming ``spec``, when it has over MAX_ELEMENTS elements."""
     if _element_count(spec) > MAX_ELEMENTS:
         raise DomainError(f"poset {spec.dsl()} has more than {MAX_ELEMENTS} elements")
+
+
+def check_limit(n: int, limit: int, check: str) -> None:
+    """DomainError when ``check`` (say, ``niceness``) is asked of n > limit
+    elements; callers run it on a spec's element count before building."""
+    if n > limit:
+        raise DomainError(f"{n} elements exceeds the {check} limit of {limit}")
 
 
 def build_poset(spec: PosetSpec) -> Poset:

@@ -46,7 +46,7 @@ from .partitions import (
     partitions_of,
     rearrangement_count,
 )
-from .posets import Graph, Poset, iter_bits
+from .posets import Graph, Poset, check_limit, iter_bits
 from .rimhooks import _signed_tables, kostka_number, signed_contents
 
 
@@ -157,8 +157,7 @@ def schur_expansion(poset: Poset, max_elements: int = EXPANSION_LIMIT) -> dict[P
     omitted: the tabloid sum on the elements not comparable to all others,
     times s_1 once for each element that is."""
     n = len(poset)
-    if n > max_elements:
-        raise DomainError(f"{n} elements exceeds the expansion limit of {max_elements}")
+    check_limit(n, max_elements, "expansion")
     inner = poset.induced(sum(1 << v for v in range(n) if poset.comp[v] != poset.full_mask))
     coeffs = _tabloid_expansion(inner)
     for _ in range(n - len(inner)):

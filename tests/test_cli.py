@@ -5,6 +5,7 @@ into validated objects."""
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from chromaposet import (
     parse_poset_spec,
     signed_contents,
 )
+from chromaposet import cli, posets
 from chromaposet.cli import build_parser, main
 from conftest import builder_specs
 
@@ -194,6 +196,37 @@ def test_oversized_posets_end_in_one_line(capsys, argv):
     assert (code, out, err) == (1, "", f"error: poset {dsl} has more than 4096 elements\n")
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    ("nice --poset prod:64x64", 1, "4096 elements exceeds the niceness limit of 20"),
+    ("schur-coeff --poset prod:64x64 --shape 1", 1,
+     "partition (1,) does not fill the 4096-element poset"),
+    ("schur-coeff --poset prod:64x64 --shape x", 2, "bad partition part 'x' (at byte 0)"),
+    ("scp --poset prod:52x40 --type 1", 1, "partition (1,) does not fill the 2080-element poset"),
+    ("chain-partition --poset prod:52x40 --type 1", 1, "type (1,) does not cover 2080 elements"),
+    ("schur --poset bool:12", 1, "4096 elements exceeds the expansion limit of 12"),
+    ("poset --poset prod:64x64 --lattice", 1, "4096 elements exceeds the lattice-check limit of 256"),
+    # Both the spec and a flag are bad: the spec's error wins, as it did
+    # when the poset was built before the flags were read.
+    ("nice --poset prod:65x64 --max-elements 3", 1, "poset prod:65x64 has more than 4096 elements"),
+    ("schur --poset chain:0 --max-elements 0", 1, "chain length must be >= 1, got 0"),
+    ("schur-coeff --poset prod:65x64 --shape x", 1, "poset prod:65x64 has more than 4096 elements"),
+    ("scp --poset x:1 --type 4,5", 2, "expected chain:, prod:, bool:, b3:, or sum: (at byte 0)"),
+    ("chain-partition --poset bool:13 --type 0", 1, "poset bool:13 has more than 4096 elements"),
+    # Partition text that parses but is no partition: that error still
+    # comes before the fill check.
+    ("schur-coeff --poset prod:64x64 --shape 2,3", 1, "parts must be weakly decreasing, got (2, 3)"),
+    ("chain-partition --poset prod:64x64 --type 0", 1, "partition parts must be positive, got 0"),
+])
+def test_errors_come_before_the_poset_is_built(capsys, monkeypatch, argv, code, message):
+    """A query whose flags do not fit the spec's element count ends with the
+    error it always gave, without building the poset first."""
+    def refuse(*args):
+        raise AssertionError("a poset was built")
+
+    monkeypatch.setattr(posets, "_poset_from_coords", refuse)
+    assert run(capsys, *argv.split()) == (code, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("depth", (101, 1200))
 def test_deeply_nested_sums_end_in_one_line(capsys, depth):
     # 100 nested sums parse and build; the 101st "sum:" starts at byte 600
@@ -273,9 +306,11 @@ def test_criteria_take_ascii_digits_only(capsys, text):
 
 
 def test_parser_is_built_once_and_leaks_nothing(capsys):
-    """The parser is shared across calls; flags given to one call must not
+    """The parsers are shared across calls; flags given to one call must not
     become the defaults of the next, whatever its subcommand."""
     assert build_parser() is build_parser()
+    for name in _subcommands():
+        assert cli._command_parser(name) is cli._command_parser(name)
     code, env, _ = run_json(
         capsys, "nice", "--poset", "prod:2x2", "--witness", "--all-types",
         "--max-elements", "9", "--node-budget", "1000",
@@ -297,6 +332,111 @@ def test_parser_is_built_once_and_leaks_nothing(capsys):
         "max_elements": 20, "node_budget": None,
     }
     assert "witness" not in env["result"] and "achieved_types" not in env["result"]
+    # Each subcommand's own parser keeps the defaults of the tree's.
+    for name, parser in _subcommands().items():
+        defaults = [(a.dest, a.default) for a in parser._actions]
+        assert [(a.dest, a.default) for a in cli._command_parser(name)._actions] == defaults
+
+
+def test_each_subcommand_parser_matches_the_tree():
+    for name, parser in _subcommands().items():
+        assert cli._command_parser(name).format_help() == parser.format_help(), name
+
+
+# Argument lists that exercise argparse rather than the library: help,
+# versions, unknown and abbreviated options, bad choices, missing flags,
+# "--", leftovers, and one run of each kind of output.
+PARSER_ARGV = [
+    [],
+    ["-h"],
+    ["--version"],
+    ["--version", "nice"],
+    ["-x"],
+    ["no-such-command"],
+    ["sch"],
+    ["nice", "-h"],
+    ["schur-coeff", "--help"],
+    ["sweep", "-h", "--bogus"],
+    ["nice", "--version"],
+    ["nice", "--bogus"],
+    ["nice", "--bogus", "-h"],
+    ["nice", "--pos", "b3:2"],
+    ["nice", "--poset=b3:2", "--json"],
+    ["nice", "--poset"],
+    ["nice", "--poset", "b3:2", "--h"],
+    ["nice", "--poset", "b3:2", "--v"],
+    ["nice", "--=x"],
+    ["nice", "--", "--poset", "b3:2"],
+    ["nice", "--poset", "b3:2", "--"],
+    ["nice", "--poset", "b3:2", "extra"],
+    ["nice", "-"],
+    ["scp", "--poset", "chain:4", "--type", "2,1,1", "--method", "nope"],
+    ["scp", "--poset", "chain:4"],
+    ["theorem41", "--n", "x", "--k", "5"],
+    ["schur", "--poset", "prod:2x2", "--max-elements", "-1"],
+    ["schur", "--poset", "prod:2x2", "--json"],
+    ["tabloid", "--shape", "3,2"],
+    ["chain-partition", "--poset", "prod:2x2", "--type", "2,2", "--json"],
+    ["sweep", "--family", "b3_niceness", "--n-max", "1"],
+    ["verify", "--criteria", "99"],
+]
+
+
+def _answer(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, re.sub(r'"wall_time_ms": [0-9.e-]+', '"wall_time_ms": 0', out), err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+def test_subcommand_parsers_answer_as_the_tree(capsys, monkeypatch, argv):
+    """Reading a subcommand's flags without the whole tree gives the exit
+    code, stdout and stderr the tree gives."""
+    fast = _answer(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    assert fast == _answer(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    "nice --poset b3:2 --witness --all-types --max-elements 9 --node-budget 5 --json",
+    "schur-coeff --shape 3,2 --poset prod:3x2 --method tabloid_brute",
+    "sweep --family b3_niceness --n-max 2 --n-max 1",
+    "tabloid --shape 3,2 --content-prefix 2",
+    "theorem41 --k 5 --n 2",
+    "verify",
+])
+def test_plain_flags_read_as_argparse_reads_them(argv):
+    name, *words = argv.split()
+    args = cli._plain_flags(name, words)
+    assert args is not None
+    assert vars(args) == vars(cli._command_parser(name).parse_args(words))
+
+
+@pytest.mark.parametrize("argv", [
+    "nice", "nice -h", "nice --pos b3:2", "nice --poset=b3:2", "nice --poset",
+    "nice --poset -1", "nice --poset --json", "nice --poset b3:2 extra",
+    "nice --poset b3:2 --json x", "nice --poset b3:2 --max-elements x",
+    "nice --poset b3:2 --max-elements -1", "scp --poset chain:4 --type 4 --method x",
+])
+def test_anything_but_plain_flags_is_left_to_argparse(argv):
+    name, *words = argv.split()
+    assert cli._plain_flags(name, words) is None
+
+
+def test_plain_calls_skip_argparse_matching(capsys, monkeypatch):
+    """The usual call is read without argparse's matching, which is most
+    of what parsing costs a short query."""
+    cli._command_parser("schur")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse matched a plain call")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    code, out, err = run(capsys, "schur", "--poset", "prod:2x2", "--max-elements", "16")
+    assert (code, err) == (0, "") and out.startswith("s[3,1] 2\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -445,6 +585,28 @@ def test_closed_stdout_leaves_no_traceback():
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("argv, modules", [
+    ("nice --poset b3:2", "counting nice"),
+    ("schur-coeff --poset prod:7x2 --shape 8,4,1,1", "counting rimhooks schur"),
+    ("tabloid --shape 3,2", "rimhooks"),
+    ("verify --criteria 1", "counting nice rimhooks schur verification"),
+])
+def test_a_command_loads_only_its_modules(argv, modules):
+    """Beyond the parsing it shares (cli, errors, partitions, posets), a
+    command imports only the modules it runs."""
+    code = (
+        "import sys; from chromaposet import cli; cli.main(sys.argv[1:]); "
+        "print(*sorted(m for m in sys.modules if m.startswith('chromaposet.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(chromaposet.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = proc.stdout.splitlines()[-1].split()
+    shared = "cli errors partitions posets"
+    assert loaded == sorted(f"chromaposet.{m}" for m in f"{shared} {modules}".split())
 
 
 def test_version_flag(capsys):
@@ -728,7 +890,7 @@ def test_two_chain_sweep_checks_the_cap_before_any_coefficient(capsys, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("a coefficient was computed")
 
-    monkeypatch.setattr(chromaposet.cli, "schur_coefficient", refuse)
+    monkeypatch.setattr("chromaposet.schur.schur_coefficient", refuse)
     code, out, err = run(
         capsys, "sweep", "--family", "two_chain_negativity", "--m-min", "2047", "--m-max", "2049"
     )

@@ -7,10 +7,15 @@ import ast
 import builtins
 import inspect
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import chromaposet
 
@@ -26,6 +31,32 @@ def test_export_list_matches_the_package_namespace():
         if not name.startswith("_") and (inspect.isclass(value) or inspect.isfunction(value))
     }
     assert not public - set(exported), f"public but not in __all__: {sorted(public - set(exported))}"
+
+
+def test_exports_resolve_on_first_use():
+    """The package binds its exports lazily (PEP 562): each name in
+    ``__all__`` comes through ``__getattr__`` from its module, ``dir`` lists
+    every one, a star import binds them all, and an unknown name is an
+    AttributeError, as it would be without the hook."""
+    for name in chromaposet.__all__:
+        assert chromaposet.__getattr__(name) is getattr(chromaposet, name), name
+    assert dir(chromaposet) == chromaposet.__dir__()
+    assert set(chromaposet.__all__) <= set(chromaposet.__dir__())
+    namespace = {}
+    exec("from chromaposet import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(chromaposet.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        chromaposet.__getattr__("no_such_name")
+    with pytest.raises(AttributeError):
+        getattr(chromaposet, "no_such_name")
+
+
+def test_importing_the_package_loads_only_the_errors():
+    code = "import sys, chromaposet; print(sorted(m for m in sys.modules if 'chromaposet' in m))"
+    env = dict(os.environ, PYTHONPATH=str(Path(chromaposet.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout == "['chromaposet', 'chromaposet.errors']\n"
 
 
 def test_modules_use_every_name_they_import():
