@@ -32,7 +32,6 @@ from .posets import (
     B3,
     LATTICE_LIMIT,
     Product,
-    _element_count,
     build_poset,
     check_limit,
     check_size,
@@ -79,16 +78,9 @@ def _decimal(value: int) -> str:
             sys.set_int_max_str_digits(limit)
 
 
-def _checked_spec(text: str):
-    """The --poset spec and its element count, refused past the size cap;
-    nothing is built, so the flags can be checked against the count first."""
-    spec = parse_poset_spec(text)
-    check_size(spec)
-    return spec, _element_count(spec)
-
-
 def _cmd_poset(args) -> Reply:
-    spec, size = _checked_spec(args.poset)
+    spec = parse_poset_spec(args.poset)
+    size = check_size(spec)
     if args.lattice:
         check_limit(size, LATTICE_LIMIT, "lattice-check")
     poset = build_poset(spec)
@@ -154,7 +146,8 @@ def _cmd_tabloid(args) -> Reply:
 def _cmd_scp(args) -> Reply:
     from .counting import ChainPartitionCounter, closed_route, filling_partition, scp_closed_form
 
-    spec, size = _checked_spec(args.poset)
+    spec = parse_poset_spec(args.poset)
+    size = check_size(spec)
     type_ = filling_partition(parse_partition(args.type), size)
     poset = build_poset(spec)
     sides = closed_route(poset, type_, args.method)
@@ -175,7 +168,8 @@ def _cmd_scp(args) -> Reply:
 def _cmd_schur(args) -> Reply:
     from .schur import schur_expansion
 
-    spec, size = _checked_spec(args.poset)
+    spec = parse_poset_spec(args.poset)
+    size = check_size(spec)
     check_limit(size, args.max_elements, "expansion")
     poset = build_poset(spec)
     coeffs = schur_expansion(poset, max_elements=args.max_elements)
@@ -191,7 +185,8 @@ def _cmd_schur_coeff(args) -> Reply:
     from .counting import closed_route, filling_partition
     from .schur import schur_coefficient
 
-    spec, size = _checked_spec(args.poset)
+    spec = parse_poset_spec(args.poset)
+    size = check_size(spec)
     shape = filling_partition(parse_partition(args.shape), size)
     poset = build_poset(spec)
     sides = closed_route(poset, shape, args.method.removeprefix("tabloid_"))
@@ -208,7 +203,8 @@ def _cmd_schur_coeff(args) -> Reply:
 def _cmd_nice(args) -> Reply:
     from .nice import is_nice
 
-    spec, size = _checked_spec(args.poset)
+    spec = parse_poset_spec(args.poset)
+    size = check_size(spec)
     check_limit(size, args.max_elements, "niceness")
     poset = build_poset(spec)
     verdict = is_nice(poset, max_elements=args.max_elements, node_budget=args.node_budget)
@@ -235,7 +231,8 @@ def _cmd_chain_partition(args) -> Reply:
     from .counting import SearchStats, covering_type
     from .nice import chain_partition_exists
 
-    spec, size = _checked_spec(args.poset)
+    spec = parse_poset_spec(args.poset)
+    size = check_size(spec)
     type_ = covering_type(parse_partition(args.type), size)
     poset = build_poset(spec)
     stats = SearchStats()
@@ -558,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand alone, built once per process: the one
-    the whole parser hands that subcommand's flags to, under the same prog."""
+    """One subcommand's flags alone, built once per process: the table of
+    actions ``_plain_flags`` reads, under the tree's prog for that name."""
     parser = argparse.ArgumentParser(prog=f"chromaposet {name}")
     _add_arguments(parser, _COMMANDS[name])
     return parser
@@ -604,20 +601,12 @@ def _plain_flags(name: str, words: list[str]) -> argparse.Namespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, without building the whole tree
-    when the first word names a subcommand: plain flags are read directly,
-    and otherwise that subcommand's parser alone prints the same help and
-    errors.  What it leaves over is an error of the top-level parser, and
-    so is a word the top level reads as an ambiguous abbreviation
-    (``--=...``); those go to the whole tree."""
+    """``build_parser().parse_args(argv)``, with the usual call (a
+    subcommand and its plain flags) read without building the whole tree."""
     if argv and argv[0] in _COMMANDS:
-        name, words = argv[0], argv[1:]
-        args = _plain_flags(name, words)
-        if args is None and not any(a.startswith("--=") for a in words):
-            args, rest = _command_parser(name).parse_known_args(words)
-            args = None if rest else args
+        args = _plain_flags(argv[0], argv[1:])
         if args is not None:
-            args.command = name
+            args.command = argv[0]
             return args
     return build_parser().parse_args(argv)
 

@@ -512,10 +512,13 @@ def _element_count(spec: PosetSpec) -> int:
     raise DomainError(f"unknown poset spec {spec!r}")
 
 
-def check_size(spec: PosetSpec) -> None:
-    """DomainError, naming ``spec``, when it has over MAX_ELEMENTS elements."""
-    if _element_count(spec) > MAX_ELEMENTS:
+def check_size(spec: PosetSpec) -> int:
+    """The element count of ``spec``, worked out before anything is built;
+    DomainError, naming ``spec``, when it is over MAX_ELEMENTS."""
+    n = _element_count(spec)
+    if n > MAX_ELEMENTS:
         raise DomainError(f"poset {spec.dsl()} has more than {MAX_ELEMENTS} elements")
+    return n
 
 
 def check_limit(n: int, limit: int, check: str) -> None:
