@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 from .counting import ChainPartitionCounter, SearchStats, staircase_type
 from .errors import DomainError, InternalInvariantError
@@ -72,11 +73,25 @@ class ChainPartitionCertificate:
 
 @dataclass
 class NiceVerdict:
+    """A niceness decision.  ``achieved_types`` lists the achieved types in
+    descending lexicographic order.  When no type failed, they are all the
+    types inside the Greene–Kleitman shape, and they are listed from the
+    shape when first read."""
+
     nice: bool
     witness: tuple[Partition, Partition] | None = None
     witness_certificate: ChainPartitionCertificate | None = None
-    achieved_types: tuple[Partition, ...] = ()
     nodes: int = 0
+    _shape: tuple[int, ...] = field(default=(), repr=False)
+    _types: tuple[Partition, ...] | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def achieved_types(self) -> tuple[Partition, ...]:
+        if self._types is None:
+            # The shape's last prefix sum is the size of the poset.
+            n = self._shape[-1] if self._shape else 0
+            self._types = tuple(partitions_of(n, self._shape))
+        return self._types
 
 
 # The benchmark's tracer wraps ``find`` under this name; the package uses ChainPartitionCounter.
@@ -120,87 +135,151 @@ def is_nice(
     max_elements: int = NICENESS_LIMIT,
     node_budget: int | None = None,
 ) -> NiceVerdict:
-    """Compute the achievable chain-partition types, in descending
-    lexicographic order (``achieved_types``), and decide whether they are
-    closed downward in dominance.
+    """Decide whether the achievable chain-partition types are closed
+    downward in dominance, and list them in descending lexicographic order
+    (``achieved_types``).
 
     The witness of a failure is the first pair (achieved type, unachieved
     dominated type) in descending lexicographic order over both coordinates,
     and its certificate is the first partition of that type in ``find``'s
     search order.  Only the types inside the poset's Greene–Kleitman shape
-    (``Poset.chain_shape``) are generated, since no chain partition has a
-    prefix sum above it.  One of them is searched only when nothing cheaper
+    (``Poset.chain_shape``) are scanned, since no chain partition has a
+    prefix sum above it.  A type is searched only when nothing cheaper
     settles it: a merge of two parts into an achieved type, or an exchange
     (``_exchange``) that reaches it from a partition already found with as
-    many blocks, newest first.  The merges cost one lookup unless it fails:
-    the merge of the two smallest parts (``_smallest_merge``) is dominated
-    by every other merge, and the generated types are closed downward in
-    dominance, so when it was not generated no merge was, and when it is
-    achieved so is the type.  Only when it was generated and failed are the
-    other merges looked up.  Until some type fails, a type with more than
-    w parts (w the width, at least 2) whose part w-1 is at least the sum of
-    its two smallest needs no lookup: that merge keeps its first w-1 parts,
-    so it lies inside the shape, was generated, and was achieved.
-    ``nodes`` counts the search nodes of the types
-    that were searched, and types settled otherwise cost none.
+    many blocks, newest first.  Every merge dominates the merge of the two
+    smallest parts (``_smallest_merge``), so when that merge lies outside
+    the shape no merge is achieved.  Until some type fails, every type
+    scanned so far is achieved, so that merge settles a type exactly when
+    it lies inside the shape, and the types it settles by their part sizes
+    alone are not even generated (``_open_types``); ``achieved_types`` is
+    then every type inside the shape, listed when first read.  From the
+    first failure on, the scan walks every type inside the shape and looks
+    the merges up.  ``nodes`` counts the search nodes of the types that
+    were searched, and types settled otherwise cost none.
     """
     n = len(poset)
     check_limit(n, max_elements, "niceness")
     searcher = ChainPartitionCounter(poset, node_budget)
-    # Descending lex order decides every merge of a type before the type; a
-    # merge above the shape is never generated, and never achieved.
-    achieved: dict[Partition, bool] = {}
     masks: dict[Partition, list[int]] = {}
     # Block lists of every achieved type that ``find`` or the exchange
     # settled, grouped by length, oldest first.
     known: dict[int, list[list[int]]] = {}
-    failed: list[Partition] = []
+
+    def search(lam: Partition) -> bool:
+        tried = (_exchange(poset, b, lam) for b in reversed(known.get(len(lam), ())))
+        found = next(filter(None, tried), None)
+        if found is None:
+            found = searcher.find(lam)
+            if found is None:
+                return False
+            masks[lam] = found
+        known.setdefault(len(lam), []).append(found)
+        return True
+
     # A type with a prefix sum above the Greene–Kleitman shape has no chain
     # partition, and since dominance only lowers prefix sums no achieved
-    # type dominates it, so only the types inside the shape are generated.
+    # type dominates it, so only the types inside the shape are scanned.
     shape = poset.chain_shape()
-    w = max(len(shape), 2)
-    for lam in partitions_of(n, shape):
-        # The smallest merge keeps lam's first w-1 parts, and its later
-        # prefix sums are at most n = c_w, so it lies inside the shape: it
-        # was decided before lam, and while nothing has failed it was achieved.
-        if not failed and len(lam) > w and lam[w - 2] >= lam[-1] + lam[-2]:
-            settled = True
-        else:
-            # Every other merge of lam dominates its smallest merge, so when
-            # that one lies outside the shape (None) so do they all.
-            settled = achieved.get(_smallest_merge(lam)) if len(lam) > 1 else None
+    for first in _open_types(n, shape):
+        # A merge inside the shape came earlier in the scan, so it is achieved.
+        if len(first) > 1 and all(
+            map(operator.le, itertools.accumulate(_smallest_merge(first)), shape)
+        ):
+            continue
+        if not search(first):
+            break
+    else:
+        return NiceVerdict(True, nodes=searcher.nodes, _shape=shape)
+    # Every type before the first failure is achieved.  Descending lex order
+    # decides every merge of a type before the type; a merge above the shape
+    # is never generated, and never achieved.
+    types = partitions_of(n, shape)
+    achieved = dict.fromkeys(itertools.takewhile(first.__ne__, types), True)
+    achieved[first] = False
+    failed = [first]
+    for lam in types:
+        # Every other merge of lam dominates its smallest merge, so when
+        # that one lies outside the shape (None) so do they all.
+        settled = achieved.get(_smallest_merge(lam)) if len(lam) > 1 else None
         if settled is False:
             settled = any(achieved.get(merged) for merged in _merges(lam))
-        if settled:
-            achieved[lam] = True
-        else:
-            tried = (_exchange(poset, b, lam) for b in reversed(known.get(len(lam), ())))
-            found = next(filter(None, tried), None)
-            if found is None:
-                found = searcher.find(lam)
-                if found is not None:
-                    masks[lam] = found
-            achieved[lam] = found is not None
-            if found is None:
-                failed.append(lam)
-            else:
-                known.setdefault(len(lam), []).append(found)
+        achieved[lam] = settled or search(lam)
+        if not achieved[lam]:
+            failed.append(lam)
     types = tuple(lam for lam, ok in achieved.items() if ok)
-    if failed:
-        # mu is dominated by lam when no prefix sum of mu exceeds lam's.
-        # Pairing the sums with zip is exact: past the end of lam its sums
-        # stay at n, and if mu is the shorter one its last sum, n, meets one
-        # of lam's below n.
-        bars = [tuple(itertools.accumulate(mu)) for mu in failed]
-        for lam in types:
-            top = tuple(itertools.accumulate(lam))
-            for mu, bar in zip(failed, bars):
-                if all(map(operator.le, bar, top)):
-                    found = masks.get(lam) or searcher.find(lam)
-                    cert = _certificate_from_masks(poset, found, lam)
-                    return NiceVerdict(False, (lam, mu), cert, types, searcher.nodes)
-    return NiceVerdict(True, achieved_types=types, nodes=searcher.nodes)
+    # mu is dominated by lam when no prefix sum of mu exceeds lam's.
+    # Pairing the sums with zip is exact: past the end of lam its sums
+    # stay at n, and if mu is the shorter one its last sum, n, meets one
+    # of lam's below n.
+    bars = [tuple(itertools.accumulate(mu)) for mu in failed]
+    for lam in types:
+        top = tuple(itertools.accumulate(lam))
+        for mu, bar in zip(failed, bars):
+            if all(map(operator.le, bar, top)):
+                found = masks.get(lam) or searcher.find(lam)
+                cert = _certificate_from_masks(poset, found, lam)
+                return NiceVerdict(False, (lam, mu), cert, searcher.nodes, _types=types)
+    return NiceVerdict(True, nodes=searcher.nodes, _shape=shape, _types=types)
+
+
+def _open_types(n: int, shape: Partition) -> Iterator[Partition]:
+    """The types inside a chain shape (prefix sums that strictly increase
+    to ``n``) that the no-lookup rule leaves open, in descending
+    lexicographic order.  With w the larger of ``len(shape)`` and 2, the
+    rule settles a type of more than w parts whose part w-1 is at least the
+    sum of its two smallest parts: merging those two keeps the first w-1
+    parts, so the merge lies inside the shape and comes earlier in the scan.
+
+    The first w-1 parts follow each other as in ``partitions_of``; only
+    they are capped, since the shape's w-th prefix sum is n.  With a the
+    last of them and r left, the open completions are (r,) when r <= a, and
+    otherwise those whose parts before the last exceed a/2 and whose last
+    two sum past a (``_completions``); for a <= 2 that is the one made of
+    parts a and at most one 1."""
+    w = max(len(shape), 2)
+    parts, total, part = [], 0, n
+    while True:
+        while total < n and len(parts) < w - 1:
+            part = min(part, shape[len(parts)] - total)
+            parts.append(part)
+            total += part
+        head, rest = tuple(parts), n - total
+        if rest <= part:
+            yield head + (rest,) if rest else head
+        elif part <= 2:
+            yield head + (part,) * (rest // part) + (1,) * (rest % part)
+        else:
+            for tail in _completions(rest, part, part):
+                yield head + tail
+        while parts and parts[-1] == 1:
+            parts.pop()
+            total -= 1
+        if not parts:
+            return
+        parts[-1] -= 1
+        part = parts[-1]
+        total -= 1
+
+
+def _completions(rest: int, prev: int, a: int) -> list[Partition]:
+    """The open completions of ``rest`` > a after a part ``prev``, in
+    descending lexicographic order, where a is the last of the first w-1
+    parts and ``prev`` is a or a later part above a/2: at least two parts,
+    each at most the one before it, those before the last above a/2, and
+    the last two summing past a.  A part q before the last is tried only
+    when what is left can follow it: as the last part, or as k >= 1 more
+    parts in (a/2, q] and a last one, which together reach every sum from
+    (k-1)(a//2 + 1) + a + 1 to (k+1)q."""
+    low = a // 2 + 1
+    out = []
+    for q in range(prev, low - 1, -1):
+        left = rest - q
+        if left <= q:
+            out.append((q, left))
+        elif a < left <= ((left - a - 1) // low + 2) * q:
+            out += [(q,) + tail for tail in _completions(left, q, a)]
+    return out
 
 
 def _exchange(poset: Poset, blocks: list[int], lam: Partition) -> list[int] | None:
