@@ -28,10 +28,21 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .errors import DomainError, DslParseError
 from .partitions import format_partition, parse_partition, sorted_partition
+from .posets import (
+    B3,
+    LATTICE_LIMIT,
+    Product,
+    build_poset,
+    check_limit,
+    check_size,
+    iter_bits,
+    parse_poset_spec,
+    verify_distributive_lattice,
+)
 
-# The modules behind the posets and the searches (posets, counting, nice,
-# rimhooks, schur, verification), and json, are imported where they are
-# used, so a command loads only what it runs.
+# The modules behind the searches (counting, nice, rimhooks, schur,
+# verification), and json, are imported where they are used, so a command
+# loads only what it runs.
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -68,11 +79,6 @@ def _decimal(value: int) -> str:
 
 
 def _cmd_poset(args) -> Reply:
-    from .posets import (
-        LATTICE_LIMIT, build_poset, check_limit, check_size, iter_bits, parse_poset_spec,
-        verify_distributive_lattice,
-    )
-
     spec = parse_poset_spec(args.poset)
     size = check_size(spec)
     if args.lattice:
@@ -139,7 +145,6 @@ def _cmd_tabloid(args) -> Reply:
 
 def _cmd_scp(args) -> Reply:
     from .counting import ChainPartitionCounter, closed_route, filling_partition, scp_closed_form
-    from .posets import build_poset, check_size, parse_poset_spec
 
     spec = parse_poset_spec(args.poset)
     size = check_size(spec)
@@ -161,7 +166,6 @@ def _cmd_scp(args) -> Reply:
 
 
 def _cmd_schur(args) -> Reply:
-    from .posets import build_poset, check_limit, check_size, parse_poset_spec
     from .schur import schur_expansion
 
     spec = parse_poset_spec(args.poset)
@@ -179,7 +183,6 @@ def _cmd_schur(args) -> Reply:
 
 def _cmd_schur_coeff(args) -> Reply:
     from .counting import closed_route, filling_partition
-    from .posets import build_poset, check_size, parse_poset_spec
     from .schur import schur_coefficient
 
     spec = parse_poset_spec(args.poset)
@@ -199,7 +202,6 @@ def _cmd_schur_coeff(args) -> Reply:
 
 def _cmd_nice(args) -> Reply:
     from .nice import is_nice
-    from .posets import build_poset, check_limit, check_size, parse_poset_spec
 
     spec = parse_poset_spec(args.poset)
     size = check_size(spec)
@@ -228,7 +230,6 @@ def _cmd_nice(args) -> Reply:
 def _cmd_chain_partition(args) -> Reply:
     from .counting import SearchStats, covering_type
     from .nice import chain_partition_exists
-    from .posets import build_poset, check_size, parse_poset_spec
 
     spec = parse_poset_spec(args.poset)
     size = check_size(spec)
@@ -259,7 +260,6 @@ def _cmd_theorem41(args) -> Reply:
 
 
 def _sweep_two_chain(args) -> Reply:
-    from .posets import Product, build_poset, check_size
     from .schur import schur_coefficient
 
     for dest in ("j", "a", "b"):
@@ -287,7 +287,6 @@ def _sweep_two_chain(args) -> Reply:
 
 def _sweep_b3(args) -> Reply:
     from .nice import is_nice
-    from .posets import B3, build_poset
 
     _require_at_least(args, "n_min", 1)
     rows, lines, any_failure = [], [], False
@@ -323,7 +322,6 @@ def _factorizations(bound: int):
 
 def _sweep_products(args) -> Reply:
     from .nice import is_nice
-    from .posets import Product, build_poset
 
     rows, lines, any_failure = [], [], False
     for lengths in _factorizations(min(args.max_product, args.max_elements)):

@@ -71,19 +71,20 @@ class ChainPartitionCertificate:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class NiceVerdict:
     """A niceness decision.  ``achieved_types`` lists the achieved types in
     descending lexicographic order.  When no type failed, they are all the
     types inside the Greene–Kleitman shape, and they are listed from the
-    shape when first read."""
+    shape when first read.  Two verdicts are equal when their four fields
+    and their achieved types are."""
 
     nice: bool
     witness: tuple[Partition, Partition] | None = None
     witness_certificate: ChainPartitionCertificate | None = None
     nodes: int = 0
-    _shape: tuple[int, ...] = field(default=(), repr=False)
-    _types: tuple[Partition, ...] | None = field(default=None, repr=False, compare=False)
+    _shape: tuple[int, ...] = field(default=(), repr=False, kw_only=True)
+    _types: tuple[Partition, ...] | None = field(default=None, repr=False, kw_only=True)
 
     @property
     def achieved_types(self) -> tuple[Partition, ...]:
@@ -92,6 +93,12 @@ class NiceVerdict:
             n = self._shape[-1] if self._shape else 0
             self._types = tuple(partitions_of(n, self._shape))
         return self._types
+
+    def __eq__(self, other):
+        if not isinstance(other, NiceVerdict):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in (
+            "nice", "witness", "witness_certificate", "nodes", "achieved_types"))
 
 
 # The benchmark's tracer wraps ``find`` under this name; the package uses ChainPartitionCounter.

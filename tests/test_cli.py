@@ -588,17 +588,14 @@ def test_closed_stdout_leaves_no_traceback():
 
 
 @pytest.mark.parametrize("argv, modules", [
-    ("nice --poset b3:2", "counting nice posets"),
-    ("poset --poset b3:2", "posets"),
-    ("schur-coeff --poset prod:7x2 --shape 8,4,1,1", "counting posets rimhooks schur"),
+    ("nice --poset b3:2", "counting nice"),
+    ("schur-coeff --poset prod:7x2 --shape 8,4,1,1", "counting rimhooks schur"),
     ("tabloid --shape 3,2", "rimhooks"),
-    ("theorem41 --n 3 --k 5", "counting posets rimhooks schur"),
-    ("verify --criteria 1", "counting nice posets rimhooks schur verification"),
+    ("verify --criteria 1", "counting nice rimhooks schur verification"),
 ])
 def test_a_command_loads_only_its_modules(argv, modules):
-    """Beyond the parsing it shares (cli, errors, partitions), a command
-    imports only the modules it runs; only a command that builds a poset
-    loads ``posets``."""
+    """Beyond the parsing it shares (cli, errors, partitions, posets), a
+    command imports only the modules it runs."""
     code = (
         "import sys; from chromaposet import cli; cli.main(sys.argv[1:]); "
         "print(*sorted(m for m in sys.modules if m.startswith('chromaposet.')))"
@@ -608,7 +605,7 @@ def test_a_command_loads_only_its_modules(argv, modules):
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     loaded = proc.stdout.splitlines()[-1].split()
-    shared = "cli errors partitions"
+    shared = "cli errors partitions posets"
     assert loaded == sorted(f"chromaposet.{m}" for m in f"{shared} {modules}".split())
 
 

@@ -76,6 +76,18 @@ def test_achieved_types_are_listed_only_when_read(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verdict_equality_compares_achieved_types():
+    poset = build_poset(parse_poset_spec("b3:2"))
+    verdict = is_nice(poset)
+    listed = nice.NiceVerdict(True, nodes=verdict.nodes, _types=verdict.achieved_types)
+    assert is_nice(poset) == listed
+    assert nice.NiceVerdict(False, _types=((2,),)) != nice.NiceVerdict(False, _types=((1, 1),))
+    # The private fields take keywords only, so a call with the old
+    # positional achieved_types fails at once.
+    with pytest.raises(TypeError):
+        nice.NiceVerdict(False, None, None, (), 0)
+
+
 @pytest.mark.parametrize("dsl, most", [("sum:0+b3:4+6", 105), ("prod:5x4", 119), ("bool:4", 56)])
 def test_scan_visits_at_most_pinned_types(monkeypatch, dsl, most):
     # Type counts do not depend on the machine: walking every type inside

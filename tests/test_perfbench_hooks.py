@@ -1,24 +1,19 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps engine entry points by
-name.  Run it here on small queries and on the benchmark's pools, so a
-rename, or a change in which layer calls which, fails the test suite
-instead of the benchmark run."""
+name.  Run it here on small queries, so a rename, or a change in which layer
+calls which, fails the test suite instead of the benchmark run."""
 
 import contextlib
 import importlib.util
 import io
-from collections import Counter
 from pathlib import Path
 
-import pytest
+from chromaposet import cli
 
-from chromaposet import cli, counting, nice
-from test_perfbench_answers import CHECKER, WL
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -37,7 +32,7 @@ def _traced(module, argv, exit_code):
 
 
 def test_tracer_hooks_record_each_engine_entry_point():
-    module = _load("tracer")
+    module = _load_tracer()
     scp = _traced(module, ["scp", "--poset", "prod:3x2", "--type", "4,2", "--method", "brute", "--json"], 0)
     coeff = _traced(
         module,
@@ -62,42 +57,8 @@ def test_expansion_counts_once_without_reentering_the_schur_span():
     """The expansion calls its tabloid-sum helper on the poset without its
     universal elements, never schur_expansion itself, which the tracer
     wraps."""
-    traced = _traced(_load("tracer"), ["schur", "--poset", "sum:1+prod:3x2+1", "--json"], 0)
+    traced = _traced(_load_tracer(), ["schur", "--poset", "sum:1+prod:3x2+1", "--json"], 0)
     assert traced.calls["cli"] == 1
     assert traced.calls["schur"] == 1
     assert traced.calls["counting.count"] > 0
     assert traced.calls["nice.find"] == 0
-
-
-@pytest.mark.parametrize("workload, strata", [("witness", None), ("expansion", 2), ("nice", None)])
-def test_traced_pool_passes_the_traced_run_checks(workload, strata):
-    """The checks of perfbench/run.py's traced run that do not depend on
-    timing, on every ``witness`` and ``nice`` query and the two cheapest
-    ``expansion`` strata: no bypassed layer reached, one ``cli`` span per
-    query, per-layer metrics computed, and every answer right."""
-    # The tracer wraps ``nice.find`` on this alias, which must stay the engine.
-    assert nice.ChainPartitionSearcher is counting.ChainPartitionCounter
-    queries = [q for members in WL.WORKLOADS[workload][:strata] for q in members]
-    tracer = _load("tracer").Tracer()
-    answers = []
-    tracer.install()
-    try:
-        for index, query in enumerate(queries):
-            tracer.query = index
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                answers.append((cli.main(list(query.argv)), out.getvalue()))
-    finally:
-        tracer.uninstall()
-    tracer.layer_metrics()
-    bypassed = _load("run").BYPASSED[workload]
-    assert {layer: tracer.calls[layer] for layer in bypassed if tracer.calls[layer]} == {}
-    assert Counter(span[0] for span in tracer.spans if span[1] == "cli") == Counter(
-        range(len(queries))
-    )
-    wrong = [
-        (" ".join(query.argv), reason)
-        for query, (code, out) in zip(queries, answers)
-        if (reason := CHECKER.check(query, code, out)) is not None
-    ]
-    assert not wrong
