@@ -19,10 +19,11 @@ relation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .counting import ChainPartitionCounter, SearchStats, staircase_type
 from .errors import DomainError, InternalInvariantError
@@ -71,34 +72,30 @@ class ChainPartitionCertificate:
         }
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, kw_only=True)
 class NiceVerdict:
-    """A niceness decision.  ``achieved_types`` lists the achieved types in
-    descending lexicographic order.  When no type failed, they are all the
-    types inside the Greene–Kleitman shape, and they are listed from the
-    shape when first read.  Two verdicts are equal when their four fields
-    and their achieved types are."""
+    """A niceness decision: the first witness (achieved type, unachieved
+    type it dominates) and a certificate of its first type, the search
+    nodes, the Greene–Kleitman ``shape`` as prefix sums, and the types
+    inside it with no chain partition, in descending lexicographic order.
+    Every other type inside the shape is achieved (``achieved_types``)."""
 
-    nice: bool
     witness: tuple[Partition, Partition] | None = None
     witness_certificate: ChainPartitionCertificate | None = None
     nodes: int = 0
-    _shape: tuple[int, ...] = field(default=(), repr=False, kw_only=True)
-    _types: tuple[Partition, ...] | None = field(default=None, repr=False, kw_only=True)
+    shape: tuple[int, ...] = ()
+    unachieved_types: tuple[Partition, ...] = ()
 
     @property
-    def achieved_types(self) -> tuple[Partition, ...]:
-        if self._types is None:
-            # The shape's last prefix sum is the size of the poset.
-            n = self._shape[-1] if self._shape else 0
-            self._types = tuple(partitions_of(n, self._shape))
-        return self._types
+    def nice(self) -> bool:
+        return self.witness is None
 
-    def __eq__(self, other):
-        if not isinstance(other, NiceVerdict):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in (
-            "nice", "witness", "witness_certificate", "nodes", "achieved_types"))
+    @functools.cached_property
+    def achieved_types(self) -> tuple[Partition, ...]:
+        # The shape's last prefix sum is the size of the poset.
+        n = self.shape[-1] if self.shape else 0
+        unachieved = set(self.unachieved_types)
+        return tuple(lam for lam in partitions_of(n, self.shape) if lam not in unachieved)
 
 
 # The benchmark's tracer wraps ``find`` under this name; the package uses ChainPartitionCounter.
@@ -143,27 +140,25 @@ def is_nice(
     node_budget: int | None = None,
 ) -> NiceVerdict:
     """Decide whether the achievable chain-partition types are closed
-    downward in dominance, and list them in descending lexicographic order
-    (``achieved_types``).
+    downward in dominance, and list the types inside the poset's
+    Greene–Kleitman shape (``Poset.chain_shape``) that are not achieved;
+    no chain partition has a prefix sum above that shape.
 
     The witness of a failure is the first pair (achieved type, unachieved
     dominated type) in descending lexicographic order over both coordinates,
     and its certificate is the first partition of that type in ``find``'s
-    search order.  Only the types inside the poset's Greene–Kleitman shape
-    (``Poset.chain_shape``) are scanned, since no chain partition has a
-    prefix sum above it.  A type is searched only when nothing cheaper
-    settles it: a merge of two parts into an achieved type, or an exchange
+    search order.  A type is searched only when nothing cheaper settles it:
+    a merge of two parts into an achieved type, or an exchange
     (``_exchange``) that reaches it from a partition already found with as
     many blocks, newest first.  Every merge dominates the merge of the two
     smallest parts (``_smallest_merge``), so when that merge lies outside
-    the shape no merge is achieved.  Until some type fails, every type
-    scanned so far is achieved, so that merge settles a type exactly when
-    it lies inside the shape, and the types it settles by their part sizes
-    alone are not even generated (``_open_types``); ``achieved_types`` is
-    then every type inside the shape, listed when first read.  From the
-    first failure on, the scan walks every type inside the shape and looks
-    the merges up.  ``nodes`` counts the search nodes of the types that
-    were searched, and types settled otherwise cost none.
+    the shape no merge is achieved.  Until some type fails, that merge
+    settles a type exactly when it lies inside the shape, and the types it
+    settles by their part sizes alone are not even generated
+    (``_open_types``).  From the first failure on, the scan walks every
+    type inside the shape, and a merge is achieved when it lies inside the
+    shape and has not failed.  ``nodes`` counts the search nodes of the
+    types that were searched, and types settled otherwise cost none.
     """
     n = len(poset)
     check_limit(n, max_elements, "niceness")
@@ -197,37 +192,41 @@ def is_nice(
         if not search(first):
             break
     else:
-        return NiceVerdict(True, nodes=searcher.nodes, _shape=shape)
-    # Every type before the first failure is achieved.  Descending lex order
-    # decides every merge of a type before the type; a merge above the shape
-    # is never generated, and never achieved.
+        return NiceVerdict(nodes=searcher.nodes, shape=shape)
+    unachieved = [first]
+
+    def achieved(mu: Partition) -> bool:
+        # Descending lex order decides every merge of a type before the type.
+        return mu not in unachieved and all(map(operator.le, itertools.accumulate(mu), shape))
+
     types = partitions_of(n, shape)
-    achieved = dict.fromkeys(itertools.takewhile(first.__ne__, types), True)
-    achieved[first] = False
-    failed = [first]
+    # Every type before the first failure is achieved.
+    next(filter(first.__eq__, types))
     for lam in types:
-        # Every other merge of lam dominates its smallest merge, so when
-        # that one lies outside the shape (None) so do they all.
-        settled = achieved.get(_smallest_merge(lam)) if len(lam) > 1 else None
-        if settled is False:
-            settled = any(achieved.get(merged) for merged in _merges(lam))
-        achieved[lam] = settled or search(lam)
-        if not achieved[lam]:
-            failed.append(lam)
-    types = tuple(lam for lam, ok in achieved.items() if ok)
+        # Every other merge of lam dominates its smallest merge, so unless
+        # that one failed, lam is settled exactly when it lies inside the shape.
+        if len(lam) > 1:
+            merged = _smallest_merge(lam)
+            if achieved(merged) or merged in unachieved and any(map(achieved, _merges(lam))):
+                continue
+        if not search(lam):
+            unachieved.append(lam)
     # mu is dominated by lam when no prefix sum of mu exceeds lam's.
     # Pairing the sums with zip is exact: past the end of lam its sums
     # stay at n, and if mu is the shorter one its last sum, n, meets one
     # of lam's below n.
-    bars = [tuple(itertools.accumulate(mu)) for mu in failed]
-    for lam in types:
+    bars = [tuple(itertools.accumulate(mu)) for mu in unachieved]
+    for lam in partitions_of(n, shape):
+        if lam in unachieved:
+            continue
         top = tuple(itertools.accumulate(lam))
-        for mu, bar in zip(failed, bars):
+        for mu, bar in zip(unachieved, bars):
             if all(map(operator.le, bar, top)):
                 found = masks.get(lam) or searcher.find(lam)
                 cert = _certificate_from_masks(poset, found, lam)
-                return NiceVerdict(False, (lam, mu), cert, searcher.nodes, _types=types)
-    return NiceVerdict(True, nodes=searcher.nodes, _shape=shape, _types=types)
+                return NiceVerdict(witness=(lam, mu), witness_certificate=cert,
+                                   nodes=searcher.nodes, shape=shape, unachieved_types=tuple(unachieved))
+    return NiceVerdict(nodes=searcher.nodes, shape=shape, unachieved_types=tuple(unachieved))
 
 
 def _open_types(n: int, shape: Partition) -> Iterator[Partition]:

@@ -186,11 +186,10 @@ def signed_contents(shape, prefix=()) -> dict[Partition, int]:
 
     The bottom-left peel of :func:`enumerate_srht`, summed instead of listed:
     no hook is built, and the table of each remaining sub-shape is memoized
-    together with the prefix parts it still has to supply and the peel floor
-    (``_peel_steps``).  A sub-shape is pruned when its largest hook (first
-    row plus height) is below the largest unmet part, its cells cannot
-    cover the unmet parts, or no content it can still take dominates it
-    (``_can_dominate``).  :func:`_signed_tables` runs the same peel over
+    together with the prefix parts it still has to supply (``_peel_steps``).
+    A sub-shape is pruned when its largest hook (first row plus height) is
+    below the largest unmet part, its cells cannot cover the unmet parts,
+    or no content it can still take dominates it (``_can_dominate``).  :func:`_signed_tables` runs the same peel over
     many shapes with one memo and a cap on the largest part: a full Schur
     expansion builds one table, shared by its shapes, and peels no hook
     longer than the longest chain.
@@ -207,12 +206,18 @@ def _signed_tables(shapes, prefix=(), cap=None):
     The cap lowers the peel floor, so no hook longer than ``cap`` is
     peeled: those are exactly the tabloids of the contents dropped.
     """
-    memo: dict[tuple[Partition, Partition, int], dict[Partition, int]] = {}
+    memo: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
 
     # Contents are kept ascending inside the recursion, so a hook size goes
     # in by bisection; ``unmet`` is descending, like the prefix.
+    #
+    # The memo key leaves out the floor.  With a prefix, every shape's floor
+    # is min(last prefix part, cap); without one it is min(size, cap), and a
+    # sub-shape has no hook longer than the shape it was peeled from, so the
+    # floor prunes the same hooks whichever shape reached it
+    # (``_can_dominate``, which also reads it, runs only while parts are unmet).
     def table(lengths: Partition, unmet: Partition, floor: int) -> dict[Partition, int]:
-        key = (lengths, unmet, floor)
+        key = (lengths, unmet)
         if key in memo:
             return memo[key]
         out: dict[Partition, int] = {}

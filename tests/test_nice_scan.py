@@ -1,17 +1,20 @@
 """The niceness scan that generates only the open types: the generator
-against a filter over every type inside the shape, and ``is_nice`` against
-the scan that walks and looks up every such type, field by field."""
+against a filter over every type inside the shape, ``is_nice`` against the
+scan that walks and looks up every such type, field by field, and the
+verdict's fields against each other and a stable partition count."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from chromaposet import B3, ChainPartitionCounter, OrdinalSum, Poset, build_poset
-from chromaposet import dominance_leq, is_nice, parse_poset_spec, partitions_of
+from chromaposet import B3, ChainPartitionCounter, OrdinalSum, Poset, StablePartitionCounter
+from chromaposet import build_poset, dominance_leq, incomparability_graph, is_nice
+from chromaposet import parse_poset_spec, partitions_of
 from chromaposet import nice
 from chromaposet.nice import _exchange, _merges, _open_types, _smallest_merge
-from conftest import builder_specs
+from conftest import builder_specs, random_posets, unit_interval_orders
 from test_nice import CHAIN_UNIONS, _chain_union
 
 
@@ -76,16 +79,59 @@ def test_achieved_types_are_listed_only_when_read(monkeypatch):
     assert len(calls) == 1
 
 
-def test_verdict_equality_compares_achieved_types():
-    poset = build_poset(parse_poset_spec("b3:2"))
+def _check_verdict_contract(poset):
+    """The verdict's fields against each other and against a stable
+    partition count, which shares no code with the chain-partition engine."""
     verdict = is_nice(poset)
-    listed = nice.NiceVerdict(True, nodes=verdict.nodes, _types=verdict.achieved_types)
-    assert is_nice(poset) == listed
-    assert nice.NiceVerdict(False, _types=((2,),)) != nice.NiceVerdict(False, _types=((1, 1),))
-    # The private fields take keywords only, so a call with the old
-    # positional achieved_types fails at once.
+    assert verdict.shape == poset.chain_shape()
+    unachieved, achieved = verdict.unachieved_types, verdict.achieved_types
+    assert not set(unachieved) & set(achieved)
+    types = tuple(partitions_of(len(poset), verdict.shape))
+    assert unachieved == tuple(lam for lam in types if lam in unachieved)
+    assert achieved == tuple(lam for lam in types if lam not in unachieved)
+    counter = StablePartitionCounter(incomparability_graph(poset))
+    assert all(counter.count(mu) == 0 for mu in unachieved)
+    assert verdict.nice == (verdict.witness is None)
+    if verdict.witness is not None:
+        assert verdict.witness[1] in unachieved
+    return verdict
+
+
+@pytest.mark.parametrize("spec", builder_specs(14), ids=lambda spec: spec.dsl())
+def test_verdict_contract_on_builders(spec):
+    _check_verdict_contract(build_poset(spec))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_posets())
+def test_verdict_contract_on_random_posets(poset):
+    _check_verdict_contract(poset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_interval_orders())
+def test_verdict_contract_on_unit_interval_orders(poset):
+    _check_verdict_contract(poset)
+
+
+@pytest.mark.parametrize("dsl, unachieved", [("b3:6", ((6, 6, 6),)), ("b3:7", ((7, 7, 6),))])
+def test_b3_fails_on_one_unachieved_type(dsl, unachieved):
+    verdict = _check_verdict_contract(build_poset(parse_poset_spec(dsl)))
+    assert not verdict.nice and verdict.unachieved_types == unachieved
+
+
+def test_nice_verdict_with_an_unachieved_type():
+    # The very first type scanned, (4, 2), fails: the scan hands over to
+    # the walk over every type at once, and still finds the poset nice.
+    poset = Poset(tuple(f"x{i}" for i in range(6)), (61, 26, 60, 24, 16, 32))
+    verdict = _check_verdict_contract(poset)
+    assert verdict.nice and verdict.shape == (4, 6)
+    assert verdict.unachieved_types == ((4, 2),)
+
+
+def test_verdict_fields_take_keywords_only():
     with pytest.raises(TypeError):
-        nice.NiceVerdict(False, None, None, (), 0)
+        nice.NiceVerdict(True)
 
 
 @pytest.mark.parametrize("dsl, most", [("sum:0+b3:4+6", 105), ("prod:5x4", 119), ("bool:4", 56)])

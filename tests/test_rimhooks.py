@@ -253,6 +253,18 @@ def test_shared_memo_tables_match_fresh_calls(n, cap):
         assert fresh == {shape: signed_contents(shape) for shape in shapes}
 
 
+@pytest.mark.parametrize("cap", (None, 1, 2, 3))
+def test_one_memo_across_sizes_matches_fresh_calls(cap):
+    """Without a prefix each shape peels with its own floor, min(size, cap),
+    yet the memo key leaves the floor out: one call over shapes of every
+    size, in ascending or descending order, gives each shape the table a
+    fresh call gives it."""
+    shapes = [shape for n in range(1, 10) for shape in partitions_of(n)]
+    fresh = {shape: next(_signed_tables((shape,), cap=cap))[1] for shape in shapes}
+    assert dict(_signed_tables(shapes, cap=cap)) == fresh
+    assert dict(_signed_tables(shapes[::-1], cap=cap)) == fresh
+
+
 def test_signed_contents_prefix_outside_every_content():
     assert signed_contents((3, 1), (2, 2)) == {}
     # no hook of (2, 2) reaches 4 cells; one of (2, 1, 1) does, with height 2
