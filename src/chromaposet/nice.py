@@ -203,8 +203,8 @@ def is_nice(
     # Every type before the first failure is achieved.
     next(filter(first.__eq__, types))
     for lam in types:
-        # Every other merge of lam dominates its smallest merge, so unless
-        # that one failed, lam is settled exactly when it lies inside the shape.
+        # Every other merge of lam dominates its smallest merge, so unless that
+        # one failed, lam is settled exactly when that one lies inside the shape.
         if len(lam) > 1:
             merged = _smallest_merge(lam)
             if achieved(merged) or merged in unachieved and any(map(achieved, _merges(lam))):
@@ -225,7 +225,8 @@ def is_nice(
                 found = masks.get(lam) or searcher.find(lam)
                 cert = _certificate_from_masks(poset, found, lam)
                 return NiceVerdict(witness=(lam, mu), witness_certificate=cert,
-                                   nodes=searcher.nodes, shape=shape, unachieved_types=tuple(unachieved))
+                                   nodes=searcher.nodes, shape=shape,
+                                   unachieved_types=tuple(unachieved))
     return NiceVerdict(nodes=searcher.nodes, shape=shape, unachieved_types=tuple(unachieved))
 
 

@@ -189,10 +189,10 @@ def signed_contents(shape, prefix=()) -> dict[Partition, int]:
     together with the prefix parts it still has to supply (``_peel_steps``).
     A sub-shape is pruned when its largest hook (first row plus height) is
     below the largest unmet part, its cells cannot cover the unmet parts,
-    or no content it can still take dominates it (``_can_dominate``).  :func:`_signed_tables` runs the same peel over
-    many shapes with one memo and a cap on the largest part: a full Schur
-    expansion builds one table, shared by its shapes, and peels no hook
-    longer than the longest chain.
+    or no content it can still take dominates it (``_can_dominate``).
+    :func:`_signed_tables` runs the same peel over many shapes with one memo
+    and a cap on the largest part: a full Schur expansion builds one table,
+    shared by its shapes, and peels no hook longer than the longest chain.
     """
     return next(_signed_tables((shape,), prefix))[1]
 
@@ -209,10 +209,9 @@ def _signed_tables(shapes, prefix=(), cap=None):
     memo: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
 
     # Contents are kept ascending inside the recursion, so a hook size goes
-    # in by bisection; ``unmet`` is descending, like the prefix.
-    #
-    # The memo key leaves out the floor.  With a prefix, every shape's floor
-    # is min(last prefix part, cap); without one it is min(size, cap), and a
+    # in by bisection; ``unmet`` is descending, like the prefix.  The memo
+    # key leaves out the floor.  With a prefix, every shape's floor is
+    # min(last prefix part, cap); without one it is min(size, cap), and a
     # sub-shape has no hook longer than the shape it was peeled from, so the
     # floor prunes the same hooks whichever shape reached it
     # (``_can_dominate``, which also reads it, runs only while parts are unmet).

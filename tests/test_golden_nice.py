@@ -47,7 +47,8 @@ def golden_argvs():
     """Every argv the golden file covers, in a fixed order."""
     from conftest import builder_specs
 
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads
     try:
