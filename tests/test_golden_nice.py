@@ -43,10 +43,8 @@ def digest(argv):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def golden_argvs():
-    """Every argv the golden file covers, in a fixed order."""
-    from conftest import builder_specs
-
+def pool_argvs(workload):
+    """The benchmark pool's argv as given, then each without ``--json``."""
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -55,8 +53,26 @@ def golden_argvs():
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
-    pool = [list(argv) for argv in workloads.pool("nice")]
-    argvs = pool + [[arg for arg in argv if arg != "--json"] for argv in pool]
+    pool = [list(argv) for argv in workloads.pool(workload)]
+    return pool + [[arg for arg in argv if arg != "--json"] for argv in pool]
+
+
+def write_golden(path, argvs):
+    """Write the digest of every argv to ``path``, keyed by the argv joined
+    with spaces."""
+    keys = [" ".join(argv) for argv in argvs]
+    # Keys split back on spaces, so no argument may hold one.
+    assert len(set(keys)) == len(keys) and all(" " not in arg for argv in argvs for arg in argv)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps({key: digest(key.split(" ")) for key in keys}, indent=1) + "\n")
+    print(f"wrote {len(keys)} digests to {path.relative_to(ROOT)}")
+
+
+def golden_argvs():
+    """Every argv the golden file covers, in a fixed order."""
+    from conftest import builder_specs
+
+    argvs = pool_argvs("nice")
     flags = ["--all-types", "--witness", "--json"]
     argvs += [["nice", "--poset", spec.dsl(), *flags] for spec in builder_specs(20)]
     argvs += [["nice", "--poset", "b3:8", "--max-elements", "22", *flags],
@@ -74,10 +90,4 @@ def test_nice_outputs_match_the_golden_file():
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
-    argvs = golden_argvs()
-    keys = [" ".join(argv) for argv in argvs]
-    # Keys split back on spaces, so no argument may hold one.
-    assert len(set(keys)) == len(keys) and all(" " not in arg for argv in argvs for arg in argv)
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({key: digest(key.split(" ")) for key in keys}, indent=1) + "\n")
-    print(f"wrote {len(keys)} digests to {GOLDEN.relative_to(ROOT)}")
+    write_golden(GOLDEN, golden_argvs())
