@@ -5,11 +5,12 @@ Both engines enumerate *unordered* partitions — always growing the block
 that contains the lowest-indexed uncovered element, so each partition is
 built exactly once — and restore orderings with the product of alpha_k!
 symmetry factors.  ``ChainPartitionCounter`` is the one chain-partition
-engine: it counts (the Schur sums) and finds (niceness and certificates)
-through a single recursion and memo.  ``StablePartitionCounter`` counts
-stable partitions of a graph and shares no code with it, nor does
-``schur.count_colorings_by_type``, so their agreement on incomparability
-graphs is a meaningful test.
+engine.  Its ``count_all`` counts every type in one pass, for a whole Schur
+expansion; ``count`` (one type: ``scp`` and brute Schur coefficients) and
+``find`` (niceness and certificates) share one bounded recursion and memo.
+``StablePartitionCounter`` counts stable partitions of a graph and shares
+no code with it, nor does ``schur.count_colorings_by_type``, so their
+agreement on incomparability graphs is a meaningful test.
 
 For a product of two chains m x n and a type whose first n-1 parts are the
 forced staircase values m+n-2i+1, the count also has a closed form: a
@@ -115,23 +116,30 @@ class StablePartitionCounter:
 
 class ChainPartitionCounter:
     """The chain-partition engine: counts the semi-ordered chain partitions
-    of a type (``count``) or finds one (``find``) on the order relation.
+    of every type (``count_all``, which ``schur_expansion`` calls once) or
+    of one type (``count``, for ``scp`` and brute Schur coefficients), or
+    finds one (``find``) on the order relation.
 
-    One memo, (remaining elements, block sizes) -> number of unordered
-    partitions, is shared by every call.  ``find`` stores 0 for each
+    ``count_all`` walks every remaining set once, without bounds, keeping
+    the counts of all block sizes together; on one large type, such as
+    ``chain:1200`` or brute coefficients on ``prod:8x3``, only the bounded
+    walk of ``count`` is feasible.  For that walk one memo, (remaining
+    elements, block sizes) -> number of unordered partitions, is shared by
+    every ``count`` and ``find`` call.  ``find`` stores 0 for each
     subtree it exhausts and nothing where it stops at a hit, and walks a
     state stored with a nonzero count again, because it needs the blocks.
-    The per-node bound in both modes is height capacity: a chain holds at
-    most one element of each level of ``Poset.levels()``, so k blocks cover
-    at most min(k, level size) elements of every level, and no block is
+    The walk's per-node bound is height capacity: a chain holds at most
+    one element of each level of ``Poset.levels()``, so k blocks cover at
+    most min(k, level size) elements of every level, and no block is
     longer than the number of levels the remaining elements meet.  ``find``
     also refutes a state with two blocks left by ``_splits``, an exact
-    bipartition test, before growing a block; counting skips it, since it
-    showed no gain on expansions.  Longest-chain and antichain-width bounds
-    cost more per node than the nodes they save.  The memo and the bounds
-    cut only subtrees without a solution, so counts are exact and the first
-    solution found, in the fixed search order, does not depend on what the
-    memo holds.  ``nodes`` counts the states walked, memo hits excluded.
+    bipartition test, before growing a block; ``count`` skips it, since
+    memo hits dominate a count and the test showed no gain there.
+    Longest-chain and antichain-width bounds cost more per node than the
+    nodes they save.  The memo and the bounds cut only subtrees without a
+    solution, so counts are exact and the first solution found, in the
+    fixed search order, does not depend on what the memo holds.  ``nodes``
+    counts the states walked, memo hits excluded.
     """
 
     def __init__(self, poset: Poset, node_budget: int | None = None):
@@ -150,6 +158,46 @@ class ChainPartitionCounter:
         if stats is not None:
             stats.nodes += self.nodes - before
         return total * symmetry_factor(lam)
+
+    def count_all(self) -> dict[Partition, int]:
+        """Semi-ordered chain partitions of every type, zero counts left
+        out, from one pass over the remaining sets.  Its memo maps a
+        remaining set to {block sizes, largest first: unordered count} and
+        lives for this call; ``nodes`` grows by one per state walked."""
+        comp = self.poset.comp
+        memo: dict[int, dict[Partition, int]] = {0: {(): 1}}
+        inserted: dict[tuple[Partition, int], Partition] = {}
+
+        def walk(rem: int) -> dict[Partition, int]:
+            table = memo.get(rem)
+            if table is not None:
+                return table
+            self.nodes += 1
+            if self.node_budget is not None and self.nodes > self.node_budget:
+                raise DomainError(f"search exceeded {self.node_budget} nodes")
+            table = memo[rem] = {}
+            v = (rem & -rem).bit_length() - 1
+            grow(rem, table, 1 << v, (rem ^ (1 << v)) & comp[v], 1)
+            return table
+
+        def grow(rem: int, table: dict, block: int, cand: int, size: int) -> None:
+            # The block is one chain through the lowest remaining element:
+            # every partition of what is left adds one of size ``size``.
+            for sizes, count in walk(rem & ~block).items():
+                key = inserted.get((sizes, size))
+                if key is None:
+                    i = 0
+                    while i < len(sizes) and sizes[i] >= size:
+                        i += 1
+                    key = inserted[sizes, size] = sizes[:i] + (size,) + sizes[i:]
+                table[key] = table.get(key, 0) + count
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                grow(rem, table, block | low, cand & comp[low.bit_length() - 1], size + 1)
+
+        full = walk(self.poset.full_mask)
+        return {lam: count * symmetry_factor(lam) for lam, count in full.items()}
 
     def find(self, type_) -> list[int] | None:
         """Block bitmasks of the first chain partition of the given type in

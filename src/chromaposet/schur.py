@@ -18,8 +18,11 @@ each is an isolated vertex of the incomparability graph, a factor s_1 of
 its function (Stanley, Adv. Math. 111, 1995, Prop. 2.3).  The tabloid sum
 runs on the rest, and r single-box Pieri steps add them back.  Its shapes
 share one signed-content table (``rimhooks._signed_tables``), so the table
-of a sub-shape is built once per expansion.  Every builder poset has a
-bottom and a top.  `schur_coefficient` still walks the whole poset.
+of a sub-shape is built once per expansion, and one pass
+(``ChainPartitionCounter.count_all``) counts the chain partitions of every
+type, so no remaining set is walked once per content.  Every builder poset
+has a bottom and a top.  `schur_coefficient` still walks the whole poset,
+searching one content at a time.
 """
 
 from __future__ import annotations
@@ -128,12 +131,13 @@ def _tabloid_expansion(poset: Poset) -> dict[Partition, int]:
     one shape at a time; only shapes whose first part fits in the longest
     chain are generated (the coefficients of the others vanish).  The
     shapes share one signed-content table, which peels no hook longer than
-    the longest chain."""
+    the longest chain, and one pass that counts the chain partitions of
+    every type."""
     longest = poset.max_chain_size()
-    count = _searched_counts(poset)
+    counts = ChainPartitionCounter(poset).count_all()
     coeffs = {}
     for lam, table in _signed_tables(partitions_of(len(poset), (longest,)), cap=longest):
-        total = _tabloid_sum(table, count)
+        total = _tabloid_sum(table, lambda content: counts.get(content, 0))
         if total:
             coeffs[lam] = total
     return coeffs

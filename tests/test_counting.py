@@ -29,10 +29,11 @@ from chromaposet.posets import (
     Product,
     build_poset,
     incomparability_graph,
+    Poset,
     parse_poset_spec,
 )
 from chromaposet.schur import count_colorings_by_type
-from conftest import builder_specs, random_posets, witness_case_contents
+from conftest import builder_specs, random_posets, unit_interval_orders, witness_case_contents
 
 
 def brute_count_scp(poset, type_):
@@ -124,6 +125,45 @@ def test_engine_matches_coloring_oracle_on_random_posets(poset):
         if cert is not None:
             assert cert.type == lam
             cert.validate()
+
+
+def _check_one_pass(poset):
+    """``count_all`` against a count of every type, and each count against
+    stable partitions of the incomparability graph, which share no code
+    with the engine."""
+    oracle = StablePartitionCounter(incomparability_graph(poset))
+    counter = ChainPartitionCounter(poset)
+    counts = {lam: counter.count(lam) for lam in partitions_of(len(poset))}
+    assert all(counts[lam] == oracle.count(lam) for lam in counts)
+    assert ChainPartitionCounter(poset).count_all() == {lam: c for lam, c in counts.items() if c}
+
+
+@pytest.mark.parametrize("spec", builder_specs(12), ids=lambda spec: spec.dsl())
+def test_one_pass_counts_every_type(spec):
+    _check_one_pass(build_poset(spec))
+
+
+def test_one_pass_on_the_empty_poset():
+    _check_one_pass(Poset((), ()))
+    assert ChainPartitionCounter(Poset((), ())).count_all() == {(): 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_posets())
+def test_one_pass_counts_every_type_on_random_posets(poset):
+    _check_one_pass(poset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_interval_orders())
+def test_one_pass_counts_every_type_on_unit_interval_orders(poset):
+    _check_one_pass(poset)
+
+
+def test_one_pass_keeps_the_node_budget():
+    counter = ChainPartitionCounter(build_poset(Product((3, 2))), node_budget=3)
+    with pytest.raises(DomainError, match="exceeded 3 nodes"):
+        counter.count_all()
 
 
 def test_one_engine_counts_and_finds():

@@ -216,6 +216,30 @@ def test_expansion_builds_at_most_pinned_tables(dsl, tables, steps, monkeypatch)
     assert built <= tables and taken <= steps
 
 
+@pytest.mark.parametrize("dsl, states", [
+    ("b3:3", 248),
+    ("prod:4x4", 1560),
+    ("bool:4", 775),
+    ("sum:0+prod:2x2x3+1", 111),
+    ("prod:3x3x2", 3176),
+])
+def test_expansion_walks_at_most_pinned_states(dsl, states, monkeypatch):
+    """The chain-partition pass is counted, not timed: an expansion runs
+    ``count_all`` once, on the poset without its universal elements, and
+    ``nodes`` counts the remaining sets it walks."""
+    walked = []
+    count_all = ChainPartitionCounter.count_all
+
+    def counted(counter):
+        result = count_all(counter)
+        walked.append(counter.nodes)
+        return result
+
+    monkeypatch.setattr(ChainPartitionCounter, "count_all", counted)
+    schur_expansion(build_poset(parse_poset_spec(dsl)), max_elements=18)
+    assert len(walked) == 1 and walked[0] <= states
+
+
 def test_schur_expansion_matches_monomials_through_kostka():
     """Converting the Schur expansion back to the monomial basis must
     reproduce the directly-computed monomial coefficients."""
