@@ -362,12 +362,6 @@ class Graph:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __repr__(self) -> str:
-        return f"Graph({len(self)} vertices, {self.edge_count()} edges)"
-
-    def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self.adj) // 2
-
 
 # ---------------------------------------------------------------------------
 # Spec-level operations

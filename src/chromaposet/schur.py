@@ -85,20 +85,6 @@ def _tabloid_sum(table: dict[Partition, int], count) -> int:
     return sum(signed * count(content) for content, signed in table.items())
 
 
-def _searched_counts(poset: Poset, node_budget: int | None = None):
-    """Chain-partition counts by backtracking search, cached per content.
-    The searches share one engine, so ``node_budget`` bounds them together."""
-    counter = ChainPartitionCounter(poset, node_budget)
-    cache: dict[Partition, int] = {}
-
-    def count(content: Partition) -> int:
-        if content not in cache:
-            cache[content] = counter.count(content)
-        return cache[content]
-
-    return count
-
-
 def schur_coefficient(
     poset: Poset, shape, method: str = "auto", node_budget: int | None = None
 ) -> int:
@@ -121,9 +107,10 @@ def schur_coefficient(
         table = signed_contents(shape, staircase_type(m, n)[:-1])
         return _tabloid_sum(table, partial(scp_closed_form, m, n))
     # A content with a part longer than the longest chain counts 0, so no
-    # such hook is peeled.
+    # such hook is peeled.  The table holds each content once, and one
+    # engine searches them all, so ``node_budget`` bounds them together.
     table = next(_signed_tables((shape,), cap=poset.max_chain_size()))[1]
-    return _tabloid_sum(table, _searched_counts(poset, node_budget))
+    return _tabloid_sum(table, ChainPartitionCounter(poset, node_budget).count)
 
 
 def _tabloid_expansion(poset: Poset) -> dict[Partition, int]:

@@ -692,8 +692,8 @@ def test_lattice_check_refuses_large_posets(capsys):
 def test_incomparable_pairs_are_the_incomparability_graph_edges(capsys):
     for spec in builder_specs(40):
         code, env, _ = run_json(capsys, "poset", "--poset", spec.dsl())
-        graph = incomparability_graph(build_poset(spec))
-        assert (code, env["result"]["incomparable_pairs"]) == (0, graph.edge_count()), spec.dsl()
+        edges = sum(a.bit_count() for a in incomparability_graph(build_poset(spec)).adj) // 2
+        assert (code, env["result"]["incomparable_pairs"]) == (0, edges), spec.dsl()
 
 
 def test_tabloid_envelope_single_column(capsys):

@@ -55,7 +55,7 @@ def test_chain_basics():
     assert c.labels == ("1", "2", "3", "4")
     assert c.max_chain_size() == 4
     assert c.width() == 1
-    assert incomparability_graph(c).edge_count() == 0
+    assert not any(incomparability_graph(c).adj)
 
 
 def test_invalid_specs():
@@ -90,7 +90,7 @@ def test_product_structure():
         for a, b in itertools.combinations(range(12), 2)
         if p.up[a] >> b & 1 or p.up[b] >> a & 1
     )
-    assert incomparability_graph(p).edge_count() == 66 - comparable
+    assert sum(a.bit_count() for a in incomparability_graph(p).adj) == 2 * (66 - comparable)
 
 
 def test_covers_generate_order():
@@ -471,13 +471,82 @@ def test_invalid_relations_raise_pinned_messages(up, message):
     assert str(exc.value) == message
 
 
+@st.composite
+def relations(draw):
+    """Labels and up-set masks for 0-7 elements: a random order on shuffled
+    indices, then up to three flipped bits (a bit at index n is out of
+    range) and up to two related pairs made related both ways, and now and
+    then a repeated label or one mask too few or too many."""
+    n = draw(st.integers(0, 7))
+    perm = draw(st.permutations(range(n)))
+    up = [1 << i for i in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            up[perm[a]] |= 1 << perm[b]
+    for k in range(n):  # Warshall's transitive closure
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    if n:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n)), max_size=3)):
+            up[i] ^= 1 << j
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2)):
+            up[j] |= (up[i] >> j & 1) << i
+    labels = list("abcdefg"[:n])
+    fault = draw(st.integers(0, 19))
+    if fault == 1 and n >= 2:
+        labels[draw(st.integers(1, n - 1))] = labels[0]
+    elif fault == 2 and n:
+        up.pop()
+    elif fault == 3:
+        up.append(1)
+    return tuple(labels), tuple(up)
+
+
+def _first_fault(labels, up):
+    """The message of the first failing check, in the documented order, or
+    None for a valid order relation."""
+    n = len(labels)
+    if len(set(labels)) != n:
+        return "element labels must be distinct"
+    if len(up) != n:
+        return "one up-set mask per element required"
+    for i in range(n):
+        if up[i] >> n:
+            return "up-set mask out of range"
+        if not up[i] >> i & 1:
+            return f"order not reflexive at {labels[i]}"
+    rel = lambda i, j: up[i] >> j & 1
+    for i in range(n):
+        if any(j != i and rel(i, j) and rel(j, i) for j in range(n)):
+            return f"order not antisymmetric at {labels[i]}"
+        if any(rel(i, j) and rel(j, k) and not rel(i, k) for j in range(n) for k in range(n)):
+            return f"order not transitive at {labels[i]}"
+    return None
+
+
+@given(relations())
+def test_relation_checks_fail_in_the_documented_order(relation):
+    labels, up = relation
+    message = _first_fault(labels, up)
+    if message is None:
+        poset = Poset(labels, up)
+        assert poset.up == up
+        _assert_derived_relations(poset)
+    else:
+        with pytest.raises(DomainError) as exc:
+            Poset(labels, up)
+        assert str(exc.value) == message
+
+
 def _assert_derived_relations(poset):
-    """``dn`` is the transpose of ``up``, and j covers i when i < j with no
-    element strictly between, checked pair by pair."""
+    """``dn`` is the transpose of ``up``, ``comp`` their union, and j covers
+    i when i < j with no element strictly between, checked pair by pair."""
     n = len(poset)
     below = lambda i, j: i != j and poset.up[i] >> j & 1
     for i in range(n):
-        assert poset.dn[i] == sum(1 << j for j in range(n) if poset.up[j] >> i & 1)
+        dn = sum(1 << j for j in range(n) if poset.up[j] >> i & 1)
+        assert (poset.dn[i], poset.comp[i]) == (dn, poset.up[i] | dn)
         covers = sum(
             1 << j for j in range(n)
             if below(i, j) and not any(below(i, k) and below(k, j) for k in range(n))
