@@ -16,7 +16,6 @@ _EXPORTS = {
     "errors": ("DomainError", "DslParseError", "InternalInvariantError"),
     "counting": (
         "ChainPartitionCounter",
-        "SearchStats",
         "StablePartitionCounter",
         "proof_case_closed_forms",
         "scp_closed_form",

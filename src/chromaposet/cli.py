@@ -228,23 +228,24 @@ def _cmd_nice(args) -> Reply:
 
 
 def _cmd_chain_partition(args) -> Reply:
-    from .counting import SearchStats, covering_type
-    from .nice import chain_partition_exists
+    from .counting import ChainPartitionCounter, covering_type
+    from .nice import _certificate_from_masks
 
     spec = parse_poset_spec(args.poset)
     size = check_size(spec)
     type_ = covering_type(parse_partition(args.type), size)
     poset = build_poset(spec)
-    stats = SearchStats()
-    cert = chain_partition_exists(poset, type_, node_budget=args.node_budget, stats=stats)
+    counter = ChainPartitionCounter(poset, args.node_budget)
+    masks = counter.find(type_)
     result: dict = {
         "poset": poset.spec.dsl(),
         "type": format_partition(type_),
-        "exists": cert is not None,
-        "nodes": stats.nodes,
+        "exists": masks is not None,
+        "nodes": counter.nodes,
     }
-    if cert is None:
+    if masks is None:
         return Reply(result, "pruned_search", ["no chain partition of this type"], EXIT_NOT_NICE)
+    cert = _certificate_from_masks(poset, masks, type_)
     result["certificate"] = cert.to_jsonable()
     lines = ["chain: " + " < ".join(block) for block in cert.blocks]
     return Reply(result, "pruned_search", lines, EXIT_OK)

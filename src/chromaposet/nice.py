@@ -25,7 +25,7 @@ import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .counting import ChainPartitionCounter, SearchStats, staircase_type
+from .counting import ChainPartitionCounter, staircase_type
 from .errors import DomainError, InternalInvariantError
 from .partitions import Partition, as_partition, dominance_leq, partitions_of
 from .posets import Poset, Product, build_poset, check_limit, OrdinalSum, iter_bits
@@ -120,15 +120,11 @@ def chain_partition_exists(
     poset: Poset,
     type_,
     node_budget: int | None = None,
-    stats: SearchStats | None = None,
 ) -> ChainPartitionCertificate | None:
     """A validated certificate of the given type, or None when the exhaustive
     (pruned) search proves none exists."""
     lam = as_partition(type_)
-    searcher = ChainPartitionCounter(poset, node_budget)
-    masks = searcher.find(lam)
-    if stats is not None:
-        stats.nodes += searcher.nodes
+    masks = ChainPartitionCounter(poset, node_budget).find(lam)
     if masks is None:
         return None
     return _certificate_from_masks(poset, masks, lam)

@@ -27,9 +27,9 @@ MAX_ELEMENTS = 4096
 # The deepest nesting of ordinal sums the DSL parser accepts; counting the
 # elements of a spec and printing it recurse once per level.
 MAX_SUM_DEPTH = 100
-# The most elements the distributive-lattice check takes: it tests every
-# triple, n^3 steps (3.3 s for the 256 elements of bool:8, CPython 3.11 on a
-# 2-core machine).
+# The most elements the distributive-lattice check takes: it tests one law
+# on every triple, n^3 steps (1.4-1.8 s of CPU for the 256 elements of
+# bool:8, 1.9-2.2 s for prod:16x16; CPython 3.11 on a 2-core Xeon).
 LATTICE_LIMIT = 256
 
 
@@ -375,8 +375,11 @@ def incomparability_graph(poset: Poset) -> Graph:
 
 
 def verify_distributive_lattice(poset: Poset) -> bool:
-    """True iff all pairwise meets and joins exist and both distributive laws
-    hold over all triples.  DomainError past LATTICE_LIMIT elements."""
+    """True iff all pairwise meets and joins exist and a ^ (b v c) =
+    (a ^ b) v (a ^ c) over all triples.  In a lattice that law gives its
+    dual: (a v b) ^ (a v c) = a v ((a v b) ^ c) = a v (c ^ a) v (c ^ b) =
+    a v (b ^ c), by the law, absorption and associativity.  DomainError
+    past LATTICE_LIMIT elements."""
     n = len(poset)
     check_limit(n, LATTICE_LIMIT, "lattice-check")
     meet = [[0] * n for _ in range(n)]
@@ -393,8 +396,6 @@ def verify_distributive_lattice(poset: Poset) -> bool:
         for b in range(n):
             for c in range(n):
                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-                    return False
-                if join[a][meet[b][c]] != meet[join[a][b]][join[a][c]]:
                     return False
     return True
 

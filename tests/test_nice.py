@@ -19,7 +19,6 @@ from chromaposet import (
     OrdinalSum,
     Poset,
     Product,
-    SearchStats,
     StablePartitionCounter,
     build_poset,
     chain_partition_exists,
@@ -73,12 +72,6 @@ def test_impossible_types_return_none():
     assert chain_partition_exists(poset, (3, 1)) is not None
     with pytest.raises(DomainError, match=r"^type \(3, 2\) does not cover 4 elements$"):
         chain_partition_exists(poset, (3, 2))
-
-
-def test_search_stats_accumulate():
-    stats = SearchStats()
-    chain_partition_exists(build_poset(Product((3, 2))), (4, 2), stats=stats)
-    assert stats.nodes > 0
 
 
 def test_node_budget_is_enforced():

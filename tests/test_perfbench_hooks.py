@@ -63,3 +63,20 @@ def test_expansion_counts_once_without_reentering_the_schur_span():
     assert traced.calls["schur"] == 1
     assert traced.calls["counting.count"] == 0
     assert traced.calls["nice.find"] == 0
+
+
+def test_tabloid_hook_keeps_the_prefix_share():
+    """``rimhooks.kept_ratio`` is the tabloids kept over every tabloid of
+    the traced shape, which the tracer counts from ``TabloidFamily.shape``."""
+    traced = _traced(_load_tracer(), ["tabloid", "--shape", "5,3,2,1", "--content-prefix", "6"], 0)
+    metrics = traced.layer_metrics()
+    assert traced.calls["rimhooks.enumerate"] == 1
+    # 4 of the 12 tabloids of the shape have a content starting with 6
+    assert metrics["rimhooks.tabloids_kept"][0] == 4
+    assert metrics["rimhooks.kept_ratio"][0] == 4 / 12
+
+
+def test_bound_hook_counts_the_width_and_longest_chain():
+    traced = _traced(_load_tracer(), ["poset", "--poset", "prod:3x2"], 0)
+    assert traced.calls["cli"] == 1
+    assert traced.calls["posets.bound"] == 2

@@ -188,6 +188,91 @@ def test_distributive_examples():
     assert not verify_distributive_lattice(two)
 
 
+def _from_up_sets(up_sets):
+    """A poset on one-letter labels from each label's up-set, spelled as
+    the string of its labels."""
+    labels = tuple(up_sets)
+    return Poset(labels, tuple(sum(1 << labels.index(y) for y in ups) for ups in up_sets.values()))
+
+
+M3 = _from_up_sets({"0": "0abc1", "a": "a1", "b": "b1", "c": "c1", "1": "1"})
+N5 = _from_up_sets({"0": "0abc1", "a": "ab1", "b": "b1", "c": "c1", "1": "1"})
+
+
+def _ordinal_sum(*blocks):
+    """Every element of a block below every element of the later blocks."""
+    n = sum(map(len, blocks))
+    labels, up, offset = [], [], 0
+    for k, block in enumerate(blocks):
+        later = (1 << n) - (1 << offset + len(block))
+        labels += [f"{k}.{label}" for label in block.labels]
+        up += [mask << offset | later for mask in block.up]
+        offset += len(block)
+    return Poset(tuple(labels), tuple(up))
+
+
+def _product(p, q):
+    """The componentwise order on pairs, (i, j) at index i * len(q) + j."""
+    up = [
+        sum(1 << k * len(q) + l for k in iter_bits(p.up[i]) for l in iter_bits(q.up[j]))
+        for i in range(len(p))
+        for j in range(len(q))
+    ]
+    labels = [f"({x},{y})" for x in p.labels for y in q.labels]
+    return Poset(tuple(labels), tuple(up))
+
+
+def _two_law_reference(poset):
+    """Both distributive laws over every triple, after every meet and join."""
+    n = range(len(poset))
+    meet = {(a, b): poset.meet(a, b) for a in n for b in n}
+    join = {(a, b): poset.join(a, b) for a in n for b in n}
+    if None in meet.values() or None in join.values():
+        return False
+    return all(
+        meet[a, join[b, c]] == join[meet[a, b], meet[a, c]]
+        and join[a, meet[b, c]] == meet[join[a, b], join[a, c]]
+        for a in n
+        for b in n
+        for c in n
+    )
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        M3,
+        N5,
+        _ordinal_sum(build_poset(Chain(2)), N5, build_poset(Chain(1))),
+        _ordinal_sum(M3, build_poset(Chain(3))),
+        _product(N5, build_poset(Chain(2))),
+        _product(M3, build_poset(Product((2, 2)))),
+    ],
+    ids=["M3", "N5", "chain2+N5+chain1", "M3+chain3", "N5x2", "M3x2x2"],
+)
+def test_non_distributive_lattices_fail_the_check(lattice):
+    assert all(lattice.meet(a, b) is not None and lattice.join(a, b) is not None
+               for a in range(len(lattice)) for b in range(len(lattice)))
+    assert not verify_distributive_lattice(lattice)
+    assert not _two_law_reference(lattice)
+
+
+@pytest.mark.parametrize("spec", builder_specs(32), ids=lambda spec: spec.dsl())
+def test_distributivity_of_builder_posets_matches_both_laws(spec):
+    poset = build_poset(spec)
+    assert verify_distributive_lattice(poset) == _two_law_reference(poset)
+
+
+@given(random_posets(max_size=7), st.booleans())
+def test_distributivity_of_random_posets_matches_both_laws(poset, bounded):
+    """With ``bounded``, a bottom and a top are added, which makes most
+    draws lattices."""
+    if bounded:
+        point = build_poset(Chain(1))
+        poset = _ordinal_sum(point, poset, point)
+    assert verify_distributive_lattice(poset) == _two_law_reference(poset)
+
+
 def test_dsl_round_trip():
     for spec in SPEC_SAMPLES:
         assert parse_poset_spec(spec.dsl()) == spec
