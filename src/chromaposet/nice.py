@@ -116,15 +116,11 @@ def _certificate_from_masks(
     return cert
 
 
-def chain_partition_exists(
-    poset: Poset,
-    type_,
-    node_budget: int | None = None,
-) -> ChainPartitionCertificate | None:
+def chain_partition_exists(poset: Poset, type_) -> ChainPartitionCertificate | None:
     """A validated certificate of the given type, or None when the exhaustive
     (pruned) search proves none exists."""
     lam = as_partition(type_)
-    masks = ChainPartitionCounter(poset, node_budget).find(lam)
+    masks = ChainPartitionCounter(poset).find(lam)
     if masks is None:
         return None
     return _certificate_from_masks(poset, masks, lam)

@@ -27,9 +27,11 @@ MAX_ELEMENTS = 4096
 # The deepest nesting of ordinal sums the DSL parser accepts; counting the
 # elements of a spec and printing it recurse once per level.
 MAX_SUM_DEPTH = 100
-# The most elements the distributive-lattice check takes: it tests one law
-# on every triple, n^3 steps (1.4-1.8 s of CPU for the 256 elements of
-# bool:8, 1.9-2.2 s for prod:16x16; CPython 3.11 on a 2-core Xeon).
+# The most elements the distributive-lattice check takes: it makes one pass
+# over the n^2 / 2 pairs on n-bit masks (0.01-0.02 s of CPU for the 256
+# elements of bool:8 or prod:16x16, 0.04 s at 512, 0.23 s at 1,024, and
+# 7.7, 8.6 and 33 s for bool:12, prod:64x64 and chain:4096; CPython 3.11 on
+# a 2-core Xeon).
 LATTICE_LIMIT = 256
 
 
@@ -324,21 +326,6 @@ class Poset:
             shape.append(covered)
         return tuple(shape)
 
-    def meet(self, i: int, j: int) -> int | None:
-        """Index of the greatest lower bound of i and j, or None."""
-        cand = self.dn[i] & self.dn[j]
-        for k in iter_bits(cand):
-            if cand & ~self.dn[k] == 0:
-                return k
-        return None
-
-    def join(self, i: int, j: int) -> int | None:
-        cand = self.up[i] & self.up[j]
-        for k in iter_bits(cand):
-            if cand & ~self.up[k] == 0:
-                return k
-        return None
-
 
 class Graph:
     """Undirected graph with labeled vertices; ``adj[i]`` is a neighbor
@@ -375,28 +362,32 @@ def incomparability_graph(poset: Poset) -> Graph:
 
 
 def verify_distributive_lattice(poset: Poset) -> bool:
-    """True iff all pairwise meets and joins exist and a ^ (b v c) =
-    (a ^ b) v (a ^ c) over all triples.  In a lattice that law gives its
-    dual: (a v b) ^ (a v c) = a v ((a v b) ^ c) = a v (c ^ a) v (c ^ b) =
-    a v (b ^ c), by the law, absorption and associativity.  DomainError
-    past LATTICE_LIMIT elements."""
+    """True iff every pair of elements has a meet and a join and the
+    lattice they make is distributive, decided in one pass over the pairs.
+    The meet of a and b exists when their common lower bounds ``dn[a] &
+    dn[b]`` are one element's down-set, and the join likewise from the
+    up-sets.  An element is join-irreducible when its strict down-set is
+    one element's down-set; J is the mask of them all.  A finite lattice is
+    distributive iff ``dn[a v b] & J == (dn[a] | dn[b]) & J`` for every
+    pair (Birkhoff, 1937).  In a distributive lattice the join-irreducibles
+    are join-prime.  Conversely, a -> ``dn[a] & J`` always preserves meets,
+    and is one-to-one because every element is the join of the
+    join-irreducibles below it; the condition makes it preserve joins too,
+    so it embeds the lattice in the subsets of J.  DomainError past
+    LATTICE_LIMIT elements."""
     n = len(poset)
     check_limit(n, LATTICE_LIMIT, "lattice-check")
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m = poset.meet(i, j)
-            v = poset.join(i, j)
-            if m is None or v is None:
-                return False
-            meet[i][j] = meet[j][i] = m
-            join[i][j] = join[j][i] = v
+    dn, up = poset.dn, poset.up
+    below = set(dn)
+    above = {mask: i for i, mask in enumerate(up)}
+    irreducible = sum(1 << j for j in range(n) if dn[j] ^ 1 << j in below)
     for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-                    return False
+        for b in range(a + 1, n):
+            join = above.get(up[a] & up[b])
+            if join is None or dn[a] & dn[b] not in below:
+                return False
+            if dn[join] & irreducible != (dn[a] | dn[b]) & irreducible:
+                return False
     return True
 
 

@@ -112,9 +112,6 @@ class TabloidFamily:
     def __iter__(self):
         return iter(self.tabloids)
 
-    def __getitem__(self, index):
-        return self.tabloids[index]
-
 
 def enumerate_srht(shape, prefix=()) -> TabloidFamily:
     """The special rim hook tabloids of ``shape`` whose sorted content

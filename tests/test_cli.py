@@ -682,8 +682,8 @@ def test_poset_description_envelope(capsys):
 
 
 def test_lattice_check_refuses_large_posets(capsys):
-    """The check is cubic, so bool:9 (512 elements) is refused before any
-    triple is tested."""
+    """The check takes n^2 / 2 steps on n-bit masks; bool:9 (512 elements)
+    is over its limit and refused."""
     code, out, err = run(capsys, "poset", "--poset", "bool:9", "--lattice")
     assert (code, out) == (1, "")
     assert err == "error: 512 elements exceeds the lattice-check limit of 256\n"

@@ -8,8 +8,8 @@ It covers, each with and without ``--json``: ``chain-partition`` on a type
 found, one refuted, and searches over and at their node budget, so the
 reported ``nodes`` is pinned exactly; ``scp`` on the closed and the search
 route; ``tabloid`` with ``--content`` and with ``--content-prefix``;
-``theorem41`` on a few (n, k); and ``poset --lattice`` on every builder
-poset of up to 32 elements.  The CLI's error cases are pinned in
+``theorem41`` on a few (n, k); ``verify``, its criterion timings masked;
+and ``poset --lattice`` on every builder poset of up to 32 elements.  The CLI's error cases are pinned in
 ``tests/test_cli.py``.
 
 The rule is the one of ``tests/test_golden_nice.py``: a change that alters
@@ -46,6 +46,7 @@ def golden_argvs():
         ["theorem41", "--n", "2", "--k", "5"],
         ["theorem41", "--n", "3", "--k", "6"],
         ["theorem41", "--n", "5", "--k", "9"],
+        ["verify"],
     ]
     argvs += [["poset", "--poset", spec.dsl(), "--lattice"] for spec in builder_specs(32)]
     return [argv + flag for argv in argvs for flag in ([], ["--json"])]

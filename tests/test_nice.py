@@ -77,7 +77,7 @@ def test_impossible_types_return_none():
 def test_node_budget_is_enforced():
     poset = build_poset(B3(6))
     with pytest.raises(DomainError, match=r"^search exceeded 10 nodes$"):
-        chain_partition_exists(poset, (6, 6, 6), node_budget=10)
+        ChainPartitionCounter(poset, 10).find((6, 6, 6))
 
 
 def test_certificate_validation_rejects_bad_claims():

@@ -23,7 +23,7 @@ from chromaposet.posets import (
     parse_poset_spec,
     verify_distributive_lattice,
 )
-from conftest import builder_specs, random_posets
+from conftest import builder_specs, random_posets, unit_interval_orders
 
 # Ordinal sums nested two and three deep around every builder family; the
 # inner sums' lo/hi labels clash with the outer ones and are primed.
@@ -173,11 +173,31 @@ def test_b3_1_is_boolean_cube():
     )
 
 
+def _meets_and_joins(poset):
+    """Every meet and every join, keyed by the pair of elements: the common
+    bound that lies beyond all the others, or None where there is none."""
+    n = range(len(poset))
+
+    def bound(order, a, b):
+        common = [c for c in n if order[a] >> c & 1 and order[b] >> c & 1]
+        best = [c for c in common if all(order[c] >> d & 1 for d in common)]
+        return best[0] if best else None
+
+    return (
+        {(a, b): bound(poset.dn, a, b) for a in n for b in n},
+        {(a, b): bound(poset.up, a, b) for a in n for b in n},
+    )
+
+
 def test_meet_join():
     p = build_poset(Product((3, 3)))
+    meet, join = _meets_and_joins(p)
     i, j = p.index_of("(1,3)"), p.index_of("(3,1)")
-    assert p.labels[p.meet(i, j)] == "(1,1)"
-    assert p.labels[p.join(i, j)] == "(3,3)"
+    assert p.labels[meet[i, j]] == "(1,1)"
+    assert p.labels[join[i, j]] == "(3,3)"
+    assert (meet[i, i], join[i, i]) == (i, i)
+    meet, join = _meets_and_joins(Poset(("x", "y"), (0b01, 0b10)))
+    assert meet[0, 1] is None and join[0, 1] is None
 
 
 def test_distributive_examples():
@@ -225,8 +245,7 @@ def _product(p, q):
 def _two_law_reference(poset):
     """Both distributive laws over every triple, after every meet and join."""
     n = range(len(poset))
-    meet = {(a, b): poset.meet(a, b) for a in n for b in n}
-    join = {(a, b): poset.join(a, b) for a in n for b in n}
+    meet, join = _meets_and_joins(poset)
     if None in meet.values() or None in join.values():
         return False
     return all(
@@ -251,10 +270,36 @@ def _two_law_reference(poset):
     ids=["M3", "N5", "chain2+N5+chain1", "M3+chain3", "N5x2", "M3x2x2"],
 )
 def test_non_distributive_lattices_fail_the_check(lattice):
-    assert all(lattice.meet(a, b) is not None and lattice.join(a, b) is not None
-               for a in range(len(lattice)) for b in range(len(lattice)))
+    meet, join = _meets_and_joins(lattice)
+    assert None not in meet.values() and None not in join.values()
     assert not verify_distributive_lattice(lattice)
     assert not _two_law_reference(lattice)
+
+
+# Two minimal elements under a top has every join and not every meet; its
+# dual has every meet and not every join.
+V = _from_up_sets({"a": "a1", "b": "b1", "1": "1"})
+WEDGE = _from_up_sets({"0": "0ab", "a": "a", "b": "b"})
+
+
+@pytest.mark.parametrize(
+    "poset, joins",
+    [
+        (V, True),
+        (WEDGE, False),
+        (_ordinal_sum(V, build_poset(Chain(2))), True),
+        (_ordinal_sum(build_poset(Chain(2)), WEDGE), False),
+        (_product(V, build_poset(Chain(2))), True),
+        (_product(WEDGE, build_poset(Boolean(2))), False),
+    ],
+    ids=["V", "wedge", "V+chain2", "chain2+wedge", "Vx2", "wedgex2x2"],
+)
+def test_half_lattices_fail_the_check(poset, joins):
+    """Every join exists and not every meet, or the reverse: the check
+    looks for both."""
+    meet, join = _meets_and_joins(poset)
+    assert (None not in join.values(), None not in meet.values()) == (joins, not joins)
+    assert not verify_distributive_lattice(poset)
 
 
 @pytest.mark.parametrize("spec", builder_specs(32), ids=lambda spec: spec.dsl())
@@ -270,6 +315,15 @@ def test_distributivity_of_random_posets_matches_both_laws(poset, bounded):
     if bounded:
         point = build_poset(Chain(1))
         poset = _ordinal_sum(point, poset, point)
+    assert verify_distributive_lattice(poset) == _two_law_reference(poset)
+
+
+@given(unit_interval_orders(max_size=7, min_size=1))
+def test_distributivity_of_bounded_unit_interval_orders_matches_both_laws(poset):
+    """A unit interval order with a bottom and a top added: a lattice
+    exactly when every pair has a least upper bound."""
+    point = build_poset(Chain(1))
+    poset = _ordinal_sum(point, poset, point)
     assert verify_distributive_lattice(poset) == _two_law_reference(poset)
 
 

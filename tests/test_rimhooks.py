@@ -93,7 +93,7 @@ def test_enumeration_matches_brute_decomposition(n):
 def test_single_row_and_column():
     fam = enumerate_srht((5,))
     assert len(fam) == 1
-    assert fam[0].content == (5,) and fam[0].height == 0
+    assert fam.tabloids[0].content == (5,) and fam.tabloids[0].height == 0
     # a column splits into any run of vertical hooks, one per composition
     fam = enumerate_srht((1, 1, 1))
     assert len(fam) == 4
@@ -154,7 +154,7 @@ def test_all_emitted_tabloids_validate():
 
 
 def test_validate_rejects_corrupted():
-    good = enumerate_srht((3, 2))[0]
+    good = enumerate_srht((3, 2)).tabloids[0]
     bad = SpecialRimHookTabloid(good.shape, good.hooks[:-1])
     with pytest.raises(DomainError):
         bad.validate()
@@ -320,7 +320,7 @@ def test_matrix_inverse_identity():
 
 
 def test_render_tabloid_is_grid():
-    t = enumerate_srht((3, 2, 1))[0]
+    t = enumerate_srht((3, 2, 1)).tabloids[0]
     lines = render_tabloid(t).splitlines()
     assert len(lines) == 3
     assert len(lines[0].split()) == 3
