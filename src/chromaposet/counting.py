@@ -400,11 +400,18 @@ def scp_closed_form(m: int, n: int, type_) -> int:
 
 WITNESS_CASE_HEIGHTS = {"T1": 3, "T2": 2, "T3": 2, "T4": 1, "T5": 1, "T6": 0}
 
+# The closed forms take n!, which costs 0.1 s at n = 20,000 and 0.8 s at
+# 50,000; k needs no cap, since only polynomials in k are taken.
+WITNESS_MAX_N = 30000
+
 
 def check_witness_range(n: int, k: int) -> None:
-    """The range of Theorem 4.1's witness: k >= 5 and n >= 2."""
+    """The range of Theorem 4.1's witness: k >= 5 and n >= 2, with n at
+    most WITNESS_MAX_N."""
     if k < 5 or n < 2:
         raise DomainError(f"need k >= 5 and n >= 2, got ({n}, {k})")
+    if n > WITNESS_MAX_N:
+        raise DomainError(f"n exceeds the witness limit of {WITNESS_MAX_N}")
 
 
 def staircase_delta(n: int, k: int) -> Partition:

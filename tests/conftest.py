@@ -1,15 +1,34 @@
 """Shared test helpers: the builder posets up to a size, hypothesis
 strategies for posets beyond the five builders (unit interval orders
-among them), and the contents of the six tabloids of the negativity
-witness."""
+among them), the contents of the six tabloids of the negativity witness,
+and the benchmark's modules under ``perfbench/``."""
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from chromaposet import B3, Boolean, Chain, OrdinalSum, Poset, Product, build_poset
 from chromaposet import sorted_partition, staircase_delta
 from chromaposet.cli import _factorizations
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """A fresh copy of ``perfbench/<name>.py``, loaded from its path, since
+    ``perfbench`` is no package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks its module up by name while it builds Query
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def builder_specs(size):

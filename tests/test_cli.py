@@ -3,6 +3,8 @@ envelopes, determinism, and round-tripping certificates out of the JSON back
 into validated objects."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -13,6 +15,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import chromaposet
 from chromaposet import (
@@ -274,6 +278,14 @@ def test_theorem41_exit_tracks_sign(capsys):
     code, out, _ = run(capsys, "theorem41", "--n", "2", "--k", "9")
     assert code == 0
     assert int(out) > 0
+
+
+@pytest.mark.parametrize("n", ["30001", "99999999999999999999"])
+def test_theorem41_refuses_n_past_its_cap(capsys, n):
+    """n! past the cap would take seconds, or overflow ``math.factorial``."""
+    assert run(capsys, "theorem41", "--n", "30000", "--k", "5")[0] == 3
+    code, out, err = run(capsys, "theorem41", "--n", n, "--k", "5")
+    assert (code, out, err) == (1, "", "error: n exceeds the witness limit of 30000\n")
 
 
 def test_unknown_criterion_exits_2(capsys):
@@ -771,29 +783,6 @@ def test_prefix_past_the_shape_is_one_error(capsys):
     assert (code, out, err) == (1, "", "error: prefix (4,) exceeds shape (2, 1)\n")
 
 
-def _readme_sessions():
-    """Each `$ chromaposet ...` session of README.md shown in full ("..."
-    marks a cut one): its arguments, output and exit code, which a
-    following `$ echo $?` prints and is 0 otherwise."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    sessions = []
-    for block in readme.split("```")[1::2]:
-        for session in block.split("$ chromaposet ")[1:]:
-            command, _, shown = session.partition("\n")
-            out, _, echo = shown.partition("$ echo $?\n")
-            if "..." not in out:
-                argv = command.split()
-                code = int(echo.split()[0]) if echo else 0
-                sessions.append(pytest.param(argv, out, code, id=argv[0]))
-    return sessions
-
-
-@pytest.mark.parametrize("argv, shown, exit_code", _readme_sessions())
-def test_readme_session(capsys, argv, shown, exit_code):
-    code, out, err = run(capsys, *argv)
-    assert (code, out.splitlines(), err) == (exit_code, shown.splitlines(), "")
-
-
 def test_b3_7_witness_is_pinned(capsys):
     code, env, _ = run_json(capsys, "nice", "--poset", "b3:7", "--witness")
     assert code == 4
@@ -951,3 +940,141 @@ def test_verify_subset(capsys):
     assert result["all_ok"] is True
     assert [r["number"] for r in result["results"]] == [4, 5]
     assert all(r["ok"] and r["within_limit"] for r in result["results"])
+
+
+# ---------------------------------------------------------------------------
+# grammar fuzz: argv drawn from the subcommands, their flags, the DSL and
+# partition text, weighted toward valid calls.  Posets that parse have at
+# most 12 elements or are refused by size, and shapes have about 12 cells,
+# so that every draw answers in milliseconds.
+
+SMALL_SPECS = [spec.dsl() for spec in builder_specs(12)]
+BAD_NUMBERS = ["\u0663", "", "-1", "9" * 4301, "+3", "\uff13", "1_0", " 2", "x", "\u0967\u0968"]
+HUGE_NUMBERS = ["99999999999999999999", "10000000", str(2**64)]
+
+
+def _numbers(small, huge=True):
+    """Number text: mostly drawn from ``small``, else bad, non-ASCII, past
+    CPython's 4,300-digit limit or, if ``huge``, past every cap."""
+    odd = st.sampled_from(BAD_NUMBERS + (HUGE_NUMBERS if huge else []))
+    # one_of would merge repeated branches, so weight by an index; the odd
+    # text is the last index, as hypothesis favours the first
+    return st.integers(0, 6).flatmap(lambda i: odd if i == 6 else small.map(str))
+
+
+def _size(dsl):
+    """The element count of a spec, or None when it is refused."""
+    try:
+        return posets.check_size(parse_poset_spec(dsl))
+    except DomainError:  # parse errors are DomainErrors too
+        return None
+
+
+DSL_NUMBERS = _numbers(st.integers(0, 4))
+GRAMMAR_SPECS = st.recursive(
+    st.one_of(
+        DSL_NUMBERS.map("chain:{}".format),
+        st.lists(DSL_NUMBERS, min_size=1, max_size=3).map(lambda ns: "prod:" + "x".join(ns)),
+        DSL_NUMBERS.map("bool:{}".format),
+        DSL_NUMBERS.map("b3:{}".format),
+        st.sampled_from(["", "chain", "x:1", "chain:1:2", "prod:2x", "sum:1+chain:2"]),
+    ),
+    lambda inner: st.builds("sum:{}+{}+{}".format, DSL_NUMBERS, inner, DSL_NUMBERS),
+    max_leaves=3,
+).filter(lambda dsl: (_size(dsl) or 0) <= 12)  # refused specs pass
+SPECS = st.one_of(st.sampled_from(SMALL_SPECS), GRAMMAR_SPECS)
+# A huge part would make a tabloid shape of that many cells.
+PART_TEXT = st.lists(_numbers(st.integers(-1, 5), huge=False), max_size=5).map(",".join)
+FLAG_VALUES = _numbers(st.integers(-1, 12))
+
+
+@st.composite
+def _partition_text(draw, size):
+    """A partition of ``size`` (of at most 12 when ``size`` is None) as
+    text, or partition text with empty, zero, negative or bad parts."""
+    if draw(st.integers(0, 4)) == 4:
+        return draw(PART_TEXT)
+    rest, parts = size if size is not None else draw(st.integers(1, 12)), []
+    while rest > 0:
+        parts.append(draw(st.integers(1, rest)))
+        rest -= parts[-1]
+    return ",".join(map(str, sorted(parts, reverse=True)))
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command]
+
+    def maybe(*words):
+        if draw(st.booleans()):
+            argv.extend(words)
+
+    def flag(name, values=FLAG_VALUES):
+        if draw(st.booleans()):
+            argv.extend([name, draw(values)])
+
+    if command in ("poset", "scp", "schur", "schur-coeff", "nice", "chain-partition"):
+        dsl = draw(SPECS)
+        argv += ["--poset", dsl]
+        if command in ("scp", "chain-partition"):
+            argv += ["--type", draw(_partition_text(_size(dsl)))]
+        if command == "schur-coeff":
+            argv += ["--shape", draw(_partition_text(_size(dsl)))]
+    if command == "poset":
+        maybe("--lattice")
+    elif command == "tabloid":
+        argv += ["--shape", draw(_partition_text(None))]
+        for name in draw(st.sampled_from([(), ("--content",), ("--content-prefix",),
+                                          ("--content", "--content-prefix")])):
+            argv += [name, draw(_partition_text(None))]
+    elif command == "scp":
+        flag("--method", st.sampled_from(["auto", "brute", "closed", "fast"]))
+        flag("--node-budget")
+    elif command == "schur":
+        flag("--max-elements")
+    elif command == "schur-coeff":
+        flag("--method", st.sampled_from(["auto", "tabloid_brute", "tabloid_closed", "x"]))
+        flag("--node-budget")
+    elif command == "nice":
+        maybe("--witness")
+        maybe("--all-types")
+        flag("--max-elements")
+        flag("--node-budget")
+    elif command == "chain-partition":
+        flag("--node-budget")
+    elif command == "theorem41":
+        argv += ["--n", draw(_numbers(st.integers(-1, 40))), "--k", draw(_numbers(st.integers(-1, 40)))]
+    elif command == "sweep":
+        argv += ["--family", draw(st.sampled_from(sorted(cli._SWEEPS) + ["x"]))]
+        tops = {"--m-min": 10, "--m-max": 10, "--j": 4, "--a": 4, "--b": 4, "--n-min": 4,
+                "--n-max": 4, "--max-product": 12, "--max-elements": 16, "--node-budget": 10**4}
+        for name in draw(st.lists(st.sampled_from(sorted(tops)), max_size=3, unique=True)):
+            argv += [name, draw(_numbers(st.integers(-1, tops[name])))]
+    elif command == "verify":
+        # all 14 criteria take over a second; 6, 9, 10, 12 and 13 the most
+        cheap = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 11, 14, 0, 99])
+        argv += ["--criteria", draw(st.lists(_numbers(cheap, huge=False), max_size=3).map(",".join))]
+    maybe("--json")
+    if draw(st.integers(0, 39)) == 39:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "-x", "--"])))
+    return argv
+
+
+@seed(23)
+@settings(max_examples=300, deadline=None, database=None)
+@given(cli_argvs())
+def test_grammar_fuzz_ends_in_a_documented_exit(argv):
+    """Every drawn argv ends in exit 0-4 without a traceback; an exit 1
+    prints one ``error:`` line, and an exit 0 prints nothing on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4)
+    if code == 0:
+        assert err.getvalue() == ""
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -1,0 +1,79 @@
+"""Every distributive lattice of up to 14 elements, as a test corpus.
+
+By Birkhoff's representation theorem every finite distributive lattice is
+J(Q), the down-sets of a poset Q (its join-irreducibles) ordered by
+inclusion, and J(Q) and J(Q') are isomorphic exactly when Q and Q' are.
+So the corpus grows Q one new maximal element at a time, whose strict
+down-set is any down-set of Q so far, keeps one Q per colour-refinement
+class, and prunes at |J(Q)| > 14, since |J(Q)| never falls as Q grows.
+
+The verdicts pinned here are this package's own answers on the corpus,
+not an independent proof: every lattice is nice, and none of at most 12
+elements has a negative Schur coefficient.
+"""
+
+from chromaposet import Poset, is_nice, schur_expansion, verify_distributive_lattice
+
+# OEIS A006982, unlabeled distributive lattices with 1, 2, ..., 14 elements
+COUNTS = (1, 1, 1, 2, 3, 5, 8, 15, 26, 47, 82, 151, 269, 494)
+
+
+def _refined_colours(below):
+    """The stable colour-refinement class of each element of Q, given the
+    strict down-set mask ``below[i]`` of each; an isomorphism invariant."""
+    m = len(below)
+    above = [sum(1 << j for j in range(m) if below[j] >> i & 1) for i in range(m)]
+    colours, classes = [0] * m, 1
+    while True:
+        colours = [
+            hash((
+                colours[i],
+                tuple(sorted(colours[j] for j in range(m) if below[i] >> j & 1)),
+                tuple(sorted(colours[j] for j in range(m) if above[i] >> j & 1)),
+            ))
+            for i in range(m)
+        ]
+        if len(set(colours)) == classes:
+            return tuple(sorted(colours))
+        classes = len(set(colours))
+
+
+def distributive_lattices(max_size):
+    """One J(Q) per isomorphism class with at most ``max_size`` elements,
+    its down-sets ordered by size (a linear extension)."""
+    level = [((), [0])]  # (strict down-set masks of Q, down-sets of Q)
+    lattices = []
+    while level:
+        for _, ideals in level:
+            order = sorted(ideals, key=lambda d: (d.bit_count(), d))
+            up = [sum(1 << j for j, e in enumerate(order) if d & e == d) for d in order]
+            lattices.append(Poset(tuple(map(str, range(len(order)))), tuple(up)))
+        grown = {}
+        for below, ideals in level:
+            new = 1 << len(below)
+            for strict in ideals:
+                with_new = [d | new for d in ideals if d & strict == strict]
+                if len(ideals) + len(with_new) <= max_size:
+                    q = below + (strict,)
+                    grown.setdefault(_refined_colours(q), (q, ideals + with_new))
+        level = list(grown.values())
+    return lattices
+
+
+LATTICES = distributive_lattices(14)
+
+
+def test_the_corpus_counts_every_lattice_once():
+    assert tuple(sum(len(p) == n for p in LATTICES) for n in range(1, 15)) == COUNTS
+    assert len(LATTICES) == 1105
+
+
+def test_every_lattice_is_distributive_and_nice():
+    assert all(verify_distributive_lattice(p) for p in LATTICES)
+    assert all(is_nice(p).nice for p in LATTICES)
+
+
+def test_no_lattice_of_at_most_12_elements_has_a_negative_schur_coefficient():
+    small = [p for p in LATTICES if len(p) <= 12]
+    assert len(small) == 342
+    assert all(c >= 0 for p in small for c in schur_expansion(p).values())

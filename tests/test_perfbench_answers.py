@@ -7,32 +7,15 @@ wrong coefficient or verdict, or a fault that shows only when traced,
 then fails the test suite instead of the benchmark run."""
 
 import contextlib
-import importlib.util
 import io
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from chromaposet import cli, counting, nice
+from conftest import load_perfbench
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses looks its module up by name while it builds Query
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
-WL = _load("workloads")
+WL = load_perfbench("workloads")
 CHECKER = WL.Checker()
 
 
@@ -41,7 +24,7 @@ def test_pool_answers_pass_the_benchmark_checks(workload, strata):
     # The tracer wraps ``nice.find`` on this alias, which must stay the engine.
     assert nice.ChainPartitionSearcher is counting.ChainPartitionCounter
     queries = [q for members in WL.WORKLOADS[workload][:strata] for q in members]
-    tracer = _load("tracer").Tracer()
+    tracer = load_perfbench("tracer").Tracer()
     answers = []
     tracer.install()
     try:
@@ -53,7 +36,7 @@ def test_pool_answers_pass_the_benchmark_checks(workload, strata):
     finally:
         tracer.uninstall()
     tracer.layer_metrics()
-    bypassed = _load("run").BYPASSED[workload]
+    bypassed = load_perfbench("run").BYPASSED[workload]
     assert {layer: tracer.calls[layer] for layer in bypassed if tracer.calls[layer]} == {}
     cli_spans = Counter(span[0] for span in tracer.spans if span[1] == "cli")
     assert cli_spans == Counter(range(len(queries)))

@@ -3,24 +3,14 @@ name.  Run it here on small queries, so a rename, or a change in which layer
 calls which, fails the test suite instead of the benchmark run."""
 
 import contextlib
-import importlib.util
 import io
-from pathlib import Path
 
 from chromaposet import cli
-
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_perfbench
 
 
-def _traced(module, argv, exit_code):
-    tracer = module.Tracer()
+def _traced(argv, exit_code):
+    tracer = load_perfbench("tracer").Tracer()
     tracer.install()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -32,14 +22,12 @@ def _traced(module, argv, exit_code):
 
 
 def test_tracer_hooks_record_each_engine_entry_point():
-    module = _load_tracer()
-    scp = _traced(module, ["scp", "--poset", "prod:3x2", "--type", "4,2", "--method", "brute", "--json"], 0)
+    scp = _traced(["scp", "--poset", "prod:3x2", "--type", "4,2", "--method", "brute", "--json"], 0)
     coeff = _traced(
-        module,
         ["schur-coeff", "--poset", "prod:3x2", "--shape", "4,2", "--method", "tabloid_brute", "--json"],
         0,
     )
-    nice = _traced(module, ["nice", "--poset", "b3:6", "--witness", "--json"], 4)
+    nice = _traced(["nice", "--poset", "b3:6", "--witness", "--json"], 4)
     for counted in (scp, coeff):
         assert counted.calls["cli"] == 1
         assert counted.calls["counting.count"] > 0
@@ -58,7 +46,7 @@ def test_expansion_counts_once_without_reentering_the_schur_span():
     universal elements, never schur_expansion itself, which the tracer
     wraps.  It counts every type in one pass, not through the wrapped
     ``ChainPartitionCounter.count``."""
-    traced = _traced(_load_tracer(), ["schur", "--poset", "sum:1+prod:3x2+1", "--json"], 0)
+    traced = _traced(["schur", "--poset", "sum:1+prod:3x2+1", "--json"], 0)
     assert traced.calls["cli"] == 1
     assert traced.calls["schur"] == 1
     assert traced.calls["counting.count"] == 0
@@ -68,7 +56,7 @@ def test_expansion_counts_once_without_reentering_the_schur_span():
 def test_tabloid_hook_keeps_the_prefix_share():
     """``rimhooks.kept_ratio`` is the tabloids kept over every tabloid of
     the traced shape, which the tracer counts from ``TabloidFamily.shape``."""
-    traced = _traced(_load_tracer(), ["tabloid", "--shape", "5,3,2,1", "--content-prefix", "6"], 0)
+    traced = _traced(["tabloid", "--shape", "5,3,2,1", "--content-prefix", "6"], 0)
     metrics = traced.layer_metrics()
     assert traced.calls["rimhooks.enumerate"] == 1
     # 4 of the 12 tabloids of the shape have a content starting with 6
@@ -77,6 +65,6 @@ def test_tabloid_hook_keeps_the_prefix_share():
 
 
 def test_bound_hook_counts_the_width_and_longest_chain():
-    traced = _traced(_load_tracer(), ["poset", "--poset", "prod:3x2"], 0)
+    traced = _traced(["poset", "--poset", "prod:3x2"], 0)
     assert traced.calls["cli"] == 1
     assert traced.calls["posets.bound"] == 2

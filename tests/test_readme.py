@@ -1,6 +1,6 @@
 """The README's shell sessions: each ``$ chromaposet ...`` line in a fenced
 block runs through ``chromaposet.cli.main`` and must print the lines that
-follow it, up to the next ``$`` line.  A ``$ echo $?`` after it gives the
+follow it, up to the next ``$`` line, and nothing on stderr.  A ``$ echo $?`` after it gives the
 exit code; a session without one exits 0.  A ``...`` line stands for any
 run of lines, and criterion timings (``0.00s / 1s``) are masked, so the
 ``verify`` session checks its first and last lines."""
@@ -47,7 +47,8 @@ def test_the_readme_shows_its_sessions():
 @pytest.mark.parametrize("command, want, code", SESSIONS, ids=[s[0] for s in SESSIONS])
 def test_readme_session(capsys, command, want, code):
     got_code = cli.main(shlex.split(command))
-    got = [_mask(line) for line in capsys.readouterr().out.splitlines()]
+    captured = capsys.readouterr()
+    got = [_mask(line) for line in captured.out.splitlines()]
     want = [_mask(line) for line in want]
     if "..." in want:
         k = want.index("...")
@@ -55,4 +56,4 @@ def test_readme_session(capsys, command, want, code):
         assert len(got) >= len(head) + len(tail)
         got = got[:k] + got[len(got) - len(tail):]
         want = head + tail
-    assert (got, got_code) == (want, code)
+    assert (got, got_code, captured.err) == (want, code, "")

@@ -549,6 +549,13 @@ def test_theorem41_preconditions():
         theorem41_coefficient(3, 4)
     with pytest.raises(DomainError, match=r"^need k >= 5 and n >= 2, got \(1, 5\)$"):
         theorem41_coefficient(1, 5)
+    # n is capped before n! is taken, in every closed form that takes it
+    for closed_form in (theorem41_coefficient, witness_coefficient_from_cases, rho_shape):
+        with pytest.raises(DomainError, match=r"^n exceeds the witness limit of 30000$"):
+            closed_form(30001, 5)
+    # the range check still comes first
+    with pytest.raises(DomainError, match=r"^need k >= 5 and n >= 2, got \(30001, 4\)$"):
+        theorem41_coefficient(30001, 4)
 
 
 # ---------------------------------------------------------------------------
