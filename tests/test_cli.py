@@ -33,6 +33,7 @@ from chromaposet import (
 from chromaposet import cli, posets
 from chromaposet.cli import build_parser, main
 from conftest import builder_specs
+import test_readme
 
 ENVELOPE_KEYS = {"command", "method", "request", "result", "version", "wall_time_ms"}
 
@@ -781,6 +782,14 @@ def test_prefix_past_the_shape_is_one_error(capsys):
         assert str(exc.value) == "prefix (4,) exceeds shape (2, 1)", peel
     code, out, err = run(capsys, "tabloid", "--shape", "2,1", "--content-prefix", "4")
     assert (code, out, err) == (1, "", "error: prefix (4,) exceeds shape (2, 1)\n")
+
+
+@pytest.mark.parametrize("name", ["nice", "schur-coeff", "schur"])
+def test_readme_session(capsys, name):
+    """The README session of each subcommand shown in full, through
+    tests/test_readme.py's one runner."""
+    (session,) = [s for s in test_readme.SESSIONS if s[0].split()[0] == name]
+    test_readme.check_session(capsys, *session)
 
 
 def test_b3_7_witness_is_pinned(capsys):

@@ -44,8 +44,8 @@ def test_the_readme_shows_its_sessions():
     ]
 
 
-@pytest.mark.parametrize("command, want, code", SESSIONS, ids=[s[0] for s in SESSIONS])
-def test_readme_session(capsys, command, want, code):
+def check_session(capsys, command, want, code):
+    """Run one session and assert its printed lines, exit code and empty stderr."""
     got_code = cli.main(shlex.split(command))
     captured = capsys.readouterr()
     got = [_mask(line) for line in captured.out.splitlines()]
@@ -57,3 +57,8 @@ def test_readme_session(capsys, command, want, code):
         got = got[:k] + got[len(got) - len(tail):]
         want = head + tail
     assert (got, got_code, captured.err) == (want, code, "")
+
+
+@pytest.mark.parametrize("command, want, code", SESSIONS, ids=[s[0] for s in SESSIONS])
+def test_readme_session(capsys, command, want, code):
+    check_session(capsys, command, want, code)
