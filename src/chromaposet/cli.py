@@ -9,8 +9,9 @@ precision, and JSON numbers would be silently rounded by most consumers.
 
 Exit codes: 0 success, 1 domain error, 2 parse error (bad flags, bad DSL,
 bad partition text, bad values of --criteria, a negative budget or limit,
-a sweep parameter out of range, a sweep that selects nothing), 3 a
-requested Schur coefficient is negative, 4 a niceness query answered "no".
+a sweep parameter out of range, another sweep family's flag, a sweep that
+selects nothing), 3 a requested Schur coefficient is negative, 4 a niceness
+query answered "no".
 A reader that closes stdout early (say, ``| head``), and a search that
 recurses past the interpreter's stack limit, end the command with exit 1
 and no traceback.
@@ -31,6 +32,7 @@ from .partitions import format_partition, parse_partition, sorted_partition
 from .posets import (
     B3,
     LATTICE_LIMIT,
+    MAX_ELEMENTS,
     Product,
     build_poset,
     check_limit,
@@ -121,6 +123,9 @@ def _cmd_tabloid(args) -> Reply:
         raise UsageError("give at most one of --content and --content-prefix")
     if content is not None and sum(content) != sum(shape):
         raise DomainError(f"content {content} does not fill shape {shape}")
+    # A shape's cells are a poset's elements in every Schur sum.
+    if sum(shape) > MAX_ELEMENTS:
+        raise DomainError(f"shape has more than {MAX_ELEMENTS} cells")
     family = enumerate_srht(shape, content or prefix or ())
     tabloids, lines = [], [
         f"{len(family)} special rim hook tabloids of shape {format_partition(shape)}"
@@ -337,15 +342,24 @@ def _sweep_products(args) -> Reply:
     return Reply({"rows": rows}, args.family, lines, EXIT_NOT_NICE if any_failure else EXIT_OK)
 
 
+# Each family's sweep and the flags it reads.
 _SWEEPS = {
-    "two_chain_negativity": _sweep_two_chain,
-    "b3_niceness": _sweep_b3,
-    "product_niceness": _sweep_products,
+    "two_chain_negativity": (_sweep_two_chain, ("m_min", "m_max", "j", "a", "b")),
+    "b3_niceness": (_sweep_b3, ("n_min", "n_max", "max_elements", "node_budget")),
+    "product_niceness": (_sweep_products, ("max_product", "max_elements", "node_budget")),
 }
 
 
 def _cmd_sweep(args) -> Reply:
-    reply = _SWEEPS[args.family](args)
+    sweep, reads = _SWEEPS[args.family]
+    parser = _command_parser("sweep")
+    # Another family's flag would be ignored, so it must keep its default.
+    for _, flags in _SWEEPS.values():
+        for dest in flags:
+            if dest not in reads and getattr(args, dest) != parser.get_default(dest):
+                raise UsageError(f"--{dest.replace('_', '-')} is not a flag of the "
+                                 f"{args.family} sweep")
+    reply = sweep(args)
     if not reply.result["rows"]:
         # A sweep that checks nothing would pass vacuously.
         raise UsageError(f"the {args.family} sweep selects no case under these flags")

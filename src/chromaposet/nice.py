@@ -144,13 +144,12 @@ def is_nice(
     (``_exchange``) that reaches it from a partition already found with as
     many blocks, newest first.  Every merge dominates the merge of the two
     smallest parts (``_smallest_merge``), so when that merge lies outside
-    the shape no merge is achieved.  Until some type fails, that merge
-    settles a type exactly when it lies inside the shape, and the types it
-    settles by their part sizes alone are not even generated
-    (``_open_types``).  From the first failure on, the scan walks every
-    type inside the shape, and a merge is achieved when it lies inside the
-    shape and has not failed.  ``nodes`` counts the search nodes of the
-    types that were searched, and types settled otherwise cost none.
+    the shape no merge is achieved.  One rule settles every type: a merge
+    is achieved when it lies inside the shape and has not failed.  Until
+    some type fails, the types it settles by their part sizes alone are not
+    even generated (``_open_types``); from the first failure on, the scan
+    walks every type inside the shape.  ``nodes`` counts the search nodes
+    of the types that were searched, and types settled otherwise cost none.
     """
     n = len(poset)
     check_limit(n, max_elements, "niceness")
@@ -175,26 +174,14 @@ def is_nice(
     # partition, and since dominance only lowers prefix sums no achieved
     # type dominates it, so only the types inside the shape are scanned.
     shape = poset.chain_shape()
-    for first in _open_types(n, shape):
-        # A merge inside the shape came earlier in the scan, so it is achieved.
-        if len(first) > 1 and all(
-            map(operator.le, itertools.accumulate(_smallest_merge(first)), shape)
-        ):
-            continue
-        if not search(first):
-            break
-    else:
-        return NiceVerdict(nodes=searcher.nodes, shape=shape)
-    unachieved = [first]
+    unachieved: list[Partition] = []
 
     def achieved(mu: Partition) -> bool:
         # Descending lex order decides every merge of a type before the type.
         return mu not in unachieved and all(map(operator.le, itertools.accumulate(mu), shape))
 
-    types = partitions_of(n, shape)
-    # Every type before the first failure is achieved.
-    next(filter(first.__eq__, types))
-    for lam in types:
+    types = _open_types(n, shape)
+    while (lam := next(types, None)) is not None:
         # Every other merge of lam dominates its smallest merge, so unless that
         # one failed, lam is settled exactly when that one lies inside the shape.
         if len(lam) > 1:
@@ -202,7 +189,13 @@ def is_nice(
             if achieved(merged) or merged in unachieved and any(map(achieved, _merges(lam))):
                 continue
         if not search(lam):
+            if not unachieved:
+                # From the first failure on, every type inside the shape is
+                # walked; tuples compare in the scan's lexicographic order.
+                types = itertools.dropwhile(lam.__le__, partitions_of(n, shape))
             unachieved.append(lam)
+    if not unachieved:
+        return NiceVerdict(nodes=searcher.nodes, shape=shape)
     # mu is dominated by lam when no prefix sum of mu exceeds lam's.
     # Pairing the sums with zip is exact: past the end of lam its sums
     # stay at n, and if mu is the shorter one its last sum, n, meets one
@@ -322,16 +315,11 @@ def _smallest_merge(lam: Partition) -> Partition:
 
 
 def _merges(lam: Partition):
-    """The types made by merging two parts of ``lam`` into one, each once.
-    Every one is lexicographically larger than ``lam``."""
-    for i in range(len(lam)):
-        if i and lam[i - 1] == lam[i]:
-            continue
-        for j in range(i + 1, len(lam)):
-            if j > i + 1 and lam[j - 1] == lam[j]:
-                continue
-            rest = lam[:i] + lam[i + 1 : j] + lam[j + 1 :]
-            yield tuple(sorted(rest + (lam[i] + lam[j],), reverse=True))
+    """The types made by merging two parts of ``lam`` into one, one per pair
+    of parts.  Every one is lexicographically larger than ``lam``."""
+    for i, j in itertools.combinations(range(len(lam)), 2):
+        rest = lam[:i] + lam[i + 1 : j] + lam[j + 1 :]
+        yield tuple(sorted(rest + (lam[i] + lam[j],), reverse=True))
 
 
 # ---------------------------------------------------------------------------

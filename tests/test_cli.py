@@ -30,7 +30,7 @@ from chromaposet import (
     parse_poset_spec,
     signed_contents,
 )
-from chromaposet import cli, posets
+from chromaposet import cli, posets, rimhooks
 from chromaposet.cli import build_parser, main
 from conftest import builder_specs
 import test_readme
@@ -245,10 +245,12 @@ def test_deeply_nested_sums_end_in_one_line(capsys, depth):
     "chain-partition --poset chain:1200 --type 1200",
     "scp --poset chain:1200 --type 1200 --method brute",
     "schur-coeff --poset chain:1200 --shape 1200 --method tabloid_brute",
+    "tabloid --shape " + ",".join(["1"] * 1500) + " --content-prefix 1",
 ])
 def test_searches_past_the_stack_limit_end_in_one_line(capsys, argv):
-    """The searches recurse once per element of a block; a 1,200-chain
-    outgrows the stack however deep the caller already is."""
+    """The searches recurse once per element of a block, and the tabloid
+    peel once per row; a 1,200-chain or a column of 1,500 cells outgrows
+    the stack however deep the caller already is."""
     command = argv.split()[0]
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (1, "")
@@ -463,6 +465,30 @@ def test_empty_sweep_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("sweep --family two_chain_negativity --max-elements 16", "--max-elements"),
+    ("sweep --family b3_niceness --m-min 8 --m-max 3", "--m-max"),
+    ("sweep --family product_niceness --n-max 2", "--n-max"),
+])
+def test_another_familys_sweep_flag_exits_2(capsys, monkeypatch, argv, flag):
+    # The flag would be ignored; it is refused before any row runs.
+    for family, (_, reads) in cli._SWEEPS.items():
+        monkeypatch.setitem(cli._SWEEPS, family, (None, reads))
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    family = argv.split()[2]
+    assert err == f"error: {flag} is not a flag of the {family} sweep\n"
+
+
+@pytest.mark.parametrize("shape", ["4097", "99999999999", "2048,2048,1"])
+def test_tabloid_shape_over_the_cap_exits_1(capsys, monkeypatch, shape):
+    # Refused before anything is enumerated.
+    monkeypatch.setattr(rimhooks, "enumerate_srht", None)
+    assert run(capsys, "tabloid", "--shape", shape) == (
+        1, "", "error: shape has more than 4096 cells\n"
+    )
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -954,8 +980,9 @@ def test_verify_subset(capsys):
 # ---------------------------------------------------------------------------
 # grammar fuzz: argv drawn from the subcommands, their flags, the DSL and
 # partition text, weighted toward valid calls.  Posets that parse have at
-# most 12 elements or are refused by size, and shapes have about 12 cells,
-# so that every draw answers in milliseconds.
+# most 12 elements or are refused by size, and shapes have about 12 cells
+# or are refused by the 4,096-cell cap, so that every draw answers in
+# milliseconds.
 
 SMALL_SPECS = [spec.dsl() for spec in builder_specs(12)]
 BAD_NUMBERS = ["\u0663", "", "-1", "9" * 4301, "+3", "\uff13", "1_0", " 2", "x", "\u0967\u0968"]
@@ -965,7 +992,9 @@ HUGE_NUMBERS = ["99999999999999999999", "10000000", str(2**64)]
 def _numbers(small, huge=True):
     """Number text: mostly drawn from ``small``, else bad, non-ASCII, past
     CPython's 4,300-digit limit or, if ``huge``, past every cap."""
-    odd = st.sampled_from(BAD_NUMBERS + (HUGE_NUMBERS if huge else []))
+    # huge numbers come first among the odd text, as hypothesis favours the
+    # first of a sample, so that a few hundred draws reach them
+    odd = st.sampled_from((HUGE_NUMBERS if huge else []) + BAD_NUMBERS)
     # one_of would merge repeated branches, so weight by an index; the odd
     # text is the last index, as hypothesis favours the first
     return st.integers(0, 6).flatmap(lambda i: odd if i == 6 else small.map(str))
@@ -992,8 +1021,7 @@ GRAMMAR_SPECS = st.recursive(
     max_leaves=3,
 ).filter(lambda dsl: (_size(dsl) or 0) <= 12)  # refused specs pass
 SPECS = st.one_of(st.sampled_from(SMALL_SPECS), GRAMMAR_SPECS)
-# A huge part would make a tabloid shape of that many cells.
-PART_TEXT = st.lists(_numbers(st.integers(-1, 5), huge=False), max_size=5).map(",".join)
+PART_TEXT = st.lists(_numbers(st.integers(-1, 5)), max_size=5).map(",".join)
 FLAG_VALUES = _numbers(st.integers(-1, 12))
 
 

@@ -9,7 +9,10 @@ class, and prunes at |J(Q)| > 14, since |J(Q)| never falls as Q grows.
 
 The verdicts pinned here are this package's own answers on the corpus,
 not an independent proof: every lattice is nice, and none of at most 12
-elements has a negative Schur coefficient.
+elements has a negative Schur coefficient.  Two checks share no code with
+the engine: a lattice and its dual have one incomparability graph, so the
+same unachieved types and Schur expansion, and J(Q) has |Q|
+join-irreducibles, one per rank of a longest chain.
 """
 
 from chromaposet import Poset, is_nice, schur_expansion, verify_distributive_lattice
@@ -77,3 +80,37 @@ def test_no_lattice_of_at_most_12_elements_has_a_negative_schur_coefficient():
     small = [p for p in LATTICES if len(p) <= 12]
     assert len(small) == 342
     assert all(c >= 0 for p in small for c in schur_expansion(p).values())
+
+
+def test_a_lattice_and_its_dual_answer_alike():
+    small = [p for p in LATTICES if len(p) <= 12]
+    for p in small:
+        dual = Poset(p.labels, p.dn)
+        assert is_nice(dual).unachieved_types == is_nice(p).unachieved_types
+        assert schur_expansion(dual) == schur_expansion(p)
+
+
+def _join_irreducibles(p):
+    """The elements with exactly one lower cover, read off ``dn`` alone."""
+    count = 0
+    for x, down in enumerate(p.dn):
+        strict = down & ~(1 << x)
+        # Elements strictly below some element strictly below x.
+        deeper = 0
+        for z in range(len(p)):
+            if strict >> z & 1:
+                deeper |= p.dn[z] & ~(1 << z)
+        count += (strict & ~deeper).bit_count() == 1
+    return count
+
+
+def _longest_chain(p):
+    """The most elements in a chain; the elements are indexed bottom-up."""
+    height = []
+    for x, down in enumerate(p.dn):
+        height.append(1 + max((height[z] for z in range(x) if down >> z & 1), default=0))
+    return max(height)
+
+
+def test_every_lattice_has_one_join_irreducible_per_rank():
+    assert all(_join_irreducibles(p) == _longest_chain(p) - 1 for p in LATTICES)
