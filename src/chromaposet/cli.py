@@ -268,20 +268,19 @@ def _cmd_theorem41(args) -> Reply:
 def _sweep_two_chain(args) -> Reply:
     from .schur import schur_coefficient
 
-    for dest in ("j", "a", "b"):
+    for dest in ("j", "a"):
         _require_at_least(args, dest, 0)
+    # The shape ends in b = 2j - 2a - 1 ones.
+    _require_at_least(args, "j", args.a + 1, f"a + 1 = {args.a + 1}")
     # The shape's second part is m - 2j, and the closed route on the m x 2
     # product needs m >= 2.
     _require_at_least(args, "m_min", max(2, 2 * args.j), f"max(2, 2j) = {max(2, 2 * args.j)}")
-    if args.b != 2 * args.j - 2 * args.a - 1:
-        raise DomainError(
-            f"shape family needs b = 2j - 2a - 1; got j={args.j} a={args.a} b={args.b}"
-        )
+    b = 2 * args.j - 2 * args.a - 1
     if args.m_max >= args.m_min:  # refuse an oversized last case up front
         check_size(Product((args.m_max, 2)))
     rows, lines, any_negative = [], [], False
     for m in range(args.m_min, args.m_max + 1):
-        shape = sorted_partition((m + 1, m - 2 * args.j) + (2,) * args.a + (1,) * args.b)
+        shape = sorted_partition((m + 1, m - 2 * args.j) + (2,) * args.a + (1,) * b)
         poset = build_poset(Product((m, 2)))
         value = schur_coefficient(poset, shape, method="tabloid_closed")
         any_negative = any_negative or value < 0
@@ -291,22 +290,28 @@ def _sweep_two_chain(args) -> Reply:
     return Reply({"rows": rows}, args.family, lines, EXIT_NEGATIVE if any_negative else EXIT_OK)
 
 
-def _sweep_b3(args) -> Reply:
+def _sweep_niceness(args, cases) -> Reply:
+    """Decide each (spec, row) case in turn; its row gains ``nice``, and the
+    witness when the poset is not nice."""
     from .nice import is_nice
 
-    _require_at_least(args, "n_min", 1)
     rows, lines, any_failure = [], [], False
-    for n in range(args.n_min, args.n_max + 1):
+    for spec, row in cases:
         verdict = is_nice(
-            build_poset(B3(n)), max_elements=args.max_elements, node_budget=args.node_budget
+            build_poset(spec), max_elements=args.max_elements, node_budget=args.node_budget
         )
         any_failure = any_failure or not verdict.nice
-        row = {"n": n, "nice": verdict.nice}
+        row["nice"] = verdict.nice
         if verdict.witness is not None:
             row["witness"] = [format_partition(t) for t in verdict.witness]
         rows.append(row)
-        lines.append(f"b3:{n} nice={str(verdict.nice).lower()}")
+        lines.append(f"{spec.dsl()} nice={str(verdict.nice).lower()}")
     return Reply({"rows": rows}, args.family, lines, EXIT_NOT_NICE if any_failure else EXIT_OK)
+
+
+def _sweep_b3(args) -> Reply:
+    _require_at_least(args, "n_min", 1)
+    return _sweep_niceness(args, ((B3(n), {"n": n}) for n in range(args.n_min, args.n_max + 1)))
 
 
 def _factorizations(bound: int):
@@ -327,24 +332,13 @@ def _factorizations(bound: int):
 
 
 def _sweep_products(args) -> Reply:
-    from .nice import is_nice
-
-    rows, lines, any_failure = [], [], False
-    for lengths in _factorizations(min(args.max_product, args.max_elements)):
-        poset = build_poset(Product(lengths))
-        verdict = is_nice(
-            poset, max_elements=args.max_elements, node_budget=args.node_budget
-        )
-        any_failure = any_failure or not verdict.nice
-        dsl = poset.spec.dsl()
-        rows.append({"poset": dsl, "nice": verdict.nice})
-        lines.append(f"{dsl} nice={str(verdict.nice).lower()}")
-    return Reply({"rows": rows}, args.family, lines, EXIT_NOT_NICE if any_failure else EXIT_OK)
+    specs = map(Product, _factorizations(min(args.max_product, args.max_elements)))
+    return _sweep_niceness(args, ((spec, {"poset": spec.dsl()}) for spec in specs))
 
 
 # Each family's sweep and the flags it reads.
 _SWEEPS = {
-    "two_chain_negativity": (_sweep_two_chain, ("m_min", "m_max", "j", "a", "b")),
+    "two_chain_negativity": (_sweep_two_chain, ("m_min", "m_max", "j", "a")),
     "b3_niceness": (_sweep_b3, ("n_min", "n_max", "max_elements", "node_budget")),
     "product_niceness": (_sweep_products, ("max_product", "max_elements", "node_budget")),
 }
@@ -412,16 +406,17 @@ def _cmd_verify(args) -> Reply:
 
 
 def _integer(text: str) -> int:
-    """``int`` for integer flags.  A digit string past CPython's digit limit
-    gets its length in the message, not a copy of every digit."""
+    """An integer flag's value: an optional "-", then ASCII digits only, as
+    in partition text (``int`` also takes other scripts' digits, "+",
+    spaces and underscores).  A number past CPython's digit limit gets its
+    length in the message, not a copy of every digit."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     try:
         return int(text)
     except ValueError:
-        body = text.strip()
-        digits = body[1:] if body.startswith(("+", "-")) else body
-        if digits.isascii() and digits.isdigit():
-            raise argparse.ArgumentTypeError(f"integer too long: {len(digits)} digits") from None
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"integer too long: {len(digits)} digits") from None
 
 
 def _require_at_least(args, dest: str, least: int, bound: str | None = None) -> None:
@@ -503,9 +498,9 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=tuple(_SWEEPS))
     p.add_argument("--m-min", type=_integer, default=8)
     p.add_argument("--m-max", type=_integer, default=12)
-    p.add_argument("--j", type=_integer, default=4, help="shape family (m+1, m-2j, 2^a, 1^b)")
+    p.add_argument("--j", type=_integer, default=4,
+                   help="shape family (m+1, m-2j, 2^a, 1^b), b = 2j-2a-1")
     p.add_argument("--a", type=_integer, default=3)
-    p.add_argument("--b", type=_integer, default=1)
     p.add_argument("--n-min", type=_integer, default=1)
     p.add_argument("--n-max", type=_integer, default=4)
     p.add_argument("--max-product", type=_integer, default=12)

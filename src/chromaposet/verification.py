@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .counting import ChainPartitionCounter, StablePartitionCounter, scp_closed_form
 from .counting import staircase_type
-from .errors import DomainError
 from .nice import chain_partition_exists, is_nice, ordinal_sum_chain_partition
 from .partitions import dominance_leq, partitions_of, rearrangement_count, sorted_partition
 from .posets import B3, Chain, OrdinalSum, Product, build_poset, incomparability_graph
@@ -51,16 +51,10 @@ class CriterionResult:
         )
 
 
-def _check_negative_coefficient_8x3() -> tuple[bool, str]:
-    poset = build_poset(Product((8, 3)))
-    value = schur_coefficient(poset, (10, 8, 2, 2, 2), method="tabloid_closed")
-    return value == -18, f"value={value} (want -18)"
-
-
-def _check_negative_coefficient_10x4() -> tuple[bool, str]:
-    poset = build_poset(Product((10, 4)))
-    value = schur_coefficient(poset, (13, 11, 9, 3, 2, 2), method="tabloid_closed")
-    return value == -288, f"value={value} (want -288)"
+def _check_negative_coefficient(lengths, shape, want: int) -> tuple[bool, str]:
+    poset = build_poset(Product(lengths))
+    value = schur_coefficient(poset, shape, method="tabloid_closed")
+    return value == want, f"value={value} (want {want})"
 
 
 def _check_general_k_coefficient() -> tuple[bool, str]:
@@ -226,8 +220,10 @@ def _check_chromatic_specialization() -> tuple[bool, str]:
 
 
 CRITERIA: tuple[tuple[int, str, float, Callable[[], tuple[bool, str]]], ...] = (
-    (1, "negative-coefficient-8x3", 1.0, _check_negative_coefficient_8x3),
-    (2, "negative-coefficient-10x4", 5.0, _check_negative_coefficient_10x4),
+    (1, "negative-coefficient-8x3", 1.0,
+     partial(_check_negative_coefficient, (8, 3), (10, 8, 2, 2, 2), -18)),
+    (2, "negative-coefficient-10x4", 5.0,
+     partial(_check_negative_coefficient, (10, 4), (13, 11, 9, 3, 2, 2), -288)),
     (3, "general-k-coefficient", 10.0, _check_general_k_coefficient),
     (4, "scp-count-chain4", 0.1, _check_scp_chain4),
     (5, "chain3-schur-expansion", 0.1, _check_chain3_expansion),
@@ -243,16 +239,13 @@ CRITERIA: tuple[tuple[int, str, float, Callable[[], tuple[bool, str]]], ...] = (
 )
 
 
-def run_criterion(number: int) -> CriterionResult:
+def run_all(numbers: list[int] | None = None) -> list[CriterionResult]:
+    """Run the criteria numbered in ``numbers`` (all when None), in order."""
+    results = []
     for num, name, limit, fn in CRITERIA:
-        if num == number:
+        if numbers is None or num in numbers:
             start = time.perf_counter()
             ok, detail = fn()
             elapsed = time.perf_counter() - start
-            return CriterionResult(num, name, ok, detail, elapsed, limit)
-    raise DomainError(f"no criterion numbered {number}")
-
-
-def run_all(numbers: list[int] | None = None) -> list[CriterionResult]:
-    wanted = set(numbers) if numbers is not None else {num for num, *_ in CRITERIA}
-    return [run_criterion(num) for num, *_ in CRITERIA if num in wanted]
+            results.append(CriterionResult(num, name, ok, detail, elapsed, limit))
+    return results

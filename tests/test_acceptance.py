@@ -5,7 +5,7 @@ output on failure)."""
 
 import pytest
 
-from chromaposet import DomainError, verification
+from chromaposet import verification
 
 _IDS = [name for _, name, _, _ in verification.CRITERIA]
 _NUMBERS = [number for number, _, _, _ in verification.CRITERIA]
@@ -13,12 +13,7 @@ _NUMBERS = [number for number, _, _, _ in verification.CRITERIA]
 
 @pytest.mark.parametrize("number", _NUMBERS, ids=_IDS)
 def test_criterion(number):
-    result = verification.run_criterion(number)
+    [result] = verification.run_all([number])
     print(result.line())
     assert result.ok, result.line()
     assert result.within_limit, result.line()
-
-
-def test_unknown_criterion_is_a_domain_error():
-    with pytest.raises(DomainError, match=r"^no criterion numbered 99$"):
-        verification.run_criterion(99)

@@ -145,6 +145,8 @@ def test_over_long_integer_flags_give_their_length(capsys, argv, flag):
         (HUGE, "integer too long: 5000 digits"),
         ("-" + HUGE, "integer too long: 5000 digits"),
         ("abc", "invalid int value: 'abc'"),
+        # ASCII digits only, as in partition text
+        *((text, f"invalid int value: {text!r}") for text in ("٣", "５", "1_0", "+3", " 3")),
     ):
         with pytest.raises(SystemExit) as exc:
             main([*argv, value])
@@ -511,10 +513,10 @@ def test_negative_budget_or_limit_exits_2(capsys, argv, flag):
     ("sweep --family b3_niceness --n-min -1 --n-max 1", "--n-min"),
     ("sweep --family b3_niceness --n-min 0 --n-max 1", "--n-min"),
     ("sweep --family two_chain_negativity --m-min 1 --m-max 2", "--m-min"),
-    ("sweep --family two_chain_negativity --j 1 --a 0 --b 1 --m-min 1 --m-max 2", "--m-min"),
-    ("sweep --family two_chain_negativity --j 0 --a 0 --b -1 --m-min 3 --m-max 3", "--b"),
-    ("sweep --family two_chain_negativity --j -1 --a -1 --b 1", "--j"),
-    ("sweep --family two_chain_negativity --a -1 --b 9", "--a"),
+    ("sweep --family two_chain_negativity --j 1 --a 0 --m-min 1 --m-max 2", "--m-min"),
+    ("sweep --family two_chain_negativity --j 0 --a 0 --m-min 3 --m-max 3", "--j"),
+    ("sweep --family two_chain_negativity --j -1 --a -1", "--j"),
+    ("sweep --family two_chain_negativity --a -1", "--a"),
 ])
 def test_sweep_parameter_out_of_range_exits_2(capsys, argv, flag):
     code, out, err = run(capsys, *argv.split())
@@ -923,11 +925,15 @@ def test_two_chain_sweep_checks_the_cap_before_any_coefficient(capsys, monkeypat
 
 
 def test_two_chain_sweep_rejects_off_family_shapes(capsys):
-    code, _, err = run(
-        capsys, "sweep", "--family", "two_chain_negativity", "--b", "2"
-    )
-    assert code == 1
-    assert "b = 2j - 2a - 1" in err
+    """The shape ends in b = 2j - 2a - 1 ones, so j must exceed a, and b
+    is no flag."""
+    code, out, err = run(capsys, "sweep", "--family", "two_chain_negativity", "--a", "4")
+    assert (code, out, err) == (2, "", "error: --j must be >= a + 1 = 5, got 4\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--family", "two_chain_negativity", "--b", "1"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith("error: unrecognized arguments: --b 1\n")
 
 
 def test_b3_sweep(capsys):
@@ -1084,7 +1090,7 @@ def cli_argvs(draw):
         argv += ["--n", draw(_numbers(st.integers(-1, 40))), "--k", draw(_numbers(st.integers(-1, 40)))]
     elif command == "sweep":
         argv += ["--family", draw(st.sampled_from(sorted(cli._SWEEPS) + ["x"]))]
-        tops = {"--m-min": 10, "--m-max": 10, "--j": 4, "--a": 4, "--b": 4, "--n-min": 4,
+        tops = {"--m-min": 10, "--m-max": 10, "--j": 4, "--a": 4, "--n-min": 4,
                 "--n-max": 4, "--max-product": 12, "--max-elements": 16, "--node-budget": 10**4}
         for name in draw(st.lists(st.sampled_from(sorted(tops)), max_size=3, unique=True)):
             argv += [name, draw(_numbers(st.integers(-1, tops[name])))]

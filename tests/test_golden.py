@@ -19,7 +19,8 @@ digest.
 - ``commands.json``, each with and without ``--json``: ``chain-partition``
   on a type found, one refuted, and searches over and at their node budget,
   so the reported ``nodes`` is pinned exactly; ``scp`` on the closed and
-  the search route; ``tabloid`` with ``--content`` and with
+  the search route; ``schur-coeff`` on the search route, one query over
+  its node budget among them; ``tabloid`` with ``--content`` and with
   ``--content-prefix``; ``theorem41`` on a few (n, k); ``verify``; and
   ``poset --lattice`` on every builder poset of up to 32 elements.  The
   CLI's error cases are pinned in ``tests/test_cli.py``.
@@ -115,6 +116,11 @@ def commands_argvs():
         ["scp", "--poset", "prod:4x3", "--type", "6,4,2", "--method", "brute"],
         ["scp", "--poset", "prod:5x3", "--type", "7,5,3", "--method", "closed"],
         ["scp", "--poset", "b3:3", "--type", "5,4,3"],
+        ["schur-coeff", "--poset", "bool:3", "--shape", "4,2,2"],
+        ["schur-coeff", "--poset", "sum:1+prod:3x2+1", "--shape", "5,3"],
+        ["schur-coeff", "--poset", "prod:4x3", "--shape", "6,4,2", "--method", "tabloid_brute"],
+        ["schur-coeff", "--poset", "b3:6", "--shape", "9,7,2"],
+        ["schur-coeff", "--poset", "b3:3", "--shape", "6,5,1", "--node-budget", "5"],
         ["tabloid", "--shape", "5,3,2,1", "--content", "6,3,2"],
         ["tabloid", "--shape", "5,3,2,1", "--content-prefix", "6"],
         ["theorem41", "--n", "2", "--k", "5"],

@@ -15,7 +15,7 @@ same unachieved types and Schur expansion, and J(Q) has |Q|
 join-irreducibles, one per rank of a longest chain.
 """
 
-from chromaposet import Poset, is_nice, schur_expansion, verify_distributive_lattice
+from chromaposet import B3, Poset, build_poset, is_nice, schur_expansion, verify_distributive_lattice
 
 # OEIS A006982, unlabeled distributive lattices with 1, 2, ..., 14 elements
 COUNTS = (1, 1, 1, 2, 3, 5, 8, 15, 26, 47, 82, 151, 269, 494)
@@ -114,3 +114,28 @@ def _longest_chain(p):
 
 def test_every_lattice_has_one_join_irreducible_per_rank():
     assert all(_join_irreducibles(p) == _longest_chain(p) - 1 for p in LATTICES)
+
+
+def test_the_corpus_frontier_script_passes_to_12_elements(capsys):
+    """``corpus_frontier.py`` checks the corpus to 20 elements outside
+    tier-1 (about 40 s); its counts check runs here on the 342 smallest,
+    none of which is not nice."""
+    from corpus_frontier import main
+
+    assert main(["--max-size", "12"]) == 0
+    assert "total 342 lattices, 0 not nice," in capsys.readouterr().out
+
+
+def test_the_corpus_frontier_witness_check_on_b3_6_and_its_dual():
+    """The script's checks on a lattice that is not nice, which the corpus
+    first holds at 18 elements: b3:6 and its dual give the witness it
+    expects, and ``StablePartitionCounter`` counts no chain partition of the
+    unachieved type but some of the achieved one."""
+    from corpus_frontier import NOT_NICE, witness_failure
+
+    b3 = build_poset(B3(6))
+    for lattice in (b3, Poset(b3.labels, b3.dn)):
+        verdict = is_nice(lattice)
+        assert verdict.witness == NOT_NICE[18]
+        assert witness_failure(lattice, verdict.witness[1]) is None
+        assert witness_failure(lattice, verdict.witness[0])
