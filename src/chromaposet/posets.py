@@ -155,9 +155,10 @@ class Poset:
         if len(up) != n:
             raise DomainError("one up-set mask per element required")
         full = (1 << n) - 1
-        # One pass over the related pairs i < j builds dn, notes the first
-        # element whose up-set is not closed, and takes as covers of i the
-        # elements above i that are strictly above no other element above i.
+        # One pass over the related pairs i < j builds dn and ORs into beyond
+        # what lies strictly above each element above i.  The covers of i are
+        # the elements above i outside beyond, and i's up-set is closed
+        # exactly when beyond lies inside upi.
         # The errors are raised afterwards in the order of element-by-element
         # checks: antisymmetry, then transitivity, at the first failing i.
         dn = [0] * n
@@ -178,10 +179,9 @@ class Poset:
                 above ^= low
                 j = low.bit_length() - 1
                 dn[j] |= bit
-                upj = up[j]
-                if open_at is None and upj & ~upi:
-                    open_at = i
-                beyond |= upj ^ low
+                beyond |= up[j] ^ low
+            if open_at is None and beyond & ~upi:
+                open_at = i
             covers[i] = strict & ~beyond
         for i in range(n):
             if up[i] & dn[i] != 1 << i:

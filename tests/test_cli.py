@@ -995,15 +995,16 @@ BAD_NUMBERS = ["\u0663", "", "-1", "9" * 4301, "+3", "\uff13", "1_0", " 2", "x",
 HUGE_NUMBERS = ["99999999999999999999", "10000000", str(2**64)]
 
 
-def _numbers(small, huge=True):
-    """Number text: mostly drawn from ``small``, else bad, non-ASCII, past
-    CPython's 4,300-digit limit or, if ``huge``, past every cap."""
+def _numbers(small, odd=HUGE_NUMBERS + BAD_NUMBERS, one_in=7):
+    """Text drawn from ``small``, else, one time in ``one_in``, from ``odd``:
+    by default number text that is past every cap, bad, non-ASCII or past
+    CPython's 4,300-digit limit."""
     # huge numbers come first among the odd text, as hypothesis favours the
     # first of a sample, so that a few hundred draws reach them
-    odd = st.sampled_from((HUGE_NUMBERS if huge else []) + BAD_NUMBERS)
+    odd = st.sampled_from(odd)
     # one_of would merge repeated branches, so weight by an index; the odd
     # text is the last index, as hypothesis favours the first
-    return st.integers(0, 6).flatmap(lambda i: odd if i == 6 else small.map(str))
+    return st.integers(0, one_in - 1).flatmap(lambda i: odd if i == one_in - 1 else small.map(str))
 
 
 def _size(dsl):
@@ -1067,7 +1068,8 @@ def cli_argvs(draw):
     if command == "poset":
         maybe("--lattice")
     elif command == "tabloid":
-        argv += ["--shape", draw(_partition_text(None))]
+        # one shape in five is a huge part, past the 4,096-cell cap
+        argv += ["--shape", draw(_numbers(_partition_text(None), HUGE_NUMBERS, one_in=5))]
         for name in draw(st.sampled_from([(), ("--content",), ("--content-prefix",),
                                           ("--content", "--content-prefix")])):
             argv += [name, draw(_partition_text(None))]
@@ -1097,7 +1099,7 @@ def cli_argvs(draw):
     elif command == "verify":
         # all 14 criteria take over a second; 6, 9, 10, 12 and 13 the most
         cheap = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 11, 14, 0, 99])
-        argv += ["--criteria", draw(st.lists(_numbers(cheap, huge=False), max_size=3).map(",".join))]
+        argv += ["--criteria", draw(st.lists(_numbers(cheap, BAD_NUMBERS), max_size=3).map(",".join))]
     maybe("--json")
     if draw(st.integers(0, 39)) == 39:
         argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "-x", "--"])))
