@@ -134,7 +134,15 @@ class ChainPartitionCounter:
     longer than the number of levels the remaining elements meet.  ``find``
     also refutes a state with two blocks left by ``_splits``, an exact
     bipartition test, before growing a block; ``count`` skips it, since
-    memo hits dominate a count and the test showed no gain there.
+    memo hits dominate a count and the test showed no gain there.  With
+    three blocks left, ``find`` also looks ahead on each level that holds
+    exactly three remaining elements x, y, z: two chains cannot cover an
+    antichain of three, so the block grown through the lowest element must
+    take one of them, say x, together with every remaining element
+    incomparable to both y and z (the chain/antichain argument of Greene
+    and Kleitman, JCTA 20, 1976).  ``_grow`` stops as soon as its block
+    and candidates can hold none of a level's three such masks.  At other
+    k, or in ``count``, the masks cost more than they save.
     Longest-chain and antichain-width bounds cost more per node than the
     nodes they save.  The memo and the bounds cut only subtrees without a
     solution, so counts are exact and the first solution found, in the
@@ -232,17 +240,40 @@ class ChainPartitionCounter:
         total = 0
         if capacity >= rem.bit_count() and sizes[0] <= levels:
             comp = self.poset.comp
+            forced = self._forced(rem) if k == 3 and blocks is not None else ()
             v = (rem & -rem).bit_length() - 1
             rest = rem ^ (1 << v)
             for i, s in enumerate(sizes):
                 if i and sizes[i - 1] == s:
                     continue
                 tail = sizes[:i] + sizes[i + 1 :]
-                total += self._grow(rem, tail, 1 << v, rest & comp[v], s - 1, blocks)
+                total += self._grow(rem, tail, 1 << v, rest & comp[v], s - 1, blocks, forced)
                 if blocks is not None and total:
                     return total
         self._memo[key] = total
         return total
+
+    def _forced(self, rem: int) -> list[tuple[int, int, int]]:
+        """The masks of ``find``'s three-block look-ahead: for each level
+        that holds exactly three elements x, y, z of ``rem``, the elements
+        of ``rem`` incomparable to both y and z (x among them), likewise
+        for y and for z.  A level whose masks are its own elements is left
+        out, since the next state's capacity test refutes a block that
+        misses it."""
+        comp = self.poset.comp
+        forced = []
+        for hm in self._height_masks:
+            level = rem & hm
+            if level.bit_count() == 3:
+                x = level & -level
+                y = level ^ x
+                y &= -y
+                z = level ^ x ^ y
+                ix, iy, iz = (rem & ~comp[e.bit_length() - 1] for e in (x, y, z))
+                masks = (iy & iz, ix & iz, ix & iy)
+                if masks != (x, y, z):
+                    forced.append(masks)
+        return forced
 
     def _splits(self, rem: int, a: int) -> bool:
         """Whether ``rem`` splits into two chains, one of them of ``a``
@@ -274,8 +305,15 @@ class ChainPartitionCounter:
         return bool(reach >> a & 1)
 
     def _grow(
-        self, rem: int, tail: tuple[int, ...], block: int, cand: int, need: int, blocks
+        self, rem: int, tail: tuple[int, ...], block: int, cand: int, need: int, blocks, forced
     ) -> int:
+        if forced:
+            # The finished block lies inside block | cand: prune when, on
+            # some level, it can contain none of the three masks.
+            lost = rem & ~(block | cand)
+            for mx, my, mz in forced:
+                if mx & lost and my & lost and mz & lost:
+                    return 0
         if need == 0:
             if blocks is None:
                 return self._walk(rem & ~block, tail, None)
@@ -292,7 +330,7 @@ class ChainPartitionCounter:
             low = cand & -cand
             cand ^= low
             w = low.bit_length() - 1
-            total += self._grow(rem, tail, block | low, cand & comp[w], need - 1, blocks)
+            total += self._grow(rem, tail, block | low, cand & comp[w], need - 1, blocks, forced)
             if blocks is not None and total:
                 return total
         return total

@@ -211,6 +211,60 @@ def test_two_chain_test_matches_stable_partitions_on_random_posets(poset):
     _check_two_chain_test(poset)
 
 
+def first_chain_partition(poset, rem, sizes):
+    """The first chain partition of ``rem`` with the given block sizes in the
+    engine's order, from a search with no pruning: each block goes through
+    the lowest remaining element, its size taken over the distinct sizes in
+    order, and takes further elements by increasing index."""
+    if not sizes:
+        return []
+    comp = poset.comp
+    v = (rem & -rem).bit_length() - 1
+
+    def chains(block, cand, need):
+        if need == 0:
+            yield block
+            return
+        for w in range(len(poset)):
+            if cand >> w & 1:
+                yield from chains(block | 1 << w, (cand >> w + 1 << w + 1) & comp[w], need - 1)
+
+    for i, s in enumerate(sizes):
+        if i and sizes[i - 1] == s:
+            continue
+        for block in chains(1 << v, rem & comp[v] & ~(1 << v), s - 1):
+            rest = first_chain_partition(poset, rem & ~block, sizes[:i] + sizes[i + 1 :])
+            if rest is not None:
+                return [block] + rest
+    return None
+
+
+def _check_first_blocks(poset):
+    """``find``, with its look-ahead on three blocks left, returns the first
+    blocks of an unpruned search in the same order, or None with it."""
+    for lam in partitions_of(len(poset)):
+        if len(lam) >= 3:
+            expected = first_chain_partition(poset, poset.full_mask, lam)
+            assert ChainPartitionCounter(poset).find(lam) == expected, lam
+
+
+@pytest.mark.parametrize("spec", builder_specs(12), ids=lambda spec: spec.dsl())
+def test_find_returns_the_first_blocks_of_an_unpruned_search(spec):
+    _check_first_blocks(build_poset(spec))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_posets())
+def test_find_returns_the_first_blocks_on_random_posets(poset):
+    _check_first_blocks(poset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_interval_orders())
+def test_find_returns_the_first_blocks_on_unit_interval_orders(poset):
+    _check_first_blocks(poset)
+
+
 def test_search_stats_populated():
     stats = SearchStats()
     ChainPartitionCounter(build_poset(Product((3, 2)))).count((4, 2), stats=stats)

@@ -110,7 +110,8 @@ def commands_argvs():
         ["chain-partition", "--poset", "b3:7", "--type", "8,7,5"],
         ["chain-partition", "--poset", "prod:4x3", "--type", "6,4,2"],
         ["chain-partition", "--poset", "b3:7", "--type", "7,7,6", "--node-budget", "100"],
-        ["chain-partition", "--poset", "b3:7", "--type", "7,7,6", "--node-budget", "1961"],
+        ["chain-partition", "--poset", "b3:7", "--type", "7,7,6", "--node-budget", "398"],
+        ["chain-partition", "--poset", "b3:7", "--type", "7,7,6", "--node-budget", "399"],
         ["chain-partition", "--poset", "prod:4x3", "--type", "6,4,2", "--node-budget", "2"],
         ["scp", "--poset", "prod:4x3", "--type", "6,4,2"],
         ["scp", "--poset", "prod:4x3", "--type", "6,4,2", "--method", "brute"],
