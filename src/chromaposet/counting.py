@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InternalInvariantError
 from .partitions import (
     Partition,
+    PartitionIds,
     as_partition,
     multiplicity_profile,
     symmetry_factor,
@@ -121,7 +122,9 @@ class ChainPartitionCounter:
     finds one (``find``) on the order relation.
 
     ``count_all`` walks every remaining set once, without bounds, keeping
-    the counts of all block sizes together; on one large type, such as
+    the counts of all block sizes together, each multiset of sizes named by
+    its id in a ``PartitionIds`` (one that ``schur_expansion`` shares with
+    its signed-content table); on one large type, such as
     ``chain:1200`` or brute coefficients on ``prod:8x3``, only the bounded
     walk of ``count`` is feasible.  For that walk one memo, (remaining
     elements, block sizes) -> number of unordered partitions, is shared by
@@ -167,16 +170,21 @@ class ChainPartitionCounter:
             stats.nodes += self.nodes - before
         return total * symmetry_factor(lam)
 
-    def count_all(self) -> dict[Partition, int]:
+    def count_all(self, ids: PartitionIds | None = None) -> dict:
         """Semi-ordered chain partitions of every type, zero counts left
         out, from one pass over the remaining sets.  Its memo maps a
-        remaining set to {block sizes, largest first: unordered count} and
-        lives for this call; ``nodes`` grows by one per state walked."""
+        remaining set to {block sizes: unordered count} and lives for this
+        call; ``nodes`` grows by one per state walked.  Block sizes are
+        ids of an interner, ``ids`` when the caller passes one, and then
+        the result is keyed by those ids; otherwise by partitions."""
         comp = self.poset.comp
-        memo: dict[int, dict[Partition, int]] = {0: {(): 1}}
-        inserted: dict[tuple[Partition, int], Partition] = {}
+        keyed = ids is not None
+        if ids is None:
+            ids = PartitionIds()
+        added, insert = ids.added, ids.insert
+        memo: dict[int, dict[int, int]] = {0: {0: 1}}
 
-        def walk(rem: int) -> dict[Partition, int]:
+        def walk(rem: int) -> dict[int, int]:
             table = memo.get(rem)
             if table is not None:
                 return table
@@ -191,21 +199,22 @@ class ChainPartitionCounter:
         def grow(rem: int, table: dict, block: int, cand: int, size: int) -> None:
             # The block is one chain through the lowest remaining element:
             # every partition of what is left adds one of size ``size``.
-            for sizes, count in walk(rem & ~block).items():
-                key = inserted.get((sizes, size))
-                if key is None:
-                    i = 0
-                    while i < len(sizes) and sizes[i] >= size:
-                        i += 1
-                    key = inserted[sizes, size] = sizes[:i] + (size,) + sizes[i:]
-                table[key] = table.get(key, 0) + count
+            into = added[size]
+            for i, count in walk(rem & ~block).items():
+                j = into.get(i)
+                if j is None:
+                    j = insert(i, size)
+                table[j] = table.get(j, 0) + count
             while cand:
                 low = cand & -cand
                 cand ^= low
                 grow(rem, table, block | low, cand & comp[low.bit_length() - 1], size + 1)
 
-        full = walk(self.poset.full_mask)
-        return {lam: count * symmetry_factor(lam) for lam, count in full.items()}
+        out = {}
+        for i, count in walk(self.poset.full_mask).items():
+            lam = ids.partition(i)
+            out[i if keyed else lam] = count * symmetry_factor(lam)
+        return out
 
     def find(self, type_) -> list[int] | None:
         """Block bitmasks of the first chain partition of the given type in

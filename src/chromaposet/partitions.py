@@ -7,6 +7,8 @@ unique partition of 0.  Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import DomainError, DslParseError
@@ -148,3 +150,34 @@ def rearrangement_count(lam: Partition, length: int) -> int:
         return 0
     out = math.factorial(length) // math.factorial(length - len(lam))
     return out // symmetry_factor(lam)
+
+
+class PartitionIds:
+    """Small ints for the partitions one computation builds, so that its
+    dicts are keyed by int instead of by tuple.  ``sizes[i]`` holds the
+    parts of id i in ascending order, and id 0 is ``()``.  ``added[k]``
+    maps an id to the id with one more part k; callers look there first
+    and call :meth:`insert` on a miss, so each insertion builds a tuple
+    once.  Two routes to one multiset get one id.  An interner lives for
+    one call and is not kept across calls."""
+
+    def __init__(self) -> None:
+        self.sizes: list[Partition] = [()]
+        self.added: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        self._ids: dict[Partition, int] = {(): 0}
+
+    def insert(self, i: int, k: int) -> int:
+        """The id of partition ``i`` with one more part ``k``, recorded in
+        ``added[k]``."""
+        parts = self.sizes[i]
+        at = bisect_left(parts, k)
+        grown = parts[:at] + (k,) + parts[at:]
+        j = self._ids.setdefault(grown, len(self.sizes))
+        if j == len(self.sizes):
+            self.sizes.append(grown)
+        self.added[k][i] = j
+        return j
+
+    def partition(self, i: int) -> Partition:
+        """The partition of id ``i``, largest part first."""
+        return self.sizes[i][::-1]

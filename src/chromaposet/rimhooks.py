@@ -19,13 +19,12 @@ first hook is the one through the bottom-left cell.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
 from .errors import DomainError
-from .partitions import Partition, as_partition, dominance_leq, sorted_partition
+from .partitions import Partition, PartitionIds, as_partition, dominance_leq, sorted_partition
 
 Hook = tuple[tuple[int, int], ...]
 
@@ -194,7 +193,7 @@ def signed_contents(shape, prefix=()) -> dict[Partition, int]:
     return next(_signed_tables((shape,), prefix))[1]
 
 
-def _signed_tables(shapes, prefix=(), cap=None):
+def _signed_tables(shapes, prefix=(), cap=None, ids=None):
     """Yield (shape, :func:`signed_contents` of it) for each shape, keeping
     only the contents whose parts are all at most ``cap`` (when given).
 
@@ -202,24 +201,31 @@ def _signed_tables(shapes, prefix=(), cap=None):
     shapes peel down to is built once; it lives as long as the generator.
     The cap lowers the peel floor, so no hook longer than ``cap`` is
     peeled: those are exactly the tabloids of the contents dropped.
+    Contents are ids of ``ids`` inside the recursion.  A caller that passes
+    an interner gets the tables keyed by those ids, and must not change
+    them, since the memo holds them; otherwise they are keyed by partitions.
     """
-    memo: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+    keyed = ids is not None
+    if ids is None:
+        ids = PartitionIds()
+    added, insert = ids.added, ids.insert
+    memo: dict[tuple[Partition, Partition], dict[int, int]] = {}
 
-    # Contents are kept ascending inside the recursion, so a hook size goes
-    # in by bisection; ``unmet`` is descending, like the prefix.  The memo
-    # key leaves out the floor.  With a prefix, every shape's floor is
-    # min(last prefix part, cap); without one it is min(size, cap), and a
-    # sub-shape has no hook longer than the shape it was peeled from, so the
-    # floor prunes the same hooks whichever shape reached it
-    # (``_can_dominate``, which also reads it, runs only while parts are unmet).
-    def table(lengths: Partition, unmet: Partition, floor: int) -> dict[Partition, int]:
+    # A hook size goes into a content through ``added``; ``unmet`` is
+    # descending, like the prefix.  The memo key leaves out the floor.
+    # With a prefix, every shape's floor is min(last prefix part, cap);
+    # without one it is min(size, cap), and a sub-shape has no hook longer
+    # than the shape it was peeled from, so the floor prunes the same hooks
+    # whichever shape reached it (``_can_dominate``, which also reads it,
+    # runs only while parts are unmet).
+    def table(lengths: Partition, unmet: Partition, floor: int) -> dict[int, int]:
         key = (lengths, unmet)
         if key in memo:
             return memo[key]
-        out: dict[Partition, int] = {}
+        out: dict[int, int] = {}
         if not lengths:
             if not unmet:
-                out[()] = 1
+                out[0] = 1
         elif not unmet or (
             unmet[0] < lengths[0] + len(lengths)
             and sum(unmet) <= sum(lengths)
@@ -228,9 +234,11 @@ def _signed_tables(shapes, prefix=(), cap=None):
             bottom = len(lengths) - 1
             for top, size, rest, trimmed in _peel_steps(lengths, unmet, floor):
                 sign = -1 if (bottom - top) % 2 else 1
+                into = added[size]
                 for content, count in table(trimmed, rest, floor).items():
-                    i = bisect_left(content, size)
-                    grown = content[:i] + (size,) + content[i:]
+                    grown = into.get(content)
+                    if grown is None:
+                        grown = insert(content, size)
                     out[grown] = out.get(grown, 0) + sign * count
             out = {content: count for content, count in out.items() if count}
         memo[key] = out
@@ -243,7 +251,8 @@ def _signed_tables(shapes, prefix=(), cap=None):
                 yield shape, {}
                 continue
             floor = min(floor, cap)
-        yield shape, {content[::-1]: count for content, count in table(shape, unmet, floor).items()}
+        contents = table(shape, unmet, floor)
+        yield shape, contents if keyed else {ids.partition(c): n for c, n in contents.items()}
 
 
 def _can_dominate(lengths: Partition, unmet: Partition, floor: int) -> bool:

@@ -16,13 +16,17 @@ longest chain: a content with a longer part counts 0.
 A full expansion sets aside the r elements comparable to every other one:
 each is an isolated vertex of the incomparability graph, a factor s_1 of
 its function (Stanley, Adv. Math. 111, 1995, Prop. 2.3).  The tabloid sum
-runs on the rest, and r single-box Pieri steps add them back.  Its shapes
-share one signed-content table (``rimhooks._signed_tables``), so the table
-of a sub-shape is built once per expansion, and one pass
+runs on the rest, and r single-box Pieri steps add them back, dropping
+zero coefficients once, after the last step.  Its shapes share one
+signed-content table (``rimhooks._signed_tables``), so the table of a
+sub-shape is built once per expansion, and one pass
 (``ChainPartitionCounter.count_all``) counts the chain partitions of every
-type, so no remaining set is walked once per content.  Every builder poset
-has a bottom and a top.  `schur_coefficient` still walks the whole poset,
-searching one content at a time.
+type, so no remaining set is walked once per content.  The pass and the
+table name each partition by a small int from one ``PartitionIds``, so
+their merges and the tabloid sum key their dicts by int, and each
+"partition plus one part" is built once per expansion.  Every builder
+poset has a bottom and a top.  `schur_coefficient` still walks the whole
+poset, searching one content at a time.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .counting import (
 from .errors import DomainError
 from .partitions import (
     Partition,
+    PartitionIds,
     as_partition,
     partitions_of,
     rearrangement_count,
@@ -119,28 +124,34 @@ def _tabloid_expansion(poset: Poset) -> dict[Partition, int]:
     chain are generated (the coefficients of the others vanish).  The
     shapes share one signed-content table, which peels no hook longer than
     the longest chain, and one pass that counts the chain partitions of
-    every type."""
+    every type; both name each partition by its id in one interner."""
     longest = poset.max_chain_size()
-    counts = ChainPartitionCounter(poset).count_all()
+    ids = PartitionIds()
+    counts = ChainPartitionCounter(poset).count_all(ids)
     coeffs = {}
-    for lam, table in _signed_tables(partitions_of(len(poset), (longest,)), cap=longest):
+    shapes = partitions_of(len(poset), (longest,))
+    for lam, table in _signed_tables(shapes, cap=longest, ids=ids):
         total = _tabloid_sum(table, lambda content: counts.get(content, 0))
         if total:
             coeffs[lam] = total
     return coeffs
 
 
-def _times_s1(coeffs: dict[Partition, int]) -> dict[Partition, int]:
-    """Multiply by s_1 (Pieri's rule): each s_nu becomes the sum of s_mu
-    over the shapes mu that add one box to nu; zeros dropped."""
-    out: dict[Partition, int] = {}
-    for nu, c in coeffs.items():
-        row = nu + (0,)
-        for i in range(len(nu) + 1):
-            if i == 0 or row[i - 1] > row[i]:
-                mu = nu[:i] + (row[i] + 1,) + nu[i + 1 :]
-                out[mu] = out.get(mu, 0) + c
-    return {mu: c for mu, c in out.items() if c}
+def _times_s1(coeffs: dict[Partition, int], r: int) -> dict[Partition, int]:
+    """Multiply by s_1 r times (Pieri's rule): each step turns s_nu into
+    the sum of s_mu over the shapes mu that add one box to nu.  Zeros are
+    dropped once, at the end."""
+    for _ in range(r):
+        out: dict[Partition, int] = {}
+        for nu, c in coeffs.items():
+            for i, part in enumerate(nu):
+                if i == 0 or nu[i - 1] > part:
+                    mu = nu[:i] + (part + 1,) + nu[i + 1 :]
+                    out[mu] = out.get(mu, 0) + c
+            mu = nu + (1,)
+            out[mu] = out.get(mu, 0) + c
+        coeffs = out
+    return {mu: c for mu, c in coeffs.items() if c}
 
 
 def schur_expansion(poset: Poset, max_elements: int = EXPANSION_LIMIT) -> dict[Partition, int]:
@@ -150,10 +161,7 @@ def schur_expansion(poset: Poset, max_elements: int = EXPANSION_LIMIT) -> dict[P
     n = len(poset)
     check_limit(n, max_elements, "expansion")
     inner = poset.induced(sum(1 << v for v in range(n) if poset.comp[v] != poset.full_mask))
-    coeffs = _tabloid_expansion(inner)
-    for _ in range(n - len(inner)):
-        coeffs = _times_s1(coeffs)
-    return coeffs
+    return _times_s1(_tabloid_expansion(inner), n - len(inner))
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,23 @@ generator, decided by ``is_nice``.
 
 Run from the root of a checkout:
 
-    python tests/corpus_frontier.py [--max-size N]
+    python tests/corpus_frontier.py [--max-size N] [--expand M]
 
 Per size it prints the number of lattices, the search nodes and CPU
 seconds of ``is_nice``, and each lattice that is not nice with its witness.
+With ``--expand M`` it also runs ``schur_expansion`` on every lattice of at
+most M elements and prints, per size, the remaining sets that
+``ChainPartitionCounter.count_all`` walks (a count no machine changes) and
+the CPU seconds of the expansions.
 
 It exits 1 when the counts differ from OEIS A006982, when the lattices
 that are not nice are not exactly two of 18 elements with the witness
 ((9,7,2), (6,6,6)) and two of 20 with ((10,8,2), (7,7,6)) (those of
 ``b3:6``, ``b3:7`` and their duals), or when ``StablePartitionCounter``,
 which shares no code with the search, counts a chain partition of an
-unachieved witness type.  Nodes and times are reported, not checked, so that a change to the scan or the engine can move them.
+unachieved witness type.  Nodes, states and times are reported, not
+checked, so that a change to the scan, the engine or the expansion can
+move them.
 Standard library only; pytest does not collect this file.
 """
 
@@ -44,11 +50,40 @@ def witness_failure(poset, unachieved):
     return None
 
 
+def expand(group) -> tuple[int, float]:
+    """The ``count_all`` states and the CPU seconds of ``schur_expansion``
+    over the lattices of ``group``.  Each expansion builds one counter and
+    calls ``count_all`` once, so the states are the counter's nodes."""
+    from chromaposet import ChainPartitionCounter, schur_expansion
+
+    states = 0
+    count_all = ChainPartitionCounter.count_all
+
+    def counted(counter, *args, **kwargs):
+        nonlocal states
+        result = count_all(counter, *args, **kwargs)
+        states += counter.nodes
+        return result
+
+    ChainPartitionCounter.count_all = counted
+    try:
+        started = time.process_time()
+        for poset in group:
+            schur_expansion(poset, max_elements=len(poset))
+        return states, time.process_time() - started
+    finally:
+        ChainPartitionCounter.count_all = count_all
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-size", type=int, default=20, choices=range(1, 21),
                         metavar="N", help="largest lattice, at most 20 (default 20)")
+    parser.add_argument("--expand", type=int, default=0, choices=range(21), metavar="M",
+                        help="also expand every lattice of at most M elements (default 0)")
     args = parser.parse_args(argv)
+    if args.expand > args.max_size:
+        parser.error("--expand exceeds --max-size")
 
     from chromaposet import is_nice
     from test_lattice_corpus import COUNTS, distributive_lattices
@@ -56,9 +91,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.process_time()
     lattices = distributive_lattices(args.max_size)
     print(f"generated {len(lattices)} lattices in {time.process_time() - started:.1f} s")
-    print("size  lattices   nodes  nice s")
+    print("size  lattices   nodes  nice s" + ("   states  expand s" if args.expand else ""))
     counts, failures, not_nice = [], [], []
-    total_nodes = total_s = 0
+    total_nodes = total_s = total_states = total_expand_s = 0
     for size in range(1, args.max_size + 1):
         group = [p for p in lattices if len(p) == size]
         counts.append(len(group))
@@ -73,11 +108,19 @@ def main(argv: list[str] | None = None) -> int:
         seconds = time.process_time() - started
         not_nice += [(size, witness) for witness in witnesses]
         total_nodes, total_s = total_nodes + nodes, total_s + seconds
-        print(f"{size:4d}  {len(group):8d}  {nodes:6d}  {seconds:6.2f}")
+        row = f"{size:4d}  {len(group):8d}  {nodes:6d}  {seconds:6.2f}"
+        if size <= args.expand:
+            states, expand_s = expand(group)
+            total_states, total_expand_s = total_states + states, total_expand_s + expand_s
+            row += f"  {states:7d}  {expand_s:8.2f}"
+        print(row)
         for achieved, unachieved in witnesses:
             print(f"      not nice: achieved {achieved} but not {unachieved}")
     print(f"total {len(lattices)} lattices, {len(not_nice)} not nice, "
           f"{total_nodes} nodes, {total_s:.1f} s in is_nice")
+    if args.expand:
+        print(f"expanded {sum(counts[: args.expand])} lattices: {total_states} "
+              f"count_all states, {total_expand_s:.1f} s in schur_expansion")
 
     want_counts = (COUNTS + COUNTS_15_TO_20)[: args.max_size]
     if tuple(counts) != want_counts:

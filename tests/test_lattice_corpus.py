@@ -15,6 +15,8 @@ same unachieved types and Schur expansion, and J(Q) has |Q|
 join-irreducibles, one per rank of a longest chain.
 """
 
+import re
+
 from chromaposet import B3, Poset, build_poset, is_nice, schur_expansion, verify_distributive_lattice
 
 # OEIS A006982, unlabeled distributive lattices with 1, 2, ..., 14 elements
@@ -119,11 +121,15 @@ def test_every_lattice_has_one_join_irreducible_per_rank():
 def test_the_corpus_frontier_script_passes_to_12_elements(capsys):
     """``corpus_frontier.py`` checks the corpus to 20 elements outside
     tier-1 (about 40 s); its counts check runs here on the 342 smallest,
-    none of which is not nice."""
+    none of which is not nice, and its expansions on the 109 of at most
+    10 elements, whose ``count_all`` passes walk 1,510 states."""
     from corpus_frontier import main
 
-    assert main(["--max-size", "12"]) == 0
-    assert "total 342 lattices, 0 not nice," in capsys.readouterr().out
+    assert main(["--max-size", "12", "--expand", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "total 342 lattices, 0 not nice," in out
+    states = re.search(r"^expanded 109 lattices: (\d+) count_all states,", out, re.M)
+    assert states and int(states[1]) <= 1510
 
 
 def test_the_corpus_frontier_witness_check_on_b3_6_and_its_dual():

@@ -34,6 +34,7 @@ from chromaposet import (
     schur_at_ones,
     schur_coefficient,
     schur_expansion,
+    signed_contents,
     theorem41_coefficient,
     witness_coefficient_from_cases,
 )
@@ -45,8 +46,10 @@ from chromaposet.counting import (
     scp_closed_form,
     staircase_type,
 )
+from chromaposet.partitions import PartitionIds
 from chromaposet.posets import iter_bits
-from conftest import posets_with_universal, random_posets, unit_interval_orders
+from chromaposet.rimhooks import _signed_tables
+from conftest import builder_specs, posets_with_universal, random_posets, unit_interval_orders
 
 
 # what the closed route raises when its hypotheses fail
@@ -216,6 +219,33 @@ def test_expansion_builds_at_most_pinned_tables(dsl, tables, steps, monkeypatch)
     assert built <= tables and taken <= steps
 
 
+@pytest.mark.parametrize("dsl, inserts", [
+    # The pass and the tables merge 4,070, 77,780, 14,078, 1,482 and
+    # 129,163 entries into these expansions' dicts.
+    ("b3:3", 189),
+    ("prod:4x4", 797),
+    ("bool:4", 308),
+    ("sum:0+prod:2x2x3+1", 125),
+    ("prod:3x3x2", 885),
+])
+def test_expansion_builds_at_most_pinned_partitions(dsl, inserts, monkeypatch):
+    """Partitions are counted, not timed: the chain-partition pass and the
+    signed-content tables share one interner, and a merge builds the tuple
+    of "partition i plus one part k" only when ``PartitionIds.added`` does
+    not hold it yet.  Without that memo every merge would build one."""
+    built = 0
+    insert = PartitionIds.insert
+
+    def counted(ids, i, k):
+        nonlocal built
+        built += 1
+        return insert(ids, i, k)
+
+    monkeypatch.setattr(PartitionIds, "insert", counted)
+    schur_expansion(build_poset(parse_poset_spec(dsl)), max_elements=18)
+    assert built <= inserts
+
+
 @pytest.mark.parametrize("dsl, states", [
     ("b3:3", 248),
     ("prod:4x4", 1560),
@@ -230,14 +260,55 @@ def test_expansion_walks_at_most_pinned_states(dsl, states, monkeypatch):
     walked = []
     count_all = ChainPartitionCounter.count_all
 
-    def counted(counter):
-        result = count_all(counter)
+    def counted(counter, *args, **kwargs):
+        result = count_all(counter, *args, **kwargs)
         walked.append(counter.nodes)
         return result
 
     monkeypatch.setattr(ChainPartitionCounter, "count_all", counted)
     schur_expansion(build_poset(parse_poset_spec(dsl)), max_elements=18)
     assert len(walked) == 1 and walked[0] <= states
+
+
+def _check_shared_ids(poset):
+    """One interner shared by ``count_all`` and the capped tables, filled by
+    either first: decoded, each gives what it gives alone, and no multiset
+    has two ids."""
+    longest = poset.max_chain_size()
+    shapes = list(partitions_of(len(poset), (longest,)))
+    alone = ChainPartitionCounter(poset).count_all()
+    for counts_first in (True, False):
+        ids = PartitionIds()
+        if counts_first:
+            counts = ChainPartitionCounter(poset).count_all(ids)
+        tables = list(_signed_tables(shapes, cap=longest, ids=ids))
+        if not counts_first:
+            counts = ChainPartitionCounter(poset).count_all(ids)
+        assert {ids.partition(i): c for i, c in counts.items()} == alone
+        for shape, table in tables:
+            capped = {c: n for c, n in signed_contents(shape).items() if c[0] <= longest}
+            assert {ids.partition(i): n for i, n in table.items()} == capped, shape
+        assert len(set(ids.sizes)) == len(ids.sizes)
+        assert all(parts == tuple(sorted(parts)) for parts in ids.sizes)
+        for k, into in ids.added.items():
+            assert all(ids.sizes[j] == tuple(sorted(ids.sizes[i] + (k,))) for i, j in into.items())
+
+
+@pytest.mark.parametrize("spec", builder_specs(12), ids=lambda spec: spec.dsl())
+def test_shared_ids_are_exact_on_builders(spec):
+    _check_shared_ids(build_poset(spec))
+
+
+@settings(deadline=None, max_examples=60)
+@given(random_posets())
+def test_shared_ids_are_exact_on_random_posets(poset):
+    _check_shared_ids(poset)
+
+
+@settings(deadline=None, max_examples=60)
+@given(unit_interval_orders())
+def test_shared_ids_are_exact_on_unit_interval_orders(poset):
+    _check_shared_ids(poset)
 
 
 def test_schur_expansion_matches_monomials_through_kostka():
