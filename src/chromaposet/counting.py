@@ -123,8 +123,8 @@ class ChainPartitionCounter:
 
     ``count_all`` walks every remaining set once, without bounds, keeping
     the counts of all block sizes together, each multiset of sizes named by
-    its id in a ``PartitionIds`` (one that ``schur_expansion`` shares with
-    its signed-content table); on one large type, such as
+    its id in the ``PartitionIds`` the caller passes (``schur_expansion``
+    shares it with its signed-content table); on one large type, such as
     ``chain:1200`` or brute coefficients on ``prod:8x3``, only the bounded
     walk of ``count`` is feasible.  For that walk one memo, (remaining
     elements, block sizes) -> number of unordered partitions, is shared by
@@ -170,17 +170,13 @@ class ChainPartitionCounter:
             stats.nodes += self.nodes - before
         return total * symmetry_factor(lam)
 
-    def count_all(self, ids: PartitionIds | None = None) -> dict:
-        """Semi-ordered chain partitions of every type, zero counts left
-        out, from one pass over the remaining sets.  Its memo maps a
-        remaining set to {block sizes: unordered count} and lives for this
-        call; ``nodes`` grows by one per state walked.  Block sizes are
-        ids of an interner, ``ids`` when the caller passes one, and then
-        the result is keyed by those ids; otherwise by partitions."""
+    def count_all(self, ids: PartitionIds) -> dict[int, int]:
+        """{id in ``ids``: semi-ordered chain partitions of that type} for
+        every type, zero counts left out, from one pass over the remaining
+        sets.  Its memo maps a remaining set to {id of the block sizes:
+        unordered count} and lives for this call; ``nodes`` grows by one
+        per state walked."""
         comp = self.poset.comp
-        keyed = ids is not None
-        if ids is None:
-            ids = PartitionIds()
         added, insert = ids.added, ids.insert
         memo: dict[int, dict[int, int]] = {0: {0: 1}}
 
@@ -210,11 +206,10 @@ class ChainPartitionCounter:
                 cand ^= low
                 grow(rem, table, block | low, cand & comp[low.bit_length() - 1], size + 1)
 
-        out = {}
-        for i, count in walk(self.poset.full_mask).items():
-            lam = ids.partition(i)
-            out[i if keyed else lam] = count * symmetry_factor(lam)
-        return out
+        return {
+            i: count * symmetry_factor(ids.partition(i))
+            for i, count in walk(self.poset.full_mask).items()
+        }
 
     def find(self, type_) -> list[int] | None:
         """Block bitmasks of the first chain partition of the given type in

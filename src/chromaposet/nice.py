@@ -150,6 +150,8 @@ def is_nice(
     even generated (``_open_types``); from the first failure on, the scan
     walks every type inside the shape.  ``nodes`` counts the search nodes
     of the types that were searched, and types settled otherwise cost none.
+    ``node_budget`` bounds the search nodes and, apart from them, the types
+    the scan takes: past either, DomainError.
     """
     n = len(poset)
     check_limit(n, max_elements, "niceness")
@@ -181,7 +183,11 @@ def is_nice(
         return mu not in unachieved and all(map(operator.le, itertools.accumulate(mu), shape))
 
     types = _open_types(n, shape)
-    while (lam := next(types, None)) is not None:
+    for taken in itertools.count():
+        if node_budget is not None and taken > node_budget:
+            raise DomainError(f"niceness scan exceeded {node_budget} types")
+        if (lam := next(types, None)) is None:
+            break
         # Every other merge of lam dominates its smallest merge, so unless that
         # one failed, lam is settled exactly when that one lies inside the shape.
         if len(lam) > 1:

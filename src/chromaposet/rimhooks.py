@@ -186,28 +186,27 @@ def signed_contents(shape, prefix=()) -> dict[Partition, int]:
     A sub-shape is pruned when its largest hook (first row plus height) is
     below the largest unmet part, its cells cannot cover the unmet parts,
     or no content it can still take dominates it (``_can_dominate``).
-    :func:`_signed_tables` runs the same peel over many shapes with one memo
-    and a cap on the largest part: a full Schur expansion builds one table,
-    shared by its shapes, and peels no hook longer than the longest chain.
+    This decodes :func:`_signed_tables` on one shape, which runs the same
+    peel over many shapes with one memo and a cap on the largest part: a
+    full Schur expansion builds one table, shared by its shapes, and peels
+    no hook longer than the longest chain.
     """
-    return next(_signed_tables((shape,), prefix))[1]
+    ids = PartitionIds()
+    contents = next(_signed_tables((shape,), ids, prefix))[1]
+    return {ids.partition(c): count for c, count in contents.items()}
 
 
-def _signed_tables(shapes, prefix=(), cap=None, ids=None):
-    """Yield (shape, :func:`signed_contents` of it) for each shape, keeping
+def _signed_tables(shapes, ids: PartitionIds, prefix=(), cap=None):
+    """Yield (shape, {id in ``ids``: signed count}) for each shape: the
+    table of :func:`signed_contents`, each content named by its id, keeping
     only the contents whose parts are all at most ``cap`` (when given).
 
     One memo serves every shape, so the table of a sub-shape that several
     shapes peel down to is built once; it lives as long as the generator.
     The cap lowers the peel floor, so no hook longer than ``cap`` is
-    peeled: those are exactly the tabloids of the contents dropped.
-    Contents are ids of ``ids`` inside the recursion.  A caller that passes
-    an interner gets the tables keyed by those ids, and must not change
-    them, since the memo holds them; otherwise they are keyed by partitions.
+    peeled: those are exactly the tabloids of the contents dropped.  The
+    memo holds the tables yielded, so the caller must not change them.
     """
-    keyed = ids is not None
-    if ids is None:
-        ids = PartitionIds()
     added, insert = ids.added, ids.insert
     memo: dict[tuple[Partition, Partition], dict[int, int]] = {}
 
@@ -251,8 +250,7 @@ def _signed_tables(shapes, prefix=(), cap=None, ids=None):
                 yield shape, {}
                 continue
             floor = min(floor, cap)
-        contents = table(shape, unmet, floor)
-        yield shape, contents if keyed else {ids.partition(c): n for c, n in contents.items()}
+        yield shape, table(shape, unmet, floor)
 
 
 def _can_dominate(lengths: Partition, unmet: Partition, floor: int) -> bool:

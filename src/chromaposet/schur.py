@@ -21,12 +21,12 @@ zero coefficients once, after the last step.  Its shapes share one
 signed-content table (``rimhooks._signed_tables``), so the table of a
 sub-shape is built once per expansion, and one pass
 (``ChainPartitionCounter.count_all``) counts the chain partitions of every
-type, so no remaining set is walked once per content.  The pass and the
-table name each partition by a small int from one ``PartitionIds``, so
+type, so no remaining set is walked once per content.  Both key what
+they return by the ids of the one ``PartitionIds`` they are passed, so
 their merges and the tabloid sum key their dicts by int, and each
 "partition plus one part" is built once per expansion.  Every builder
-poset has a bottom and a top.  `schur_coefficient` still walks the whole
-poset, searching one content at a time.
+poset has a bottom and a top.  ``schur_coefficient`` still walks the whole
+poset, decoding its table's contents and searching one at a time.
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ def monomial_expansion(graph: Graph) -> dict[Partition, int]:
 # Schur coefficients
 
 
-def _tabloid_sum(table: dict[Partition, int], count) -> int:
+def _tabloid_sum(table: dict, count) -> int:
     """The tabloid sum: each content's signed tabloid count in ``table``
-    times ``count(content)``."""
+    times ``count(content)``, contents named as ``table`` names them."""
     return sum(signed * count(content) for content, signed in table.items())
 
 
@@ -114,8 +114,10 @@ def schur_coefficient(
     # A content with a part longer than the longest chain counts 0, so no
     # such hook is peeled.  The table holds each content once, and one
     # engine searches them all, so ``node_budget`` bounds them together.
-    table = next(_signed_tables((shape,), cap=poset.max_chain_size()))[1]
-    return _tabloid_sum(table, ChainPartitionCounter(poset, node_budget).count)
+    ids = PartitionIds()
+    table = next(_signed_tables((shape,), ids, cap=poset.max_chain_size()))[1]
+    count = ChainPartitionCounter(poset, node_budget).count
+    return _tabloid_sum(table, lambda content: count(ids.partition(content)))
 
 
 def _tabloid_expansion(poset: Poset) -> dict[Partition, int]:
@@ -130,7 +132,7 @@ def _tabloid_expansion(poset: Poset) -> dict[Partition, int]:
     counts = ChainPartitionCounter(poset).count_all(ids)
     coeffs = {}
     shapes = partitions_of(len(poset), (longest,))
-    for lam, table in _signed_tables(shapes, cap=longest, ids=ids):
+    for lam, table in _signed_tables(shapes, ids, cap=longest):
         total = _tabloid_sum(table, lambda content: counts.get(content, 0))
         if total:
             coeffs[lam] = total

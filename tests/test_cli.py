@@ -533,6 +533,19 @@ def test_zero_budget_and_limit_are_valid_flags(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    "nice --poset prod:10x10 --max-elements 100",
+    "nice --poset prod:9x9 --max-elements 100",
+    "nice --poset chain:512 --max-elements 512",
+])
+def test_niceness_scan_stops_at_the_node_budget(capsys, argv):
+    """The budget also bounds the types the scan takes: on these posets it
+    takes hundreds of thousands of types or more while searching a few
+    dozen nodes."""
+    code, out, err = run(capsys, *argv.split(), "--node-budget", "1000")
+    assert (code, out, err) == (1, "", "error: niceness scan exceeded 1000 types\n")
+
+
+@pytest.mark.parametrize("argv", [
     "scp --poset prod:4x3 --type 4,4,2,2 --method brute",
     "schur-coeff --poset b3:2 --shape 4,4,2",
 ])

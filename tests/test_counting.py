@@ -17,6 +17,7 @@ from chromaposet.counting import (
 from chromaposet.errors import DomainError
 from chromaposet.nice import ChainPartitionSearcher, chain_partition_exists
 from chromaposet.partitions import (
+    PartitionIds,
     multiplicity_profile,
     partitions_of,
     symmetry_factor,
@@ -135,7 +136,13 @@ def _check_one_pass(poset):
     counter = ChainPartitionCounter(poset)
     counts = {lam: counter.count(lam) for lam in partitions_of(len(poset))}
     assert all(counts[lam] == oracle.count(lam) for lam in counts)
-    assert ChainPartitionCounter(poset).count_all() == {lam: c for lam, c in counts.items() if c}
+    assert _count_all(poset) == {lam: c for lam, c in counts.items() if c}
+
+
+def _count_all(poset):
+    """``count_all`` with an interner of its own, keyed by partitions."""
+    ids = PartitionIds()
+    return {ids.partition(i): c for i, c in ChainPartitionCounter(poset).count_all(ids).items()}
 
 
 @pytest.mark.parametrize("spec", builder_specs(12), ids=lambda spec: spec.dsl())
@@ -145,7 +152,7 @@ def test_one_pass_counts_every_type(spec):
 
 def test_one_pass_on_the_empty_poset():
     _check_one_pass(Poset((), ()))
-    assert ChainPartitionCounter(Poset((), ())).count_all() == {(): 1}
+    assert _count_all(Poset((), ())) == {(): 1}
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,7 +170,7 @@ def test_one_pass_counts_every_type_on_unit_interval_orders(poset):
 def test_one_pass_keeps_the_node_budget():
     counter = ChainPartitionCounter(build_poset(Product((3, 2))), node_budget=3)
     with pytest.raises(DomainError, match="exceeded 3 nodes"):
-        counter.count_all()
+        counter.count_all(PartitionIds())
 
 
 def test_one_engine_counts_and_finds():

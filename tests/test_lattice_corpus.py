@@ -8,16 +8,33 @@ down-set is any down-set of Q so far, keeps one Q per colour-refinement
 class, and prunes at |J(Q)| > 14, since |J(Q)| never falls as Q grows.
 
 The verdicts pinned here are this package's own answers on the corpus,
-not an independent proof: every lattice is nice, and none of at most 12
-elements has a negative Schur coefficient.  Two checks share no code with
-the engine: a lattice and its dual have one incomparability graph, so the
-same unachieved types and Schur expansion, and J(Q) has |Q|
-join-irreducibles, one per rank of a longest chain.
+not an independent proof: every lattice is nice, none of at most 12
+elements has a negative Schur coefficient, and exactly two of at most 14
+do, the paper's second result at its smallest size.  Checks that share no
+code with the engine: a lattice and its dual have one incomparability
+graph, so the same unachieved types and Schur expansion; J(Q) has |Q|
+join-irreducibles, one per rank of a longest chain; every expansion passes
+the checksums of ``corpus_frontier.checksum_failure``; and the two
+negative expansions agree with the monomial expansion through Kostka
+numbers.
 """
 
+import functools
 import re
 
-from chromaposet import B3, Poset, build_poset, is_nice, schur_expansion, verify_distributive_lattice
+from chromaposet import (
+    B3,
+    Poset,
+    build_poset,
+    dominance_leq,
+    incomparability_graph,
+    is_nice,
+    kostka_number,
+    monomial_expansion,
+    partitions_of,
+    schur_expansion,
+    verify_distributive_lattice,
+)
 
 # OEIS A006982, unlabeled distributive lattices with 1, 2, ..., 14 elements
 COUNTS = (1, 1, 1, 2, 3, 5, 8, 15, 26, 47, 82, 151, 269, 494)
@@ -90,6 +107,40 @@ def test_a_lattice_and_its_dual_answer_alike():
         dual = Poset(p.labels, p.dn)
         assert is_nice(dual).unachieved_types == is_nice(p).unachieved_types
         assert schur_expansion(dual) == schur_expansion(p)
+
+
+@functools.cache
+def _expansion(i):
+    """The Schur expansion of ``LATTICES[i]``, computed once per module."""
+    return schur_expansion(LATTICES[i], max_elements=14)
+
+
+def test_every_lattice_expansion_passes_the_checksums():
+    from corpus_frontier import checksum_failure
+
+    assert all(checksum_failure(p, _expansion(i)) is None for i, p in enumerate(LATTICES))
+
+
+def test_exactly_two_lattices_of_at_most_14_elements_have_a_negative_schur_coefficient():
+    """The smallest distributive lattices that are nice but not Schur
+    positive.  The two are dual: the dual of either is a distributive
+    lattice of 14 elements with the same incomparability graph, so it is
+    one of the two, and its levels are the reverse of the original's, so it
+    is the other one.  Each expansion gives back the monomial expansion,
+    from ``StablePartitionCounter``, through Kostka numbers from horizontal
+    strips."""
+    negative = [i for i, p in enumerate(LATTICES) if min(_expansion(i).values()) < 0]
+    levels = [tuple(mask.bit_count() for mask in LATTICES[i].levels()) for i in negative]
+    assert levels == [(1, 3, 3, 2, 2, 2, 1), (1, 2, 2, 2, 3, 3, 1)]
+    kostka = functools.cache(kostka_number)
+    for i in negative:
+        expansion = _expansion(i)
+        assert {lam: c for lam, c in expansion.items() if c < 0} == {(6, 4, 4): -8}
+        monomials = monomial_expansion(incomparability_graph(LATTICES[i]))
+        for mu in partitions_of(14):
+            via_kostka = sum(c * kostka(lam, mu) for lam, c in expansion.items()
+                             if dominance_leq(mu, lam))
+            assert via_kostka == monomials.get(mu, 0), (i, mu)
 
 
 def _join_irreducibles(p):

@@ -12,7 +12,7 @@ import pytest
 
 from chromaposet.counting import WITNESS_CASE_HEIGHTS, staircase_delta
 from chromaposet.errors import DomainError
-from chromaposet.partitions import dominance_leq, partitions_of
+from chromaposet.partitions import PartitionIds, dominance_leq, partitions_of
 from chromaposet.rimhooks import (
     SpecialRimHookTabloid,
     _signed_tables,
@@ -227,6 +227,14 @@ def test_signed_contents_witness_shapes(n, k):
     assert table == dict(cases)
 
 
+def _tables(shapes, prefix=(), cap=None):
+    """``_signed_tables`` with an interner of its own, each table keyed by
+    partitions."""
+    ids = PartitionIds()
+    for shape, table in _signed_tables(shapes, ids, prefix, cap):
+        yield shape, {ids.partition(c): s for c, s in table.items()}
+
+
 @pytest.mark.parametrize("n", range(11))
 def test_capped_tables_match_enumeration(n):
     """A cap drops exactly the contents with a larger part, with or without
@@ -236,7 +244,7 @@ def test_capped_tables_match_enumeration(n):
         for prefix in ((), shape[:1]):
             full = _signed_by_content(family, prefix)
             for cap in range(1, n + 1):
-                table = next(_signed_tables((shape,), prefix, cap))[1]
+                table = next(_tables((shape,), prefix, cap))[1]
                 assert table == {c: s for c, s in full.items() if c[0] <= cap}, (shape, prefix, cap)
 
 
@@ -246,9 +254,9 @@ def test_shared_memo_tables_match_fresh_calls(n, cap):
     """One memo filled in ascending or descending order of shapes gives each
     shape the table a fresh call gives it."""
     shapes = list(partitions_of(n))
-    fresh = {shape: next(_signed_tables((shape,), cap=cap))[1] for shape in shapes}
-    assert dict(_signed_tables(shapes, cap=cap)) == fresh
-    assert dict(_signed_tables(shapes[::-1], cap=cap)) == fresh
+    fresh = {shape: next(_tables((shape,), cap=cap))[1] for shape in shapes}
+    assert dict(_tables(shapes, cap=cap)) == fresh
+    assert dict(_tables(shapes[::-1], cap=cap)) == fresh
     if cap is None:
         assert fresh == {shape: signed_contents(shape) for shape in shapes}
 
@@ -260,9 +268,9 @@ def test_one_memo_across_sizes_matches_fresh_calls(cap):
     size, in ascending or descending order, gives each shape the table a
     fresh call gives it."""
     shapes = [shape for n in range(1, 10) for shape in partitions_of(n)]
-    fresh = {shape: next(_signed_tables((shape,), cap=cap))[1] for shape in shapes}
-    assert dict(_signed_tables(shapes, cap=cap)) == fresh
-    assert dict(_signed_tables(shapes[::-1], cap=cap)) == fresh
+    fresh = {shape: next(_tables((shape,), cap=cap))[1] for shape in shapes}
+    assert dict(_tables(shapes, cap=cap)) == fresh
+    assert dict(_tables(shapes[::-1], cap=cap)) == fresh
 
 
 def test_signed_contents_prefix_outside_every_content():

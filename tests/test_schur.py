@@ -1,8 +1,9 @@
 """Schur and monomial expansions, checked against routes that share no code
 with the library: coloring enumeration for monomial coefficients, the hook
 length and hook content formulas for chain expansions and principal
-specializations, Gasharov's P-tableaux on unit interval orders, and the
-closed witness formula against its six-case assembly."""
+specializations, Gasharov's P-tableaux on unit interval orders, two
+checksums on expansions of every size, and the closed witness formula
+against its six-case assembly."""
 
 import math
 from fractions import Fraction
@@ -50,6 +51,7 @@ from chromaposet.partitions import PartitionIds
 from chromaposet.posets import iter_bits
 from chromaposet.rimhooks import _signed_tables
 from conftest import builder_specs, posets_with_universal, random_posets, unit_interval_orders
+from corpus_frontier import checksum_failure
 
 
 # what the closed route raises when its hypotheses fail
@@ -276,12 +278,13 @@ def _check_shared_ids(poset):
     has two ids."""
     longest = poset.max_chain_size()
     shapes = list(partitions_of(len(poset), (longest,)))
-    alone = ChainPartitionCounter(poset).count_all()
+    own = PartitionIds()
+    alone = {own.partition(i): c for i, c in ChainPartitionCounter(poset).count_all(own).items()}
     for counts_first in (True, False):
         ids = PartitionIds()
         if counts_first:
             counts = ChainPartitionCounter(poset).count_all(ids)
-        tables = list(_signed_tables(shapes, cap=longest, ids=ids))
+        tables = list(_signed_tables(shapes, ids, cap=longest))
         if not counts_first:
             counts = ChainPartitionCounter(poset).count_all(ids)
         assert {ids.partition(i): c for i, c in counts.items()} == alone
@@ -324,6 +327,27 @@ def test_schur_expansion_matches_monomials_through_kostka():
                 c * kostka_number(lam, mu) for lam, c in schur.items()
             )
             assert via_kostka == mono.get(mu, 0), (spec, mu)
+
+
+@pytest.mark.parametrize("spec", builder_specs(16), ids=lambda spec: spec.dsl())
+def test_expansions_of_builders_pass_the_checksums(spec):
+    """Sum c_lam f^lam = n! and the two-row sum = chi_G(2) (see
+    ``corpus_frontier.checksum_failure``) reach past the 12-14 elements
+    where every other Schur route stops."""
+    poset = build_poset(spec)
+    assert checksum_failure(poset, schur_expansion(poset, max_elements=16)) is None
+
+
+@settings(deadline=None, max_examples=100)
+@given(random_posets())
+def test_expansions_of_random_posets_pass_the_checksums(poset):
+    assert checksum_failure(poset, schur_expansion(poset)) is None
+
+
+@settings(deadline=None, max_examples=100)
+@given(unit_interval_orders())
+def test_expansions_of_unit_interval_orders_pass_the_checksums(poset):
+    assert checksum_failure(poset, schur_expansion(poset)) is None
 
 
 @settings(deadline=None)
