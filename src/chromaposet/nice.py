@@ -12,9 +12,11 @@ moving an element to a chain it is comparable with throughout keeps both
 chains (the exchange argument of Greene and Kleitman, JCTA 20, 1976).  One
 lookup usually settles the merges: every merge of a type dominates the
 merge of its two smallest parts, so when that one lies outside the shape
-they all do.  Certificates are checked by
-``ChainPartitionCertificate.validate``, which uses only the raw order
-relation.
+they all do.  The first type scanned is the shape's own, which dominates
+every other; when it is achieved and a later type fails, that pair is the
+witness, and the scan stops there until its lists are read.  Certificates
+are checked by ``ChainPartitionCertificate.validate``, which uses only the
+raw order relation.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
 
 from .counting import ChainPartitionCounter, staircase_type
 from .errors import DomainError, InternalInvariantError
@@ -76,19 +78,33 @@ class ChainPartitionCertificate:
 class NiceVerdict:
     """A niceness decision: the first witness (achieved type, unachieved
     type it dominates) and a certificate of its first type, the search
-    nodes, the Greene–Kleitman ``shape`` as prefix sums, and the types
-    inside it with no chain partition, in descending lexicographic order.
-    Every other type inside the shape is achieved (``achieved_types``)."""
+    nodes up to the decision, the Greene–Kleitman ``shape`` as prefix sums,
+    and the types inside it with no chain partition, in descending
+    lexicographic order (``unachieved_types``).  Every other type inside
+    the shape is achieved (``achieved_types``).  A scan that stopped at its
+    witness runs to its end on the first read of either list."""
 
     witness: tuple[Partition, Partition] | None = None
     witness_certificate: ChainPartitionCertificate | None = None
     nodes: int = 0
     shape: tuple[int, ...] = ()
-    unachieved_types: tuple[Partition, ...] = ()
+    # The unachieved types: a tuple, or the ones found chained to the rest
+    # of the scan.
+    _unachieved: Iterable[Partition] = field(default=(), repr=False, compare=False)
 
     @property
     def nice(self) -> bool:
         return self.witness is None
+
+    @functools.cached_property
+    def unachieved_types(self) -> tuple[Partition, ...]:
+        # A scan that raised (past its budget) has ended, and its end is not
+        # the end of the list: a second read raises instead.
+        rest = self._unachieved
+        object.__setattr__(self, "_unachieved", None)
+        if rest is None:
+            raise DomainError("the niceness scan stopped at its budget")
+        return tuple(rest)
 
     @functools.cached_property
     def achieved_types(self) -> tuple[Partition, ...]:
@@ -139,24 +155,63 @@ def is_nice(
     The witness of a failure is the first pair (achieved type, unachieved
     dominated type) in descending lexicographic order over both coordinates,
     and its certificate is the first partition of that type in ``find``'s
-    search order.  A type is searched only when nothing cheaper settles it:
-    a merge of two parts into an achieved type, or an exchange
-    (``_exchange``) that reaches it from a partition already found with as
-    many blocks, newest first.  Every merge dominates the merge of the two
-    smallest parts (``_smallest_merge``), so when that merge lies outside
-    the shape no merge is achieved.  One rule settles every type: a merge
-    is achieved when it lies inside the shape and has not failed.  Until
-    some type fails, the types it settles by their part sizes alone are not
-    even generated (``_open_types``); from the first failure on, the scan
-    walks every type inside the shape.  ``nodes`` counts the search nodes
-    of the types that were searched, and types settled otherwise cost none.
-    ``node_budget`` bounds the search nodes and, apart from them, the types
-    the scan takes: past either, DomainError.
+    search order.  The types are scanned in descending lexicographic order
+    (``_scan``), and the first one is the shape's own type T, its
+    differences, which dominates every type inside the shape.  So when some
+    other type fails first, T is achieved, that failure is the first type
+    it dominates, and the pair is the witness: the scan stops there.  When
+    T fails, or nothing does, the scan runs to its end.  A stopped scan
+    resumes on the first read of ``unachieved_types`` or
+    ``achieved_types``, with the same search, memo and budget, so the lists
+    are always complete.  ``nodes`` counts the search nodes up to the
+    verdict.  ``node_budget`` bounds the search nodes and, apart from them,
+    the types the scan takes: past either, DomainError, from ``is_nice`` or
+    from the read that resumes the scan.
     """
     n = len(poset)
     check_limit(n, max_elements, "niceness")
     searcher = ChainPartitionCounter(poset, node_budget)
     masks: dict[Partition, list[int]] = {}
+    # A type with a prefix sum above the Greene–Kleitman shape has no chain
+    # partition, and since dominance only lowers prefix sums no achieved
+    # type dominates it, so only the types inside the shape are scanned.
+    shape = poset.chain_shape()
+    scan = _scan(poset, shape, searcher, masks)
+    unachieved = list(itertools.islice(scan, 1))
+    own = tuple(map(operator.sub, shape, (0,) + shape))
+    if unachieved and unachieved[0] != own:
+        witness = (own, unachieved[0])
+    else:
+        unachieved += scan
+        witness = _first_witness(n, shape, unachieved) if unachieved else None
+    if witness is None:
+        return NiceVerdict(nodes=searcher.nodes, shape=shape, _unachieved=tuple(unachieved))
+    lam = witness[0]
+    cert = _certificate_from_masks(poset, masks.get(lam) or searcher.find(lam), lam)
+    return NiceVerdict(witness=witness, witness_certificate=cert, nodes=searcher.nodes,
+                       shape=shape, _unachieved=itertools.chain(unachieved, scan))
+
+
+def _scan(
+    poset: Poset, shape: tuple[int, ...], searcher: ChainPartitionCounter,
+    masks: dict[Partition, list[int]],
+) -> Iterator[Partition]:
+    """The types inside ``shape`` with no chain partition, in descending
+    lexicographic order, each yielded as the scan meets it; the blocks of
+    the types ``find`` settles go into ``masks``.
+
+    A type is searched only when nothing cheaper settles it: a merge of two
+    parts into an achieved type, or an exchange (``_exchange``) that reaches
+    it from a partition already found with as many blocks, newest first.
+    Every merge dominates the merge of the two smallest parts
+    (``_smallest_merge``), so when that merge lies outside the shape no
+    merge is achieved.  One rule settles every type: a merge is achieved
+    when it lies inside the shape and has not failed.  Until some type
+    fails, the types it settles by their part sizes alone are not even
+    generated (``_open_types``); from the first failure on, the scan walks
+    every type inside the shape.  Types settled otherwise cost no node.
+    The searcher's node budget also bounds the types the scan takes."""
+    n, budget = len(poset), searcher.node_budget
     # Block lists of every achieved type that ``find`` or the exchange
     # settled, grouped by length, oldest first.
     known: dict[int, list[list[int]]] = {}
@@ -172,10 +227,6 @@ def is_nice(
         known.setdefault(len(lam), []).append(found)
         return True
 
-    # A type with a prefix sum above the Greene–Kleitman shape has no chain
-    # partition, and since dominance only lowers prefix sums no achieved
-    # type dominates it, so only the types inside the shape are scanned.
-    shape = poset.chain_shape()
     unachieved: list[Partition] = []
 
     def achieved(mu: Partition) -> bool:
@@ -184,10 +235,10 @@ def is_nice(
 
     types = _open_types(n, shape)
     for taken in itertools.count():
-        if node_budget is not None and taken > node_budget:
-            raise DomainError(f"niceness scan exceeded {node_budget} types")
+        if budget is not None and taken > budget:
+            raise DomainError(f"niceness scan exceeded {budget} types")
         if (lam := next(types, None)) is None:
-            break
+            return
         # Every other merge of lam dominates its smallest merge, so unless that
         # one failed, lam is settled exactly when that one lies inside the shape.
         if len(lam) > 1:
@@ -200,8 +251,15 @@ def is_nice(
                 # walked; tuples compare in the scan's lexicographic order.
                 types = itertools.dropwhile(lam.__le__, partitions_of(n, shape))
             unachieved.append(lam)
-    if not unachieved:
-        return NiceVerdict(nodes=searcher.nodes, shape=shape)
+            yield lam
+
+
+def _first_witness(
+    n: int, shape: tuple[int, ...], unachieved: list[Partition]
+) -> tuple[Partition, Partition] | None:
+    """The first pair (achieved type, unachieved type it dominates) inside
+    ``shape``, given every unachieved type in descending lexicographic
+    order, or None when the achieved types are closed downward."""
     # mu is dominated by lam when no prefix sum of mu exceeds lam's.
     # Pairing the sums with zip is exact: past the end of lam its sums
     # stay at n, and if mu is the shorter one its last sum, n, meets one
@@ -213,12 +271,8 @@ def is_nice(
         top = tuple(itertools.accumulate(lam))
         for mu, bar in zip(unachieved, bars):
             if all(map(operator.le, bar, top)):
-                found = masks.get(lam) or searcher.find(lam)
-                cert = _certificate_from_masks(poset, found, lam)
-                return NiceVerdict(witness=(lam, mu), witness_certificate=cert,
-                                   nodes=searcher.nodes, shape=shape,
-                                   unachieved_types=tuple(unachieved))
-    return NiceVerdict(nodes=searcher.nodes, shape=shape, unachieved_types=tuple(unachieved))
+                return lam, mu
+    return None
 
 
 def _open_types(n: int, shape: Partition) -> Iterator[Partition]:

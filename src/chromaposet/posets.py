@@ -256,13 +256,17 @@ class Poset:
         every out node drains to the sink.  A unit of flow follows a chain
         of covers and collects the elements it uses, so k units cover at
         most c_k elements, and successive shortest paths reach c_k after
-        the k-th augmentation (Frank, JCTB 29, 1980).  Each path is found
-        by Dijkstra on costs reduced by node potentials.  The first
-        potentials are the distances in the empty network, read off the
-        heights: -h at the in node of an element at height h, -h - 1 at its
-        out node.  After each search the distances are added to them, and
-        every node stays reachable, since the source arcs never fill."""
+        the k-th augmentation (Frank, JCTB 29, 1980).  The first path is a
+        longest chain of covers, read off the levels, so c_1 is the number
+        of levels.  Each later one is found by Dijkstra on costs reduced by
+        node potentials.  The first potentials are the distances in the
+        empty network, read off the heights: -h at the in node of an element
+        at height h, -h - 1 at its out node.  After each search the
+        distances are added to them, and every node stays reachable, since
+        the source arcs never fill."""
         n = len(self)
+        if not n:
+            return ()
         source, sink = 2 * n, 2 * n + 1
         head: list[int] = []
         cap: list[int] = []
@@ -293,8 +297,24 @@ class Poset:
             for i in iter_bits(level):
                 pot[2 * i], pot[2 * i + 1] = -h, -h - 1
         pot[sink] = -len(levels)
-        shape: list[int] = []
-        covered = 0
+        # Every arc on a longest chain of covers is tight, so the first
+        # search would find all reduced distances 0 and leave the potentials
+        # as they are.  Push the first unit along such a chain instead, read
+        # off the levels top down: an element one level below the last one
+        # and under it is covered by it.
+        path, below = [sink], self.full_mask
+        for level in reversed(levels):
+            i = (level & below).bit_length() - 1
+            path += (2 * i + 1, 2 * i)
+            below = self.dn[i]
+        path.append(source)
+        for v, u in zip(path, path[1:]):
+            # The use arc of an element comes before its pass arc.
+            a = next(a for a in arcs[u] if head[a] == v)
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+        covered = len(levels)
+        shape = [covered]
         while covered < n:
             dist = [math.inf] * (2 * n + 2)
             via = [-1] * (2 * n + 2)

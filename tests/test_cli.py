@@ -956,11 +956,16 @@ def test_b3_sweep(capsys):
     assert code == 0
     assert all(r["nice"] for r in env["result"]["rows"])
 
+    # The paper's family: b3:n is not nice for every n >= 6, with the same
+    # witness shape; the scan stops at it, so b3:12 costs 2,896 nodes.
     code, env, _ = run_json(
-        capsys, "sweep", "--family", "b3_niceness", "--n-min", "6", "--n-max", "6"
+        capsys, "sweep", "--family", "b3_niceness", "--n-min", "6", "--n-max", "12",
+        "--max-elements", "30",
     )
     assert code == 4
-    assert env["result"]["rows"][0]["witness"] == ["9,7,2", "6,6,6"]
+    assert [(r["n"], r["nice"], r["witness"]) for r in env["result"]["rows"]] == [
+        (n, False, [f"{n + 3},{n + 1},2", f"{n},{n},6"]) for n in range(6, 13)
+    ]
 
 
 def test_product_sweep(capsys):

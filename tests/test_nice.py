@@ -301,11 +301,17 @@ def test_exchange_builds_valid_partitions_on_random_posets(poset):
     # test alone b3:7, sum:1+b3:6+1 and b3:6 take 3,007, 1,028 and 884
     # nodes; with the exchange alone 13,061, 72 and 2,167.  The pins are
     # exact, and need the three-block look-ahead too: without it b3:7,
-    # sum:1+b3:6+1, b3:6 and b3:8 take 1,974, 12, 504 and 13,539 nodes.
+    # sum:1+b3:6+1 and b3:6 take 1,974, 12 and 504 nodes.
     ("b3:7", 406),
     ("sum:1+b3:6+1", 7),
     ("b3:6", 121),
-    ("b3:8", 7634),
+    # And the stop at the witness: a scan that runs to its end takes
+    # 7,634, 43,918, 198,149, 763,799 and 3,031,308 nodes on b3:8 to b3:12.
+    ("b3:8", 658),
+    ("b3:9", 1010),
+    ("b3:10", 1484),
+    ("b3:11", 2104),
+    ("b3:12", 2896),
 ])
 def test_scan_searches_at_most_pinned_nodes(dsl, most):
     # Node counts do not depend on the machine: a scan that loses its
@@ -463,6 +469,19 @@ def test_is_nice_size_guard():
     # the scan takes 11 types before its searches walk 11 nodes
     with pytest.raises(DomainError, match=r"^niceness scan exceeded 10 types$"):
         is_nice(build_poset(B3(6)), node_budget=10)
+
+
+def test_lists_read_past_the_budget_raise_on_every_read():
+    # The scan stops at b3:8's witness after 658 nodes, and the scan that
+    # completes its lists reaches 7,634 in all.
+    verdict = is_nice(build_poset(B3(8)), max_elements=22, node_budget=1000)
+    assert (verdict.nice, verdict.nodes) == (False, 658)
+    with pytest.raises(DomainError, match=r"^search exceeded 1000 nodes$"):
+        verdict.unachieved_types
+    with pytest.raises(DomainError, match=r"^the niceness scan stopped at its budget$"):
+        verdict.achieved_types
+    verdict = is_nice(build_poset(B3(8)), max_elements=22, node_budget=7634)
+    assert verdict.unachieved_types == ((8, 8, 6), (8, 7, 7)) and verdict.nodes == 658
 
 
 def test_empty_poset_is_nice():
