@@ -233,12 +233,12 @@ def _cmd_nice(args) -> Reply:
 
 
 def _cmd_chain_partition(args) -> Reply:
-    from .counting import ChainPartitionCounter, covering_type
+    from .counting import ChainPartitionCounter, filling_partition
     from .nice import _certificate_from_masks
 
     spec = parse_poset_spec(args.poset)
     size = check_size(spec)
-    type_ = covering_type(parse_partition(args.type), size)
+    type_ = filling_partition(parse_partition(args.type), size)
     poset = build_poset(spec)
     counter = ChainPartitionCounter(poset, args.node_budget)
     masks = counter.find(type_)

@@ -11,6 +11,7 @@ expansion; ``count`` (one type: ``scp`` and brute Schur coefficients) and
 ``StablePartitionCounter`` counts stable partitions of a graph and shares
 no code with it, nor does ``schur.count_colorings_by_type``, so their
 agreement on incomparability graphs is a meaningful test.
+``filling_partition`` is the one size check of the chain-partition counts.
 
 For a product of two chains m x n and a type whose first n-1 parts are the
 forced staircase values m+n-2i+1, the count also has a closed form: a
@@ -47,19 +48,11 @@ class SearchStats:
     nodes: int = 0
 
 
-def covering_type(type_, n: int) -> Partition:
-    """``type_`` as a partition; DomainError unless it covers n elements.
-    The CLI calls it on a spec's element count before building."""
-    lam = as_partition(type_)
-    if sum(lam) != n:
-        raise DomainError(f"type {lam} does not cover {n} elements")
-    return lam
-
-
 def filling_partition(partition, n: int) -> Partition:
     """``partition`` as a partition; DomainError unless it fills an
-    n-element poset.  The CLI calls it on a spec's element count before
-    building."""
+    n-element poset.  ``count``, ``find``, ``closed_route`` and
+    ``scp_closed_form`` (on m * n elements) call it, and the CLI calls it
+    on a spec's element count before building; the oracles keep their own."""
     lam = as_partition(partition)
     if sum(lam) != n:
         raise DomainError(f"partition {lam} does not fill the {n}-element poset")
@@ -163,7 +156,7 @@ class ChainPartitionCounter:
     def count(self, type_, stats: SearchStats | None = None) -> int:
         """Semi-ordered chain partitions of the given type; ``stats.nodes``
         grows by the states this call walks."""
-        lam = covering_type(type_, len(self.poset))
+        lam = filling_partition(type_, len(self.poset))
         before = self.nodes
         total = self._walk(self.poset.full_mask, lam, None)
         if stats is not None:
@@ -214,7 +207,7 @@ class ChainPartitionCounter:
     def find(self, type_) -> list[int] | None:
         """Block bitmasks of the first chain partition of the given type in
         the search order, or None after exhausting the (pruned) search."""
-        lam = covering_type(type_, len(self.poset))
+        lam = filling_partition(type_, len(self.poset))
         blocks: list[int] = []
         return blocks if self._walk(self.poset.full_mask, lam, blocks) else None
 
@@ -408,9 +401,7 @@ def scp_closed_form(m: int, n: int, type_) -> int:
     threads by e * s!.
     """
     pre = staircase_type(m, n)[:-1]
-    lam = as_partition(type_)
-    if sum(lam) != m * n:
-        raise DomainError(f"type {lam} does not cover the {m}x{n} product")
+    lam = filling_partition(type_, m * n)
     if lam[: n - 1] != pre:
         raise DomainError(f"type {lam} does not start with the staircase {pre}")
     tail = lam[n - 1 :]

@@ -4,7 +4,8 @@ in the monomial and Schur bases.
 Monomial coefficients are semi-ordered stable-partition counts.  Schur
 coefficients come from the signed tabloid sum: for each content of a special
 rim hook tabloid of the requested shape, add its signed tabloid count
-(``signed_contents``) times the chain-partition count of that content.
+(``rimhooks._signed_tables``) times the chain-partition count of that
+content.
 ``counting.closed_route`` decides how the counts are taken: for a product
 of two chains m x n and a shape carrying the forced staircase prefix it
 returns (m, n), every count is ``scp_closed_form(m, n, content)``, and the
@@ -25,8 +26,9 @@ type, so no remaining set is walked once per content.  Both key what
 they return by the ids of the one ``PartitionIds`` they are passed, so
 their merges and the tabloid sum key their dicts by int, and each
 "partition plus one part" is built once per expansion.  Every builder
-poset has a bottom and a top.  ``schur_coefficient`` still walks the whole
-poset, decoding its table's contents and searching one at a time.
+poset has a bottom and a top.  ``schur_coefficient`` sums one table on
+either route, decoding each content for its count: the closed form, or a
+search of the whole poset.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .counting import (
     proof_case_closed_forms,
     scp_closed_form,
     staircase_delta,
-    staircase_type,
 )
 from .errors import DomainError
 from .partitions import (
@@ -55,7 +56,7 @@ from .partitions import (
     rearrangement_count,
 )
 from .posets import Graph, Poset, check_limit, iter_bits
-from .rimhooks import _signed_tables, kostka_number, signed_contents
+from .rimhooks import _signed_tables, kostka_number
 
 
 # Largest poset ``schur_expansion`` takes unless told otherwise.
@@ -84,12 +85,6 @@ def monomial_expansion(graph: Graph) -> dict[Partition, int]:
 # Schur coefficients
 
 
-def _tabloid_sum(table: dict, count) -> int:
-    """The tabloid sum: each content's signed tabloid count in ``table``
-    times ``count(content)``, contents named as ``table`` names them."""
-    return sum(signed * count(content) for content, signed in table.items())
-
-
 def schur_coefficient(
     poset: Poset, shape, method: str = "auto", node_budget: int | None = None
 ) -> int:
@@ -101,23 +96,27 @@ def schur_coefficient(
     only) evaluates each content by the closed form; ``auto`` picks the
     closed route whenever it applies.  ``node_budget`` bounds the nodes the
     searches walk together (DomainError past it); the closed route
-    does not search and ignores it.
+    does not search and ignores it.  Both routes sum one signed-content
+    table; they differ only in how it is cut and how a content is counted.
     """
     if method not in ("auto", "tabloid_brute", "tabloid_closed"):
         raise DomainError(f"unknown method {method!r}")
     shape = as_partition(shape)
     sides = closed_route(poset, shape, method.removeprefix("tabloid_"))
-    if sides is not None:
+    if sides is None:
+        # A content with a part longer than the longest chain counts 0, so
+        # no such hook is peeled.  One engine searches every content, so
+        # ``node_budget`` bounds them together.
+        prefix, cap = (), poset.max_chain_size()
+        count = ChainPartitionCounter(poset, node_budget).count
+    else:
+        # ``closed_route`` found the staircase in the shape's first n-1 parts.
         m, n = sides
-        table = signed_contents(shape, staircase_type(m, n)[:-1])
-        return _tabloid_sum(table, partial(scp_closed_form, m, n))
-    # A content with a part longer than the longest chain counts 0, so no
-    # such hook is peeled.  The table holds each content once, and one
-    # engine searches them all, so ``node_budget`` bounds them together.
+        prefix, cap = shape[: n - 1], None
+        count = partial(scp_closed_form, m, n)
     ids = PartitionIds()
-    table = next(_signed_tables((shape,), ids, cap=poset.max_chain_size()))[1]
-    count = ChainPartitionCounter(poset, node_budget).count
-    return _tabloid_sum(table, lambda content: count(ids.partition(content)))
+    table = next(_signed_tables((shape,), ids, prefix, cap))[1]
+    return sum(signed * count(ids.partition(c)) for c, signed in table.items())
 
 
 def _tabloid_expansion(poset: Poset) -> dict[Partition, int]:
@@ -133,7 +132,7 @@ def _tabloid_expansion(poset: Poset) -> dict[Partition, int]:
     coeffs = {}
     shapes = partitions_of(len(poset), (longest,))
     for lam, table in _signed_tables(shapes, ids, cap=longest):
-        total = _tabloid_sum(table, lambda content: counts.get(content, 0))
+        total = sum(signed * counts.get(c, 0) for c, signed in table.items())
         if total:
             coeffs[lam] = total
     return coeffs

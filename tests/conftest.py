@@ -1,13 +1,15 @@
-"""Shared test helpers: the builder posets up to a size, hypothesis
-strategies for posets beyond the five builders (unit interval orders
-among them), the contents of the six tabloids of the negativity witness,
-and the benchmark's modules under ``perfbench/``."""
+"""Shared test helpers: a time limit on every test, the builder posets up
+to a size, hypothesis strategies for posets beyond the five builders (unit
+interval orders among them), the contents of the six tabloids of the
+negativity witness, and the benchmark's modules under ``perfbench/``."""
 
 import importlib.util
 import itertools
+import signal
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 from chromaposet import B3, Boolean, Chain, OrdinalSum, Poset, Product, build_poset
@@ -15,6 +17,37 @@ from chromaposet import sorted_partition, staircase_delta
 from chromaposet.cli import _factorizations
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Seconds a test may run; the slowest takes about 3.5 s, so one that runs
+# this long is stuck in a loop that does not end.
+TIME_LIMIT = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that outlives ``TIME_LIMIT``.  Hypothesis catches
+    ``Exception`` and pytest's ``Failed`` to shrink and replay a failing
+    example, and a replay would hang again with no timer left; this
+    propagates at once, and pytest reports it as that test's failure."""
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail a test by name once it has run ``TIME_LIMIT`` seconds, so a
+    loop that never ends stops that test rather than the whole suite."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past its limit of {TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def load_perfbench(name):

@@ -209,7 +209,8 @@ def test_oversized_posets_end_in_one_line(capsys, argv):
      "partition (1,) does not fill the 4096-element poset"),
     ("schur-coeff --poset prod:64x64 --shape x", 2, "bad partition part 'x' (at byte 0)"),
     ("scp --poset prod:52x40 --type 1", 1, "partition (1,) does not fill the 2080-element poset"),
-    ("chain-partition --poset prod:52x40 --type 1", 1, "type (1,) does not cover 2080 elements"),
+    ("chain-partition --poset prod:52x40 --type 1", 1,
+     "partition (1,) does not fill the 2080-element poset"),
     ("schur --poset bool:12", 1, "4096 elements exceeds the expansion limit of 12"),
     ("poset --poset prod:64x64 --lattice", 1, "4096 elements exceeds the lattice-check limit of 256"),
     # Both the spec and a flag are bad: the spec's error wins, as it did

@@ -69,8 +69,26 @@ def test_known_small_counts():
 
 
 def test_size_mismatch():
-    with pytest.raises(DomainError, match=r"^type \(2, 1\) does not cover 4 elements$"):
+    with pytest.raises(DomainError, match=r"^partition \(2, 1\) does not fill the 4-element poset$"):
         ChainPartitionCounter(build_poset(Chain(4))).count((2, 1))
+
+
+@pytest.mark.parametrize("type_", [(5, 2), (5, 4)], ids=["too-small", "too-large"])
+def test_one_size_message_on_every_route(type_):
+    """A type too small or too large for the poset fails with one message
+    whichever entry point counts it: the search, every route choice and
+    the closed form, each before anything else is checked."""
+    poset = build_poset(Product((4, 2)))
+    message = rf"^partition \({type_[0]}, {type_[1]}\) does not fill the 8-element poset$"
+    calls = [
+        lambda: ChainPartitionCounter(poset).count(type_),
+        lambda: ChainPartitionCounter(poset).find(type_),
+        lambda: scp_closed_form(4, 2, type_),
+    ]
+    calls += [lambda m=m: closed_route(poset, type_, m) for m in ("auto", "brute", "closed")]
+    for call in calls:
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 def test_zero_when_part_exceeds_longest_chain():
@@ -286,7 +304,9 @@ def test_closed_form_rejects_bad_input():
         DomainError, match=r"^type \(10, 7, 5, 2\) does not start with the staircase \(10, 8\)$"
     ):
         scp_closed_form(8, 3, (10, 7, 5, 2))
-    with pytest.raises(DomainError, match=r"^type \(10, 8, 4\) does not cover the 8x3 product$"):
+    with pytest.raises(
+        DomainError, match=r"^partition \(10, 8, 4\) does not fill the 24-element poset$"
+    ):
         scp_closed_form(8, 3, (10, 8, 4))
     with pytest.raises(DomainError, match="weakly decreasing"):
         scp_closed_form(8, 3, (10, 8, 2, 4))

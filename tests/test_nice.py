@@ -70,7 +70,7 @@ def test_impossible_types_return_none():
     poset = build_poset(Product((2, 2)))
     assert chain_partition_exists(poset, (4,)) is None  # longest chain is 3
     assert chain_partition_exists(poset, (3, 1)) is not None
-    with pytest.raises(DomainError, match=r"^type \(3, 2\) does not cover 4 elements$"):
+    with pytest.raises(DomainError, match=r"^partition \(3, 2\) does not fill the 4-element poset$"):
         chain_partition_exists(poset, (3, 2))
 
 
