@@ -12,9 +12,9 @@ bad partition text, bad values of --criteria, a negative budget or limit,
 a sweep parameter out of range, another sweep family's flag, a sweep that
 selects nothing), 3 a requested Schur coefficient is negative, 4 a niceness
 query answered "no".
-A reader that closes stdout early (say, ``| head``), and a search that
-recurses past the interpreter's stack limit, end the command with exit 1
-and no traceback.
+A reader that closes stdout early (say, ``| head``), a search that
+recurses past the interpreter's stack limit, and one that runs out of
+memory end the command with exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ from .errors import DomainError, DslParseError
 from .partitions import format_partition, parse_partition, sorted_partition
 from .posets import (
     B3,
+    EXPANSION_LIMIT,
     LATTICE_LIMIT,
     MAX_ELEMENTS,
+    NICENESS_LIMIT,
     Product,
     build_poset,
     check_limit,
@@ -346,11 +348,11 @@ _SWEEPS = {
 
 def _cmd_sweep(args) -> Reply:
     sweep, reads = _SWEEPS[args.family]
-    parser = _command_parser("sweep")
+    defaults = _flags("sweep").defaults
     # Another family's flag would be ignored, so it must keep its default.
     for _, flags in _SWEEPS.values():
         for dest in flags:
-            if dest not in reads and getattr(args, dest) != parser.get_default(dest):
+            if dest not in reads and getattr(args, dest) != defaults[dest]:
                 raise UsageError(f"--{dest.replace('_', '-')} is not a flag of the "
                                  f"{args.family} sweep")
     reply = sweep(args)
@@ -434,116 +436,87 @@ def _check_counts(args) -> None:
             _require_at_least(args, dest, 0)
 
 
-def _poset_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--poset", required=True, help="poset DSL, e.g. prod:8x3 or sum:1+b3:2+2")
-    p.add_argument("--lattice", action="store_true",
-                   help="also check the distributive-lattice laws")
-
-
-def _tabloid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shape", required=True, help='partition, e.g. "10,8,2,2,2"')
-    p.add_argument("--content", default=None, help="keep only tabloids with this content")
-    p.add_argument("--content-prefix", default=None,
-                   help="keep only tabloids whose content starts with this prefix")
-
-
-def _scp_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--poset", required=True)
-    p.add_argument("--type", required=True, help='partition, e.g. "2,1,1"')
-    p.add_argument("--method", choices=("auto", "brute", "closed"), default="auto")
-    p.add_argument("--node-budget", type=_integer, default=None,
-                   help="search at most this many nodes (the closed form ignores it)")
-
-
-def _schur_args(p: argparse.ArgumentParser) -> None:
-    from .schur import EXPANSION_LIMIT
-
-    p.add_argument("--poset", required=True)
-    p.add_argument("--max-elements", type=_integer, default=EXPANSION_LIMIT)
-
-
-def _schur_coeff_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--poset", required=True)
-    p.add_argument("--shape", required=True)
-    p.add_argument("--method", choices=("auto", "tabloid_brute", "tabloid_closed"),
-                   default="auto")
-    p.add_argument("--node-budget", type=_integer, default=None,
-                   help="search at most this many nodes (the closed form ignores it)")
-
-
-def _nice_args(p: argparse.ArgumentParser) -> None:
-    from .nice import NICENESS_LIMIT
-
-    p.add_argument("--poset", required=True)
-    p.add_argument("--witness", action="store_true", help="include the witness certificate")
-    p.add_argument("--all-types", action="store_true", help="list all achievable types")
-    p.add_argument("--max-elements", type=_integer, default=NICENESS_LIMIT)
-    p.add_argument("--node-budget", type=_integer, default=None)
-
-
-def _chain_partition_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--poset", required=True)
-    p.add_argument("--type", required=True)
-    p.add_argument("--node-budget", type=_integer, default=None)
-
-
-def _theorem41_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--k", type=_integer, required=True)
-
-
-def _sweep_args(p: argparse.ArgumentParser) -> None:
-    from .nice import NICENESS_LIMIT
-
-    p.add_argument("--family", required=True, choices=tuple(_SWEEPS))
-    p.add_argument("--m-min", type=_integer, default=8)
-    p.add_argument("--m-max", type=_integer, default=12)
-    p.add_argument("--j", type=_integer, default=4,
-                   help="shape family (m+1, m-2j, 2^a, 1^b), b = 2j-2a-1")
-    p.add_argument("--a", type=_integer, default=3)
-    p.add_argument("--n-min", type=_integer, default=1)
-    p.add_argument("--n-max", type=_integer, default=4)
-    p.add_argument("--max-product", type=_integer, default=12)
-    p.add_argument("--max-elements", type=_integer, default=NICENESS_LIMIT)
-    p.add_argument("--node-budget", type=_integer, default=None)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--criteria", default=None, help='subset, e.g. "1,2,5"')
+_JSON = ("--json", {"action": "store_true", "help": "emit a JSON envelope"})
+_POSET = ("--poset", {"required": True})
+_NODE_BUDGET = ("--node-budget", {"type": _integer, "default": None})
+_CLOSED_BUDGET = ("--node-budget", {
+    "type": _integer, "default": None,
+    "help": "search at most this many nodes (the closed form ignores it)",
+})
 
 
 class _Command(NamedTuple):
-    """A subcommand: its help line in the top-level listing, the function
-    that adds its flags (``--json`` aside), and its handler."""
+    """A subcommand: its help line in the top-level listing, its flags as
+    ``(option, add_argument keywords)`` pairs in help order (``--json``,
+    which every subcommand takes, aside), and its handler."""
 
     help: str
-    arguments: Callable[[argparse.ArgumentParser], None]
+    flags: tuple[tuple[str, dict], ...]
     run: Callable[[argparse.Namespace], Reply]
 
 
 _COMMANDS = {
-    "poset": _Command("build a poset from its DSL and describe it", _poset_args, _cmd_poset),
-    "tabloid": _Command("enumerate special rim hook tabloids of a shape",
-                        _tabloid_args, _cmd_tabloid),
-    "scp": _Command("count semi-ordered chain partitions of a type", _scp_args, _cmd_scp),
-    "schur": _Command("full Schur expansion (exit 3 if any coefficient < 0)",
-                      _schur_args, _cmd_schur),
-    "schur-coeff": _Command("one Schur coefficient (exit 3 if negative)",
-                            _schur_coeff_args, _cmd_schur_coeff),
-    "nice": _Command("decide the nice property (exit 4 if not nice)", _nice_args, _cmd_nice),
-    "chain-partition": _Command("find a chain partition of a type (exit 4 if none exists)",
-                                _chain_partition_args, _cmd_chain_partition),
+    "poset": _Command("build a poset from its DSL and describe it", (
+        ("--poset", {"required": True, "help": "poset DSL, e.g. prod:8x3 or sum:1+b3:2+2"}),
+        ("--lattice", {"action": "store_true",
+                       "help": "also check the distributive-lattice laws"}),
+    ), _cmd_poset),
+    "tabloid": _Command("enumerate special rim hook tabloids of a shape", (
+        ("--shape", {"required": True, "help": 'partition, e.g. "10,8,2,2,2"'}),
+        ("--content", {"default": None, "help": "keep only tabloids with this content"}),
+        ("--content-prefix", {"default": None,
+                              "help": "keep only tabloids whose content starts with this prefix"}),
+    ), _cmd_tabloid),
+    "scp": _Command("count semi-ordered chain partitions of a type", (
+        _POSET,
+        ("--type", {"required": True, "help": 'partition, e.g. "2,1,1"'}),
+        ("--method", {"choices": ("auto", "brute", "closed"), "default": "auto"}),
+        _CLOSED_BUDGET,
+    ), _cmd_scp),
+    "schur": _Command("full Schur expansion (exit 3 if any coefficient < 0)", (
+        _POSET,
+        ("--max-elements", {"type": _integer, "default": EXPANSION_LIMIT}),
+    ), _cmd_schur),
+    "schur-coeff": _Command("one Schur coefficient (exit 3 if negative)", (
+        _POSET,
+        ("--shape", {"required": True}),
+        ("--method", {"choices": ("auto", "tabloid_brute", "tabloid_closed"), "default": "auto"}),
+        _CLOSED_BUDGET,
+    ), _cmd_schur_coeff),
+    "nice": _Command("decide the nice property (exit 4 if not nice)", (
+        _POSET,
+        ("--witness", {"action": "store_true", "help": "include the witness certificate"}),
+        ("--all-types", {"action": "store_true", "help": "list all achievable types"}),
+        ("--max-elements", {"type": _integer, "default": NICENESS_LIMIT}),
+        _NODE_BUDGET,
+    ), _cmd_nice),
+    "chain-partition": _Command("find a chain partition of a type (exit 4 if none exists)", (
+        _POSET,
+        ("--type", {"required": True}),
+        _NODE_BUDGET,
+    ), _cmd_chain_partition),
     "theorem41": _Command("closed-form coefficient of the distinguished shape in "
-                          "the (n+k) x n product (exit 3 if negative)",
-                          _theorem41_args, _cmd_theorem41),
-    "sweep": _Command("run a family of sign or niceness checks", _sweep_args, _cmd_sweep),
-    "verify": _Command("run the reproduction suite", _verify_args, _cmd_verify),
+                          "the (n+k) x n product (exit 3 if negative)", (
+        ("--n", {"type": _integer, "required": True}),
+        ("--k", {"type": _integer, "required": True}),
+    ), _cmd_theorem41),
+    "sweep": _Command("run a family of sign or niceness checks", (
+        ("--family", {"required": True, "choices": tuple(_SWEEPS)}),
+        ("--m-min", {"type": _integer, "default": 8}),
+        ("--m-max", {"type": _integer, "default": 12}),
+        ("--j", {"type": _integer, "default": 4,
+                 "help": "shape family (m+1, m-2j, 2^a, 1^b), b = 2j-2a-1"}),
+        ("--a", {"type": _integer, "default": 3}),
+        ("--n-min", {"type": _integer, "default": 1}),
+        ("--n-max", {"type": _integer, "default": 4}),
+        ("--max-product", {"type": _integer, "default": 12}),
+        ("--max-elements", {"type": _integer, "default": NICENESS_LIMIT}),
+        _NODE_BUDGET,
+    ), _cmd_sweep),
+    "verify": _Command("run the reproduction suite", (
+        ("--criteria", {"default": None, "help": 'subset, e.g. "1,2,5"'}),
+    ), _cmd_verify),
 }
-
-
-def _add_arguments(p: argparse.ArgumentParser, command: _Command) -> None:
-    command.arguments(p)
-    p.add_argument("--json", action="store_true", help="emit a JSON envelope")
 
 
 @functools.cache
@@ -559,55 +532,69 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=command.help), command)
+        p = sub.add_parser(name, help=command.help)
+        for option, keywords in (*command.flags, _JSON):
+            p.add_argument(option, **keywords)
     return parser
+
+
+class _Flags(NamedTuple):
+    """One subcommand's flags as ``_plain_flags`` reads them: by option,
+    its dest, the function that converts its value (None for a switch) and
+    its choices (None for any); and by dest, the default of every flag that
+    is not required."""
+
+    options: dict[str, tuple[str, Callable[[str], object] | None, tuple | None]]
+    defaults: dict[str, object]
 
 
 @functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """One subcommand's flags alone, built once per process: the table of
-    actions ``_plain_flags`` reads, under the tree's prog for that name."""
-    parser = argparse.ArgumentParser(prog=f"chromaposet {name}")
-    _add_arguments(parser, _COMMANDS[name])
-    return parser
+def _flags(name: str) -> _Flags:
+    """``_COMMANDS[name]``'s flags, read once per process."""
+    options, defaults = {}, {}
+    for option, keywords in (*_COMMANDS[name].flags, _JSON):
+        dest = option[2:].replace("-", "_")
+        switch = keywords.get("action") == "store_true"
+        options[option] = (dest, None if switch else keywords.get("type", str),
+                           keywords.get("choices"))
+        if not keywords.get("required"):
+            defaults[dest] = keywords.get("default", False if switch else None)
+    return _Flags(options, defaults)
 
 
 def _plain_flags(name: str, words: list[str]) -> argparse.Namespace | None:
-    """What ``_command_parser(name)`` makes of ``words`` when they are only
-    its flags spelled in full, each valued flag followed by a word that does
-    not start with "-", every value valid and every required flag given;
-    None otherwise.  This reads the usual call without argparse's matching,
-    which is most of the cost of parsing; argparse answers everything else
-    (help, abbreviations, "--flag=value", values that look like flags,
-    errors)."""
-    parser = _command_parser(name)
-    args = argparse.Namespace()
-    for action in parser._actions:
-        if action.default is not argparse.SUPPRESS:
-            setattr(args, action.dest, action.default)
-    seen = set()
+    """What subcommand ``name``'s parser makes of ``words`` when they are
+    only its flags spelled in full, each valued flag followed by a word
+    that does not start with "-", every value valid and every required flag
+    given; None otherwise.  This reads the usual call without argparse's
+    matching, which is most of the cost of parsing; argparse answers
+    everything else (help, abbreviations, "--flag=value", values that look
+    like flags, errors)."""
+    options, defaults = _flags(name)
+    values = dict(defaults)
     rest = iter(words)
     for word in rest:
-        action = parser._option_string_actions.get(word)
-        if isinstance(action, argparse._StoreTrueAction):
+        flag = options.get(word)
+        if flag is None:
+            return None
+        dest, convert, choices = flag
+        if convert is None:
             value = True
-        elif isinstance(action, argparse._StoreAction) and action.nargs is None:
+        else:
             value = next(rest, "-")
             if value.startswith("-"):
                 return None
             try:
-                value = value if action.type is None else action.type(value)
+                value = convert(value)
             except (argparse.ArgumentTypeError, TypeError, ValueError):
                 return None
-            if action.choices is not None and value not in action.choices:
+            if choices is not None and value not in choices:
                 return None
-        else:
-            return None
-        setattr(args, action.dest, value)
-        seen.add(action)
-    if any(action.required and action not in seen for action in parser._actions):
+        values[dest] = value
+    # Each flag has its own dest, and only a required one has no default.
+    if len(values) < len(options):
         return None
-    return args
+    return argparse.Namespace(**values)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -668,6 +655,13 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_DOMAIN
+    except MemoryError:
+        # A search's memo or a sum's table outgrew the memory there is.  The
+        # error holds the frames that hold the memo, so it is reported only
+        # once this block has let them go.
+        pass
+    print(f"error: {args.command} ran out of memory on this input", file=sys.stderr)
+    return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -30,11 +30,7 @@ from dataclasses import dataclass, field
 from .counting import ChainPartitionCounter, staircase_type
 from .errors import DomainError, InternalInvariantError
 from .partitions import Partition, as_partition, dominance_leq, partitions_of
-from .posets import Poset, Product, build_poset, check_limit, OrdinalSum, iter_bits
-
-
-# Largest poset ``is_nice`` takes unless told otherwise.
-NICENESS_LIMIT = 20
+from .posets import NICENESS_LIMIT, Poset, Product, build_poset, check_limit, OrdinalSum, iter_bits
 
 
 @dataclass(frozen=True)

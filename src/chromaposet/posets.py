@@ -33,6 +33,10 @@ MAX_SUM_DEPTH = 100
 # 7.7, 8.6 and 33 s for bool:12, prod:64x64 and chain:4096; CPython 3.11 on
 # a 2-core Xeon).
 LATTICE_LIMIT = 256
+# The largest posets ``nice.is_nice`` and ``schur.schur_expansion`` take
+# unless told otherwise; the CLI's --max-elements defaults.
+NICENESS_LIMIT = 20
+EXPANSION_LIMIT = 12
 
 
 def iter_bits(mask: int):

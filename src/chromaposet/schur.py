@@ -55,12 +55,8 @@ from .partitions import (
     partitions_of,
     rearrangement_count,
 )
-from .posets import Graph, Poset, check_limit, iter_bits
+from .posets import EXPANSION_LIMIT, Graph, Poset, check_limit, iter_bits
 from .rimhooks import _signed_tables, kostka_number
-
-
-# Largest poset ``schur_expansion`` takes unless told otherwise.
-EXPANSION_LIMIT = 12
 
 
 def schur_at_ones(lam, colors: int) -> int:

@@ -261,6 +261,17 @@ def test_searches_past_the_stack_limit_end_in_one_line(capsys, argv):
     assert err == f"error: {command} recursed past Python's limit of {limit} frames on this input\n"
 
 
+def test_running_out_of_memory_ends_in_one_line(capsys, monkeypatch):
+    # A search's memo can outgrow memory before any budget stops it.
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "theorem41", cli._COMMANDS["theorem41"]._replace(run=exhaust))
+    assert run(capsys, "theorem41", "--n", "2", "--k", "5") == (
+        1, "", "error: theorem41 ran out of memory on this input\n"
+    )
+
+
 def test_long_posets_describe_without_recursion(capsys):
     """Width and longest chain of a 1,008-element poset: neither the levels
     nor the chain shape recurse."""
@@ -324,11 +335,12 @@ def test_criteria_take_ascii_digits_only(capsys, text):
 
 
 def test_parser_is_built_once_and_leaks_nothing(capsys):
-    """The parsers are shared across calls; flags given to one call must not
-    become the defaults of the next, whatever its subcommand."""
+    """The parser and the flag tables are shared across calls; flags given
+    to one call must not become the defaults of the next, whatever its
+    subcommand."""
     assert build_parser() is build_parser()
     for name in _subcommands():
-        assert cli._command_parser(name) is cli._command_parser(name)
+        assert cli._flags(name) is cli._flags(name)
     code, env, _ = run_json(
         capsys, "nice", "--poset", "prod:2x2", "--witness", "--all-types",
         "--max-elements", "9", "--node-budget", "1000",
@@ -350,15 +362,10 @@ def test_parser_is_built_once_and_leaks_nothing(capsys):
         "max_elements": 20, "node_budget": None,
     }
     assert "witness" not in env["result"] and "achieved_types" not in env["result"]
-    # Each subcommand's own parser keeps the defaults of the tree's.
+    # Each subcommand's flag table keeps the tree's defaults.
     for name, parser in _subcommands().items():
-        defaults = [(a.dest, a.default) for a in parser._actions]
-        assert [(a.dest, a.default) for a in cli._command_parser(name)._actions] == defaults
-
-
-def test_each_subcommand_parser_matches_the_tree():
-    for name, parser in _subcommands().items():
-        assert cli._command_parser(name).format_help() == parser.format_help(), name
+        defaults = {a.dest: a.default for a in parser._actions if a.dest != "help" and not a.required}
+        assert cli._flags(name).defaults == defaults
 
 
 # Argument lists that exercise argparse rather than the library: help,
@@ -430,7 +437,7 @@ def test_plain_flags_read_as_argparse_reads_them(argv):
     name, *words = argv.split()
     args = cli._plain_flags(name, words)
     assert args is not None
-    assert vars(args) == vars(cli._command_parser(name).parse_args(words))
+    assert vars(args) == vars(_subcommands()[name].parse_args(words))
 
 
 @pytest.mark.parametrize("argv", [
@@ -445,13 +452,13 @@ def test_anything_but_plain_flags_is_left_to_argparse(argv):
 
 
 def test_plain_calls_skip_argparse_matching(capsys, monkeypatch):
-    """The usual call is read without argparse's matching, which is most
-    of what parsing costs a short query."""
-    cli._command_parser("schur")
-
+    """The usual call is read without building an argparse parser or
+    running its matching, which are most of what parsing costs a short
+    query."""
     def refuse(*args, **kwargs):
-        raise AssertionError("argparse matched a plain call")
+        raise AssertionError("argparse read a plain call")
 
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
     code, out, err = run(capsys, "schur", "--poset", "prod:2x2", "--max-elements", "16")
     assert (code, err) == (0, "") and out.startswith("s[3,1] 2\n")
@@ -647,12 +654,15 @@ def test_closed_stdout_leaves_no_traceback():
     ("schur-coeff --poset prod:7x2 --shape 8,4,1,1", "counting rimhooks schur"),
     ("tabloid --shape 3,2", "rimhooks"),
     ("verify --criteria 1", "counting nice rimhooks schur verification"),
+    ("sweep --family two_chain_negativity --m-max 8", "counting rimhooks schur"),
+    ("nice -h", ""),
 ])
 def test_a_command_loads_only_its_modules(argv, modules):
     """Beyond the parsing it shares (cli, errors, partitions, posets), a
-    command imports only the modules it runs."""
+    command imports only the modules it runs, and help imports none."""
     code = (
-        "import sys; from chromaposet import cli; cli.main(sys.argv[1:]); "
+        "import contextlib, sys\nfrom chromaposet import cli\n"
+        "with contextlib.suppress(SystemExit):\n    cli.main(sys.argv[1:])\n"
         "print(*sorted(m for m in sys.modules if m.startswith('chromaposet.')))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(chromaposet.__file__).resolve().parents[1]))

@@ -147,6 +147,23 @@ def test_no_assert_in_the_package():
     assert not found, f"assert in library code: {found}"
 
 
+def test_no_module_reads_argparse_internals():
+    """The CLI reads its flags from its own table, so no module names a
+    private part of argparse: a ``_`` name of the module, or a parser's
+    ``_actions`` or ``_option_string_actions``."""
+    found = []
+    for path in sorted(Path(chromaposet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and (
+                node.attr in ("_actions", "_option_string_actions")
+                or node.attr.startswith("_") and ast.unparse(node.value) == "argparse"
+            ):
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not found, f"argparse internals read: {found}"
+
+
 def test_one_exception_type_per_exit_code():
     """``errors.py`` defines the three exception types: ``DomainError``
     (exit 1), ``DslParseError`` (exit 2) and ``InternalInvariantError`` (a
