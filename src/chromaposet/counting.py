@@ -31,13 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalInvariantError
-from .partitions import (
-    Partition,
-    PartitionIds,
-    as_partition,
-    multiplicity_profile,
-    symmetry_factor,
-)
+from .partitions import Partition, PartitionIds, as_partition, symmetry_factor
 from .posets import Graph, Poset, chain_lengths
 
 
@@ -421,10 +415,7 @@ def scp_closed_form(m: int, n: int, type_) -> int:
                 grown[key] = grown.get(key, 0) + weight * step
         states = grown
     total = sum(states.values()) * math.factorial(n - 1)
-    denom = 1
-    for k, alpha in multiplicity_profile(tail):
-        denom *= math.factorial(k) ** alpha
-    return _exact(total, denom)
+    return _exact(total, math.prod(map(math.factorial, tail)))
 
 
 # ---------------------------------------------------------------------------

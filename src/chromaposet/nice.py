@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .counting import ChainPartitionCounter, staircase_type
 from .errors import DomainError, InternalInvariantError
-from .partitions import Partition, as_partition, dominance_leq, partitions_of
+from .partitions import Partition, _heads, as_partition, dominance_leq, partitions_of
 from .posets import NICENESS_LIMIT, Poset, Product, build_poset, check_limit, OrdinalSum, iter_bits
 
 
@@ -279,35 +279,22 @@ def _open_types(n: int, shape: Partition) -> Iterator[Partition]:
     sum of its two smallest parts: merging those two keeps the first w-1
     parts, so the merge lies inside the shape and comes earlier in the scan.
 
-    The first w-1 parts follow each other as in ``partitions_of``; only
-    they are capped, since the shape's w-th prefix sum is n.  With a the
-    last of them and r left, the open completions are (r,) when r <= a, and
-    otherwise those whose parts before the last exceed a/2 and whose last
-    two sum past a (``_completions``); for a <= 2 that is the one made of
-    parts a and at most one 1."""
-    w = max(len(shape), 2)
-    parts, total, part = [], 0, n
-    while True:
-        while total < n and len(parts) < w - 1:
-            part = min(part, shape[len(parts)] - total)
-            parts.append(part)
-            total += part
-        head, rest = tuple(parts), n - total
-        if rest <= part:
+    The first w-1 parts are the heads of ``partitions._heads``, the walk
+    that ``partitions_of`` runs; only they are capped, since the shape's
+    w-th prefix sum is n.  With a the last of them and r left, the open
+    completions are (r,) when r <= a, and otherwise those whose parts
+    before the last exceed a/2 and whose last two sum past a
+    (``_completions``); for a <= 2 that is the one made of parts a and at
+    most one 1.  The head of n = 0 is empty, and so is its one type."""
+    for head in _heads(n, shape, max(len(shape), 2) - 1):
+        a, rest = head[-1] if head else 0, n - sum(head)
+        if rest <= a:
             yield head + (rest,) if rest else head
-        elif part <= 2:
-            yield head + (part,) * (rest // part) + (1,) * (rest % part)
+        elif a <= 2:
+            yield head + (a,) * (rest // a) + (1,) * (rest % a)
         else:
-            for tail in _completions(rest, part, part):
+            for tail in _completions(rest, a, a):
                 yield head + tail
-        while parts and parts[-1] == 1:
-            parts.pop()
-            total -= 1
-        if not parts:
-            return
-        parts[-1] -= 1
-        part = parts[-1]
-        total -= 1
 
 
 def _completions(rest: int, prev: int, a: int) -> list[Partition]:

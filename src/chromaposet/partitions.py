@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import DomainError, DslParseError
@@ -85,23 +85,32 @@ def partitions_of(n: int, bound: Sequence[int] = ()) -> Iterator[Partition]:
     """All partitions of ``n`` whose k-th prefix sum is at most
     ``bound[k-1]``, in descending lexicographic order; parts past the end
     of ``bound`` are not capped.  ``(m,)`` caps every part at m, and a
-    poset's chain shape admits exactly the types inside it.
-
-    Each partition follows from the one before: lower its rightmost part
-    above 1 by one and refill the rest greedily, each part as large as the
-    one before it, the remainder and the bound allow.  Since ``bound``
-    strictly increases, a part of 1 fits wherever the prefix before it
-    does, so every refill completes; a first bound below 1 admits no
-    partition of a positive ``n``."""
+    poset's chain shape admits exactly the types inside it.  A negative
+    ``n`` or a bound that does not strictly increase raises here, at the
+    call, before any partition is asked for."""
     if n < 0:
         raise DomainError("cannot partition a negative integer")
     if any(a >= b for a, b in zip(bound, bound[1:])):
         raise DomainError(f"prefix-sum bound must strictly increase, got {tuple(bound)}")
-    caps = [min(b, n) for b in bound] + [n] * n
+    return _heads(n, [min(b, n) for b in bound] + [n] * n, n)
+
+
+def _heads(n: int, caps: Sequence[int], length: int) -> Iterator[Partition]:
+    """The first ``length`` parts of every partition of ``n`` whose k-th
+    prefix sum is at most ``caps[k-1]``, each head once, in descending
+    lexicographic order; a head stops early when it reaches ``n``.  With
+    ``length`` = n the heads are the partitions themselves.
+
+    Each head follows from the one before: lower its rightmost part above 1
+    by one and refill the rest greedily, each part as large as the one
+    before it, the remainder and the caps allow.  When the caps strictly
+    increase, a part of 1 fits wherever the prefix before it does, so every
+    refill completes; a first cap below 1 admits no head of a positive
+    ``n``."""
     parts: list[int] = []
     total, part = 0, n
     while True:
-        while total < n:
+        while total < n and len(parts) < length:
             cap = caps[len(parts)] - total
             if cap < part:
                 part = cap
@@ -120,25 +129,10 @@ def partitions_of(n: int, bound: Sequence[int] = ()) -> Iterator[Partition]:
         total -= 1
 
 
-def multiplicity_profile(lam: Partition) -> tuple[tuple[int, int], ...]:
-    """Part sizes with multiplicities, ascending by size: ((k, alpha_k), ...)."""
-    lam = as_partition(lam)
-    pairs: list[tuple[int, int]] = []
-    for part in sorted(lam):
-        if pairs and pairs[-1][0] == part:
-            pairs[-1] = (part, pairs[-1][1] + 1)
-        else:
-            pairs.append((part, 1))
-    return tuple(pairs)
-
-
 def symmetry_factor(lam: Partition) -> int:
     """Product of ``alpha_k!`` over the multiplicities of ``lam``; the number
     of orderings of equal-size blocks."""
-    out = 1
-    for _, count in multiplicity_profile(lam):
-        out *= math.factorial(count)
-    return out
+    return math.prod(map(math.factorial, Counter(lam).values()))
 
 
 def rearrangement_count(lam: Partition, length: int) -> int:

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import factorial, prod
 
 import pytest
@@ -16,12 +17,7 @@ from chromaposet.counting import (
 )
 from chromaposet.errors import DomainError
 from chromaposet.nice import ChainPartitionSearcher, chain_partition_exists
-from chromaposet.partitions import (
-    PartitionIds,
-    multiplicity_profile,
-    partitions_of,
-    symmetry_factor,
-)
+from chromaposet.partitions import PartitionIds, partitions_of, symmetry_factor
 from chromaposet.posets import (
     B3,
     Boolean,
@@ -341,7 +337,8 @@ def literal_closed_form(m, n, type_):
     multinomial; thread j then contributes (its load)!.  Scaled by (n-1)!
     and divided by the product of k!^alpha_k."""
     assert sum(type_) == m * n and type_[: n - 1] == staircase_type(m, n)[:-1]
-    profile = multiplicity_profile(type_[n - 1 :])
+    # The tail's part sizes with their multiplicities, ((k, alpha_k), ...).
+    profile = sorted(Counter(type_[n - 1 :]).items())
     total = 0
     splits = [weak_compositions(alpha, n) for _, alpha in profile]
     for combo in itertools.product(*splits):
