@@ -569,46 +569,38 @@ def _expect(text: str, pos: int, token: str) -> int:
     return pos + len(token)
 
 
-def _parse_spec(text: str, pos: int, depth: int = 0) -> tuple[PosetSpec, int]:
-    """The spec starting at ``pos`` inside ``depth`` enclosing ordinal sums."""
-    for head in ("chain", "prod", "bool", "b3", "sum"):
+def parse_poset_spec(text: str) -> PosetSpec:
+    """Parse the whitespace-free poset DSL in one pass: up to
+    MAX_SUM_DEPTH ``sum:p+`` heads, one base spec, then one ``+q`` per
+    head, innermost first.  Syntax errors carry the byte offset, while
+    semantically invalid parameters (e.g. ``chain:0``) raise plain
+    :class:`DomainError` as soon as the base spec is read."""
+    heads = []
+    pos = 0
+    while text.startswith("sum:", pos):
+        if len(heads) == MAX_SUM_DEPTH:
+            raise DslParseError(f"ordinal sums nested more than {MAX_SUM_DEPTH} deep", pos)
+        p, pos = _parse_int(text, pos + len("sum:"))
+        heads.append(p)
+        pos = _expect(text, pos, "+")
+    for head in ("chain", "prod", "bool", "b3"):
         if text.startswith(head + ":", pos):
             break
     else:
         raise DslParseError("expected chain:, prod:, bool:, b3:, or sum:", pos)
-    if head == "sum" and depth == MAX_SUM_DEPTH:
-        raise DslParseError(f"ordinal sums nested more than {MAX_SUM_DEPTH} deep", pos)
-    pos += len(head) + 1
-    if head == "chain":
-        n, pos = _parse_int(text, pos)
-        return Chain(n), pos
-    if head == "bool":
-        r, pos = _parse_int(text, pos)
-        return Boolean(r), pos
-    if head == "b3":
-        n, pos = _parse_int(text, pos)
-        return B3(n), pos
+    n, pos = _parse_int(text, pos + len(head) + 1)
     if head == "prod":
-        lengths = []
-        n, pos = _parse_int(text, pos)
-        lengths.append(n)
-        while pos < len(text) and text[pos] == "x":
+        lengths = [n]
+        while text.startswith("x", pos):
             n, pos = _parse_int(text, pos + 1)
             lengths.append(n)
-        return Product(tuple(lengths)), pos
-    p, pos = _parse_int(text, pos)
-    pos = _expect(text, pos, "+")
-    inner, pos = _parse_spec(text, pos, depth + 1)
-    pos = _expect(text, pos, "+")
-    q, pos = _parse_int(text, pos)
-    return OrdinalSum(p, inner, q), pos
-
-
-def parse_poset_spec(text: str) -> PosetSpec:
-    """Parse the whitespace-free poset DSL; syntax errors carry the byte
-    offset, while semantically invalid parameters (e.g. ``chain:0``) raise
-    plain :class:`DomainError`."""
-    spec, pos = _parse_spec(text, 0)
+        spec = Product(tuple(lengths))
+    else:
+        spec = {"chain": Chain, "bool": Boolean, "b3": B3}[head](n)
+    for p in reversed(heads):
+        pos = _expect(text, pos, "+")
+        q, pos = _parse_int(text, pos)
+        spec = OrdinalSum(p, spec, q)
     if pos != len(text):
         raise DslParseError("unexpected trailing text", pos)
     return spec

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import DomainError
 from .partitions import Partition, PartitionIds, as_partition, dominance_leq, sorted_partition
@@ -280,49 +279,29 @@ def inverse_kostka(lam, mu) -> int:
 
 
 def kostka_number(lam, mu) -> int:
-    """Count of semistandard tableaux of shape lam and content mu, built as a
-    chain of horizontal-strip additions."""
+    """Count of semistandard tableaux of shape lam and content mu: the ways
+    to grow lam from the empty shape by one horizontal strip of mu_i cells
+    per part.  A strip fills the rows bottom-up, so row j - 1 still has
+    its old length when row j grows: row j runs from its old length to
+    min(lam_j, old row j - 1 (lam_1 for j = 0), old row j + the cells the
+    strip has left), and the strip must use all of its cells."""
     lam = as_partition(lam)
     mu = as_partition(mu)
     if sum(lam) != sum(mu):
         raise DomainError(f"{lam} and {mu} have different sizes")
-    if sum(lam) == 0:
-        return 1
-
-    @cache
-    def grow(cur: Partition, i: int) -> int:
-        if i == len(mu):
-            return 1 if cur == lam else 0
-        return sum(grow(nxt, i + 1) for nxt in _strip_extensions(cur, mu[i], lam))
-
-    return grow((), 0)
-
-
-def _strip_extensions(cur: Partition, k: int, bound: Partition):
-    """Partitions inside ``bound`` obtained from ``cur`` by adding a
-    horizontal strip of k cells (at most one new cell per column)."""
-    out: list[Partition] = []
-    row_caps = []
-    for j in range(len(bound)):
-        base = cur[j] if j < len(cur) else 0
-        cap = bound[j]
-        if j:
-            cap = min(cap, cur[j - 1] if j - 1 < len(cur) else 0)
-        row_caps.append((base, cap))
-
-    def rec(j: int, rem: int, acc: list[int]):
-        if rem == 0:
-            rest = [base for base, _ in row_caps[j:]]
-            out.append(tuple(x for x in acc + rest if x))
-            return
-        if j == len(row_caps):
-            return
-        base, cap = row_caps[j]
-        for v in range(base, min(cap, base + rem) + 1):
-            rec(j + 1, rem - (v - base), acc + [v])
-
-    rec(0, k, [])
-    return out
+    ways = {(0,) * len(lam): 1}
+    for k in mu:
+        strips = {(rows, k): count for rows, count in ways.items()}
+        for j in reversed(range(len(lam))):
+            grown: dict[tuple[tuple[int, ...], int], int] = {}
+            for (rows, left), count in strips.items():
+                old = rows[j]
+                for new in range(old, min(lam[j], rows[j - 1] if j else lam[0], old + left) + 1):
+                    key = (rows[:j] + (new,) + rows[j + 1 :], left - new + old)
+                    grown[key] = grown.get(key, 0) + count
+            strips = grown
+        ways = {rows: count for (rows, left), count in strips.items() if not left}
+    return ways.get(lam, 0)
 
 
 def render_tabloid(tabloid: SpecialRimHookTabloid) -> str:

@@ -87,6 +87,17 @@ def test_one_size_message_on_every_route(type_):
             call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: StablePartitionCounter(incomparability_graph(build_poset(Chain(3)))).count((2,)),
+     "type (2,) does not cover 3 vertices"),
+    (lambda: closed_route(build_poset(Chain(3)), (3,), "fast"), "unknown method 'fast'"),
+], ids=("stable-size", "route-method"))
+def test_refusals_raise_pinned_messages(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_zero_when_part_exceeds_longest_chain():
     p = build_poset(Product((2, 2)))
     assert ChainPartitionCounter(p).count((4,)) == 0

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,12 +13,16 @@ from chromaposet.partitions import partitions_of
 from chromaposet.errors import DomainError, DslParseError
 from chromaposet.posets import (
     B3,
+    MAX_SUM_DEPTH,
     Boolean,
     Chain,
+    Graph,
     OrdinalSum,
     Poset,
+    PosetSpec,
     Product,
     build_poset,
+    check_size,
     incomparability_graph,
     iter_bits,
     parse_poset_spec,
@@ -343,6 +348,44 @@ def test_dsl_parse_errors_carry_offsets():
     with pytest.raises(DomainError, match=r"^chain length must be >= 1, got 0$") as exc2:
         parse_poset_spec("chain:0")
     assert not isinstance(exc2.value, DslParseError)
+
+
+def test_the_dsl_reader_does_not_recurse():
+    """The deepest nesting parses with only 20 frames to spare, where a
+    reader recursing once per ordinal sum would need 100."""
+    text = "sum:1+" * MAX_SUM_DEPTH + "chain:2" + "+1" * MAX_SUM_DEPTH
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        spec = parse_poset_spec(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    # walk the nesting: == and dsl() on the spec recurse
+    for _ in range(MAX_SUM_DEPTH):
+        assert (type(spec), spec.p, spec.q) == (OrdinalSum, 1, 1)
+        spec = spec.inner
+    assert spec == Chain(2)
+
+
+UNKNOWN_SPEC = PosetSpec()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Graph(("a", "b"), (0b10,)), "one adjacency mask per vertex required"),
+    (lambda: Graph(("a", "b"), (0b10, 0b11)), "self-loop at b"),
+    (lambda: Graph(("a", "b"), (0b10, 0b00)), "adjacency not symmetric"),
+    # a neighbour past the last vertex
+    (lambda: Graph(("a",), (0b10,)), "adjacency not symmetric"),
+    (lambda: OrdinalSum(1, "chain:2", 1), "ordinal-sum inner part must be a poset spec"),
+    (lambda: check_size(UNKNOWN_SPEC), f"unknown poset spec {UNKNOWN_SPEC!r}"),
+], ids=("graph-masks", "graph-loop", "graph-symmetry", "graph-range", "sum-inner", "unknown-spec"))
+def test_refusals_raise_pinned_messages(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_element_cap_is_checked_before_building(monkeypatch):

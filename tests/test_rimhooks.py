@@ -168,6 +168,24 @@ def test_validate_rejects_a_repeated_cell():
         bad.validate()
 
 
+# Peeling the first hook leaves rows of 1 and 2 cells, left-justified and
+# without a gap; only the peel-order check rejects it.
+_UPWARD_PEEL = (((1, 2), (1, 3), (2, 3), (3, 1), (3, 2), (3, 3)), ((1, 1), (2, 1), (2, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kostka_number((2, 1), (2,)), "(2, 1) and (2,) have different sizes"),
+    (lambda: SpecialRimHookTabloid((2, 1), (((2, 1),), ((2, 1), (1, 1), (1, 2)))).validate(),
+     "hooks overlap"),
+    (lambda: SpecialRimHookTabloid((3, 3, 3), _UPWARD_PEEL).validate(),
+     "peeling does not leave a Ferrers shape"),
+], ids=("kostka-size", "overlap", "peel-order"))
+def test_refusals_raise_pinned_messages(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_content_dominates_shape():
     for n in range(1, 9):
         for shape in partitions_of(n):
@@ -283,6 +301,7 @@ def test_signed_contents_prefix_outside_every_content():
 
 
 def test_kostka_values():
+    assert kostka_number((), ()) == 1
     assert kostka_number((2, 1), (1, 1, 1)) == 2
     assert kostka_number((2, 2), (2, 1, 1)) == 1
     assert kostka_number((3, 1), (2, 2)) == 1
