@@ -138,7 +138,9 @@ class Poset:
     the bitmask of j <= i, ``comp[i]`` their union, and ``covers[i]`` the
     bitmask of elements covering i.  The order relation is validated at
     construction.  Heights come from ``levels()`` and the width from
-    ``chain_shape()``.
+    ``chain_shape()``: its bound, the sum over the levels of
+    min(|level|, k), is the shape when k chains removed one by one reach
+    it for every k, and a min-cost flow runs only when they fall short.
     """
 
     __slots__ = (
@@ -254,23 +256,55 @@ class Poset:
         elements that k disjoint chains cover.  c_1 is the longest chain,
         the length w is the width, and c_w is the size of the poset.
 
-        A min-cost flow on the cover graph with each element split into an
-        in and an out node, joined by a "use" arc (capacity 1, cost -1) and
-        a "pass" arc (unbounded, cost 0); the source feeds every in node and
-        every out node drains to the sink.  A unit of flow follows a chain
-        of covers and collects the elements it uses, so k units cover at
-        most c_k elements, and successive shortest paths reach c_k after
-        the k-th augmentation (Frank, JCTB 29, 1980).  The first path is a
-        longest chain of covers, read off the levels, so c_1 is the number
-        of levels.  Each later one is found by Dijkstra on costs reduced by
-        node potentials.  The first potentials are the distances in the
-        empty network, read off the heights: -h at the in node of an element
-        at height h, -h - 1 at its out node.  After each search the
-        distances are added to them, and every node stays reachable, since
-        the source arcs never fill."""
+        A chain meets each level at most once, so c_k <= B_k, the sum over
+        the levels of min(|level|, k), and any k disjoint chains that cover
+        B_k elements prove c_k = B_k.  Round k removes a longest chain of
+        what the earlier rounds left, found by length classes over the
+        levels: an element's class is one more than the highest class its
+        down-set meets, or 0, and the chain is read top down, taking in
+        each class the highest index under the element taken last.  When
+        the chains reach B_k in every round up to the largest level, B is
+        the shape, and its length the width.  At the first round that falls
+        short, the min-cost flow of ``_flow_shape`` computes the shape."""
+        levels = self.levels()
+        sizes = [level.bit_count() for level in levels]
+        shape, covered, rem = [], 0, self.full_mask
+        for k in range(1, max(sizes, default=0) + 1):
+            classes: list[int] = []
+            for level in levels:
+                for i in iter_bits(level & rem):
+                    below, h = self.dn[i] & rem, len(classes)
+                    while h and not classes[h - 1] & below:
+                        h -= 1
+                    if h == len(classes):
+                        classes.append(0)
+                    classes[h] |= 1 << i
+            covered += len(classes)
+            if covered != sum(min(size, k) for size in sizes):
+                return self._flow_shape(levels)
+            shape.append(covered)
+            below = rem
+            for chain_class in reversed(classes):
+                i = (chain_class & below).bit_length() - 1
+                rem ^= 1 << i
+                below = self.dn[i]
+        return tuple(shape)
+
+    def _flow_shape(self, levels: tuple[int, ...]) -> tuple[int, ...]:
+        """The chain shape by a min-cost flow on the cover graph, given the
+        poset's ``levels``, with each element split into an in and an out
+        node, joined by a "use" arc (capacity 1, cost -1) and a "pass" arc
+        (unbounded, cost 0); the source feeds every in node and every out
+        node drains to the sink.  A unit of flow follows a chain of covers
+        and collects the elements it uses, so k units cover at most c_k
+        elements, and successive shortest paths reach c_k after the k-th
+        augmentation (Frank, JCTB 29, 1980).  Each path is found by
+        Dijkstra on costs reduced by node potentials.  The first potentials
+        are the distances in the empty network, read off the heights: -h at
+        the in node of an element at height h, -h - 1 at its out node.
+        After each search the distances are added to them, and every node
+        stays reachable, since the source arcs never fill."""
         n = len(self)
-        if not n:
-            return ()
         source, sink = 2 * n, 2 * n + 1
         head: list[int] = []
         cap: list[int] = []
@@ -295,30 +329,12 @@ class Poset:
             for j in iter_bits(self.covers[i]):
                 arc(2 * i + 1, 2 * j, n, 0)
 
-        levels = self.levels()
         pot = [0] * (2 * n + 2)
         for h, level in enumerate(levels):
             for i in iter_bits(level):
                 pot[2 * i], pot[2 * i + 1] = -h, -h - 1
         pot[sink] = -len(levels)
-        # Every arc on a longest chain of covers is tight, so the first
-        # search would find all reduced distances 0 and leave the potentials
-        # as they are.  Push the first unit along such a chain instead, read
-        # off the levels top down: an element one level below the last one
-        # and under it is covered by it.
-        path, below = [sink], self.full_mask
-        for level in reversed(levels):
-            i = (level & below).bit_length() - 1
-            path += (2 * i + 1, 2 * i)
-            below = self.dn[i]
-        path.append(source)
-        for v, u in zip(path, path[1:]):
-            # The use arc of an element comes before its pass arc.
-            a = next(a for a in arcs[u] if head[a] == v)
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-        covered = len(levels)
-        shape = [covered]
+        covered, shape = 0, []
         while covered < n:
             dist = [math.inf] * (2 * n + 2)
             via = [-1] * (2 * n + 2)

@@ -1,6 +1,7 @@
 """Time one chromaposet call on two source trees, one process per tree.
 
     python tests/ab.py BASE CHANGE --call MODULE.FUNC --pool WORKLOAD [--rounds N]
+    python tests/ab.py BASE CHANGE --call MODULE.ATTR... --spec DSL [--spec DSL ...]
 
 BASE and CHANGE are checkouts.  The script starts one worker process per
 role, each with only its own tree's ``src/`` on its path, so that the two
@@ -11,6 +12,10 @@ output captured, and compared without the JSON envelope's
 ``wall_time_ms``.  Any other call, say ``nice.is_nice``, is made on the
 poset of each argv's ``--poset``, built before the clock starts, with
 ``max_elements`` from the argv's ``--max-elements`` when it has one.
+``--spec`` replaces the pool by the posets it names, one per ``--spec``,
+for any call but ``cli.main``.  The call is an attribute path inside the
+package, so a method such as ``posets.Poset.chain_shape`` takes the poset
+as its ``self``.
 
 After one untimed pass in each worker, each round collects garbage in
 both workers and then asks each to run the call over the whole pool, in alternating order, timed in CPU seconds.  The
@@ -67,8 +72,10 @@ def _serve(call: str) -> None:
     import chromaposet
     from chromaposet import build_poset, parse_poset_spec
 
-    module, func = call.rsplit(".", 1)
-    fn = getattr(importlib.import_module(f"chromaposet.{module}"), func)
+    module, *path = call.split(".")
+    fn = importlib.import_module(f"chromaposet.{module}")
+    for name in path:
+        fn = getattr(fn, name)
 
     def say(obj) -> None:
         print(json.dumps(obj), flush=True)
@@ -104,7 +111,7 @@ def _serve(call: str) -> None:
         cpu = time.process_time() - start
         digest = hashlib.sha256()
         for result in outputs:
-            if isinstance(result, tuple):  # a CLI call: drop the envelope's wall time
+            if call == "cli.main":  # drop the envelope's wall time
                 result = re.sub(r'"wall_time_ms": [0-9.e-]+', "", repr(result))
             elif isinstance(result, dict):
                 result = sorted(result.items())
@@ -139,18 +146,26 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base")
     parser.add_argument("change")
-    parser.add_argument("--call", required=True, help="MODULE.FUNC inside chromaposet")
-    parser.add_argument("--pool", required=True, help="a workload of BASE's perfbench/workloads.py")
+    parser.add_argument("--call", required=True, help="MODULE.ATTR... inside chromaposet")
+    inputs = parser.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("--pool", help="a workload of BASE's perfbench/workloads.py")
+    inputs.add_argument("--spec", action="append", help="a poset in the DSL; repeatable")
     parser.add_argument("--rounds", type=int, default=20)
     args = parser.parse_args(argv)
+    if args.spec and args.call == "cli.main":
+        parser.error("--spec needs a library call; cli.main takes the pool's argvs")
     workers = {"base": _Worker(args.base, args.call), "change": _Worker(args.change, args.call)}
     try:
-        argvs = workers["base"].ask({"pool": [args.base, args.pool]})["argvs"]
+        if args.spec:
+            argvs = [["--poset", spec] for spec in args.spec]
+        else:
+            argvs = workers["base"].ask({"pool": [args.base, args.pool]})["argvs"]
         for worker in workers.values():
             worker.ask({"argvs": argvs})
         for role, worker in workers.items():
             print(f"{role}: pid {worker.hello['pid']}, {worker.hello['package']}")
-        print(f"{args.call} over {len(argvs)} inputs of {args.pool}, {args.rounds} rounds")
+        source = args.pool or " ".join(args.spec)
+        print(f"{args.call} over {len(argvs)} inputs of {source}, {args.rounds} rounds")
         for worker in workers.values():  # a warm-up: the CLI imports its engines on first use
             worker.ask({"run": -1})
         runs: dict[str, list[dict]] = {"base": [], "change": []}

@@ -15,6 +15,13 @@ CPU seconds of the expansions and the number of lattices with a negative
 Schur coefficient, each of them with its level sizes and its most negative
 coefficient.  Every expansion is checked by ``checksum_failure``.
 
+The speed of a core on a shared host drifts within minutes, so around
+each size's ``is_nice`` calls it also times the benchmark's reference task
+(``time_reference`` of ``perfbench/worker.py``, once before and once
+after) and prints the CPU seconds scaled as perfbench scales them: times
+``REFERENCE_S`` over the mean of the two reference times.  The expansions
+of the size take the same scale.
+
 It exits 1 when the counts differ from OEIS A006982, when the lattices
 that are not nice are not exactly two of 18 elements with the witness
 ((9,7,2), (6,6,6)) and two of 20 with ((10,8,2), (7,7,6)) (those of
@@ -40,6 +47,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # OEIS A006982 from 15 to 20 elements; test_lattice_corpus holds 1 to 14.
 COUNTS_15_TO_20 = (891, 1639, 2978, 5483, 10006, 18428)
+# perfbench/run.py's scale: the reference task's CPU seconds on the host
+# its baseline was measured on.
+REFERENCE_S = 0.01
 NOT_NICE = {18: ((9, 7, 2), (6, 6, 6)), 20: ((10, 8, 2), (7, 7, 6))}
 # Lattices with a negative Schur coefficient, by size; none below 14.
 NEGATIVE_TO_16 = {14: 2, 15: 4, 16: 6}
@@ -150,18 +160,22 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--expand exceeds --max-size")
 
     from chromaposet import is_nice
+    from conftest import load_perfbench
     from test_lattice_corpus import COUNTS, distributive_lattices
+
+    time_reference = load_perfbench("worker").time_reference
 
     started = time.process_time()
     lattices = distributive_lattices(args.max_size)
     print(f"generated {len(lattices)} lattices in {time.process_time() - started:.1f} s")
-    print("size  lattices   nodes  nice s"
-          + ("   states  expand s  negative" if args.expand else ""))
+    print("size  lattices   nodes  nice s  scaled"
+          + ("   states  expand s  scaled  negative" if args.expand else ""))
     counts, failures, not_nice = [], [], []
-    total_nodes = total_s = total_states = total_expand_s = 0
+    total_nodes = total_s = total_scaled = total_states = total_expand_s = total_expand_scaled = 0
     for size in range(1, args.max_size + 1):
         group = [p for p in lattices if len(p) == size]
         counts.append(len(group))
+        reference = time_reference()
         nodes, witnesses, started = 0, [], time.process_time()
         for poset in group:
             verdict = is_nice(poset)
@@ -171,20 +185,23 @@ def main(argv: list[str] | None = None) -> int:
                 if failure := witness_failure(poset, verdict.witness[1]):
                     failures.append(failure)
         seconds = time.process_time() - started
+        scale = REFERENCE_S / ((reference + time_reference()) / 2)
         not_nice += [(size, witness) for witness in witnesses]
         total_nodes, total_s = total_nodes + nodes, total_s + seconds
-        row = f"{size:4d}  {len(group):8d}  {nodes:6d}  {seconds:6.2f}"
+        total_scaled += seconds * scale
+        row = f"{size:4d}  {len(group):8d}  {nodes:6d}  {seconds:6.2f}  {seconds * scale:6.2f}"
         negative = []
         if size <= args.expand:
             states, expand_s, expansions = expand(group)
             total_states, total_expand_s = total_states + states, total_expand_s + expand_s
+            total_expand_scaled += expand_s * scale
             for poset, expansion in zip(group, expansions):
                 if failure := checksum_failure(poset, expansion):
                     failures.append(f"a {size}-element lattice: {failure}")
                 lam, c = min(expansion.items(), key=lambda item: item[1])
                 if c < 0:
                     negative.append((tuple(m.bit_count() for m in poset.levels()), lam, c))
-            row += f"  {states:7d}  {expand_s:8.2f}  {len(negative):8d}"
+            row += f"  {states:7d}  {expand_s:8.2f}  {expand_s * scale:6.2f}  {len(negative):8d}"
             if size <= 16 and len(negative) != NEGATIVE_TO_16.get(size, 0):
                 failures.append(f"{len(negative)} lattices of {size} elements have a negative "
                                 f"coefficient, want {NEGATIVE_TO_16.get(size, 0)}")
@@ -194,10 +211,11 @@ def main(argv: list[str] | None = None) -> int:
         for levels, lam, c in negative:
             print(f"      negative: levels {levels}, most negative [s_{lam}] = {c}")
     print(f"total {len(lattices)} lattices, {len(not_nice)} not nice, "
-          f"{total_nodes} nodes, {total_s:.1f} s in is_nice")
+          f"{total_nodes} nodes, {total_s:.1f} s in is_nice ({total_scaled:.1f} s scaled)")
     if args.expand:
         print(f"expanded {sum(counts[: args.expand])} lattices: {total_states} "
-              f"count_all states, {total_expand_s:.1f} s in schur_expansion")
+              f"count_all states, {total_expand_s:.1f} s in schur_expansion "
+              f"({total_expand_scaled:.1f} s scaled)")
 
     want_counts = (COUNTS + COUNTS_15_TO_20)[: args.max_size]
     if tuple(counts) != want_counts:

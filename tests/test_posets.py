@@ -28,7 +28,7 @@ from chromaposet.posets import (
     parse_poset_spec,
     verify_distributive_lattice,
 )
-from conftest import builder_specs, random_posets, unit_interval_orders
+from conftest import builder_specs, load_perfbench, random_posets, unit_interval_orders
 
 # Ordinal sums nested two and three deep around every builder family; the
 # inner sums' lo/hi labels clash with the outer ones and are primed.
@@ -569,6 +569,50 @@ def test_chain_shape_ends_are_longest_chain_and_width(spec):
 
 def test_empty_poset_has_empty_chain_shape():
     assert Poset((), ()).chain_shape() == ()
+
+
+@given(st.one_of(random_posets(max_size=14), unit_interval_orders(max_size=14)))
+def test_chain_shape_matches_the_flow(poset):
+    assert poset.chain_shape() == poset._flow_shape(poset.levels())
+
+
+def test_a_shape_below_the_level_bound_comes_from_the_flow():
+    """a < b, a < c and d alone: the levels {a, d} and {b, c} bound the
+    shape by (2, 4), but no two disjoint chains cover four elements."""
+    poset = Poset(("a", "b", "c", "d"), (0b0111, 0b0010, 0b0100, 0b1000))
+    assert poset.chain_shape() == (2, 3, 4)
+
+
+def test_boolean_lattice_shape_is_its_level_bound():
+    """The boolean lattice of rank n has a symmetric chain decomposition
+    (de Bruijn, Tengbergen and Kruyswijk, 1951), so c_k = sum over i of
+    min(C(n, i), k)."""
+    for n in range(1, 13):
+        sizes = [math.comb(n, i) for i in range(n + 1)]
+        bound = tuple(sum(min(size, k) for size in sizes) for k in range(1, max(sizes) + 1))
+        assert build_poset(Boolean(n)).chain_shape() == bound, n
+
+
+def test_the_level_chains_settle_the_shape_without_the_flow(monkeypatch):
+    """The flow runs only where the chains read off the levels fall short of
+    the level bound: on none of the 41 `nice` pool posets, and on at most
+    57 of the 1,105 distributive lattices of up to 14 elements."""
+    from test_lattice_corpus import LATTICES
+
+    flows = []
+    flow_shape = Poset._flow_shape
+
+    def counted(poset, levels):
+        flows.append(poset)
+        return flow_shape(poset, levels)
+
+    monkeypatch.setattr(Poset, "_flow_shape", counted)
+    for argv in load_perfbench("workloads").pool("nice"):
+        build_poset(parse_poset_spec(argv[argv.index("--poset") + 1])).chain_shape()
+    assert not flows
+    for lattice in LATTICES:
+        lattice.chain_shape()
+    assert len(flows) <= 1105 - 1048
 
 
 # ---------------------------------------------------------------------------
